@@ -3,9 +3,10 @@ of trapped ions with chirped sideband pulses.
 
 The package covers the full pipeline: Hilbert-space construction, the
 rotating-frame drive Hamiltonian with carrier-shift compensation modes, a
-unitary midpoint-exponential propagator, adiabatic-potential analysis with
-diabatic-transition bounds, the two-ion measurement pipeline (populations,
-parity oscillations, fidelity, fluorescence readout) and robustness sweeps.
+unitary propagator that Strang-splits each step along the motional (Fock)
+number, adiabatic-potential analysis with diabatic-transition bounds, the
+two-ion measurement pipeline (populations, parity oscillations, fidelity,
+fluorescence readout) and robustness sweeps.
 """
 
 __version__ = "0.1.0"

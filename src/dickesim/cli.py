@@ -305,7 +305,14 @@ def _cmd_potentials(cfg: ExperimentConfig, out_dir: Path):
     print(manifest.read_text(), end="")
 
 
+def _require_two_ions(cfg: ExperimentConfig, command: str):
+    if cfg.n_qubits != 2:
+        raise ConfigError(
+            f"{command} is defined for two ions; the config has n_qubits={cfg.n_qubits}")
+
+
 def _cmd_parity(cfg: ExperimentConfig, out_dir: Path, ideal: bool):
+    _require_two_ions(cfg, "parity")
     if ideal:
         d = np.zeros(4, dtype=complex)
         d[1] = d[2] = 1.0 / math.sqrt(2.0)
@@ -335,6 +342,7 @@ def _cmd_parity(cfg: ExperimentConfig, out_dir: Path, ideal: bool):
 
 
 def _cmd_histogram(cfg: ExperimentConfig, out_dir: Path):
+    _require_two_ions(cfg, "histogram")
     rho = run_rap(cfg).rho
     pops = rho.populations()
     classes = (float(pops[0]), float(pops[1] + pops[2]), float(pops[3]))

@@ -39,6 +39,9 @@ EXPERIMENT_DT_FACTOR = 0.04
 
 THERMAL_TAIL = 1e-4
 
+#: allowed gap in the sweep's F = diag_sum/2 + offdiag/2 identity
+DECOMPOSITION_TOL = 1e-12
+
 
 class PrepMode(enum.Enum):
     IDEAL_FOCK = "ideal_fock"
@@ -337,7 +340,10 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None) -> SweepResult:
         off[k] = float(2.0 * np.real(m[1, 2]))
         fid[k] = res.fidelity
         bound[k] = res.bound.value if res.bound is not None else np.nan
-        assert abs(fid[k] - (diag[k] / 2.0 + off[k] / 2.0)) < 1e-12
+        if not abs(fid[k] - (diag[k] / 2.0 + off[k] / 2.0)) < DECOMPOSITION_TOL:
+            raise NumericsError(
+                f"{axis}={value:.6g}: fidelity {fid[k]!r} != diag_sum/2 + offdiag/2 "
+                f"= {diag[k] / 2.0 + off[k] / 2.0!r}")
     return SweepResult(axis=axis, values=values, fidelity=fid, diag_sum=diag,
                        offdiag=off, bound=bound, errors=errors,
                        partial=any(e is not None for e in errors))

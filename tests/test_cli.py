@@ -224,6 +224,18 @@ class TestExitCodes:
                      "simulate"]) == 3
         assert "numerical guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["histogram"], ["parity"], ["parity", "--ideal"]])
+    def test_two_ion_commands_reject_three_ions(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, {"n_qubits": 3})
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert "n_qubits=3" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not any(out.iterdir())
+
     def test_stdout_clean_on_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"omega_peak_khz": -1})
         main(["--config", str(cfg), "simulate"])

@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dickesim import (CompensationMode, ExperimentConfig, PrepMode,
-                      build_space, dicke_fidelity, make_dicke,
+from dickesim import (CompensationMode, ExperimentConfig, NumericsError,
+                      PrepMode, build_space, dicke_fidelity, make_dicke,
                       potentials_report, prepare_fock1, run_rap, sweep,
                       truncation_overlap)
+from dickesim import experiment
 from dickesim.drive import TWO_PI
 from dickesim.experiment import (count_local_minima, default_sweep_values,
                                  internal_populations)
@@ -140,6 +141,15 @@ class TestSweep:
         widths = [150e-6, 244e-6, 400e-6]
         result = sweep(zc_config(), "width", widths)
         assert np.all(np.diff(result.bound) <= 1e-3)
+
+    def test_broken_decomposition_identity_raises(self, monkeypatch):
+        # a fidelity that no longer matches the density matrix must stop the
+        # sweep, also under python -O
+        true_fidelity = experiment.fidelity_dicke
+        monkeypatch.setattr(experiment, "fidelity_dicke",
+                            lambda rho: true_fidelity(rho) + 1e-9)
+        with pytest.raises(NumericsError, match="diag_sum/2"):
+            sweep(zc_config(), "width", [244e-6])
 
     def test_errors_recorded_not_raised(self):
         cfg = zc_config(dt=1e-6)   # violates the step-size guard at every point

@@ -1,15 +1,25 @@
-"""Midpoint-exponential propagation: analytic oracles and structure checks."""
+"""Fock-split propagation: analytic oracles, dense oracles and structure checks.
+
+Two dense full-space oracles run without any reduction: ``brute_force_evolve``
+applies the exact exponential of the midpoint Hamiltonian (the accuracy
+reference the split is pinned against), and ``dense_split_evolve`` applies the
+same Fock-number Strang split as ``evolve`` (the equivalence reference for
+the block and symmetric-basis reductions).
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dickesim import (CompensationMode, DriveConfig, PulseShape, Sideband,
-                      StateVector, StepSizeError, TruncationLeakError,
+from dickesim import (CompensationMode, DriveConfig, NumericsError, PulseShape,
+                      Sideband, StateVector, StepSizeError, TruncationLeakError,
                       build_space, embed, evolve, make_dicke,
                       propagate_sequence)
-from dickesim.drive import TWO_PI, hamiltonian_matrix
+from dickesim import propagator
+from dickesim.drive import TWO_PI, drive_terms, hamiltonian_matrix
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
@@ -35,6 +45,26 @@ def brute_force_evolve(cfg, psi0, n_steps, duration):
         h = hamiltonian_matrix(cfg, (k + 0.5) * dt)
         w, v = np.linalg.eigh(h)
         psi = (v * np.exp(-1j * w * dt)) @ (v.conj().T @ psi)
+    return psi
+
+
+def dense_split_evolve(cfg, psi0, n_steps, duration):
+    """Reference Fock split, dense full space, no reductions.
+
+    Each midpoint step applies ``A B A`` with ``A = exp(-i H_F dt/2)`` for the
+    Fock-number-preserving entries of H and ``B = exp(-i H_R dt)`` for the
+    rest, both through a dense eigendecomposition.
+    """
+    fock = np.arange(cfg.space.dim) % cfg.space.n_fock
+    same = fock[:, None] == fock[None, :]
+    dt = duration / n_steps
+    psi = psi0.amplitudes.astype(complex)
+    for k in range(n_steps):
+        h = hamiltonian_matrix(cfg, (k + 0.5) * dt)
+        wf, vf = np.linalg.eigh(np.where(same, h, 0.0))
+        wr, vr = np.linalg.eigh(np.where(same, 0.0, h))
+        a = (vf * np.exp(-0.5j * wf * dt)) @ vf.T
+        psi = a @ ((vr * np.exp(-1j * wr * dt)) @ (vr.T @ (a @ psi)))
     return psi
 
 
@@ -88,6 +118,37 @@ class TestGuards:
         with pytest.raises(TruncationLeakError):
             evolve(cfg, embed(space, "d", 1), duration=t_pi)
 
+    def test_transient_leak_within_one_chunk(self):
+        # a full Rabi cycle |d,1> -> |u,2> -> |d,1> puts all population at
+        # n_max mid-pulse and returns it by the end, inside one chunk, so
+        # only a per-step check sees it
+        space = build_space(1, 2)
+        eta = 0.25
+        cfg = DriveConfig(space=space, eta=eta, omega_v=TWO_PI * 0.2e6,
+                          pulse=PulseShape.flat(OMEGA_PEAK), sideband=Sideband.BLUE,
+                          compensation=CompensationMode.zero_carrier())
+        t_cycle = 2 * math.pi / (eta * OMEGA_PEAK * math.sqrt(2))
+        dt = t_cycle / 1000
+        assert math.ceil(t_cycle / dt) <= propagator.CHUNK_STEPS
+        with pytest.raises(TruncationLeakError, match="at t = "):
+            evolve(cfg, embed(space, "d", 1), dt=dt, duration=t_cycle)
+
+    @pytest.mark.parametrize("term,a,b,match", [
+        (0, ("dd", 0), ("dd", 1), "changes the Fock number"),
+        (1, ("uu", 2), ("uu", 2), "Fock level 2"),
+    ])
+    def test_split_checks_factorisation(self, monkeypatch, term, a, b, match):
+        # an S0 entry between Fock levels, or an S1 that depends on the Fock
+        # level, breaks H_F = omega_v n + H_int(t); the split must refuse it
+        cfg = rap_drive(CompensationMode.none(), n_max=3)
+        terms = [s.copy() for s in drive_terms(cfg)]
+        i, j = cfg.space.index(*a), cfg.space.index(*b)
+        terms[term][i, j] += 0.5
+        terms[term][j, i] = terms[term][i, j]
+        monkeypatch.setattr(propagator, "drive_terms", lambda _: tuple(terms))
+        with pytest.raises(NumericsError, match=match):
+            evolve(cfg, embed(cfg.space, "dd", 1))
+
     def test_flat_pulse_needs_duration(self):
         space = build_space(1, 2)
         cfg = DriveConfig(space=space, eta=ETA, omega_v=OMEGA_V,
@@ -122,25 +183,92 @@ class TestUnitarityAndConvergence:
         assert 3.0 < err_coarse / err_fine < 5.2
 
 
+REDUCTION_CONFIGS = [
+    (CompensationMode.zero_carrier(), ()),
+    (CompensationMode.none(), ()),
+    (CompensationMode.effective(0.6, TWO_PI * 400e3), ()),
+    (CompensationMode.none(), (1.0, 0.7)),
+]
+
+
+def short_rap_drive(comp, weights):
+    return DriveConfig(space=build_space(2, 3), eta=ETA, omega_v=OMEGA_V,
+                       pulse=PulseShape(omega_peak=OMEGA_PEAK, sigma=20e-6,
+                                        chirp_start=-TWO_PI * 100e3,
+                                        chirp_end=TWO_PI * 100e3),
+                       ion_weights=weights, compensation=comp)
+
+
 class TestAgainstBruteForce:
-    @pytest.mark.parametrize("comp,weights", [
-        (CompensationMode.zero_carrier(), ()),
-        (CompensationMode.none(), ()),
-        (CompensationMode.effective(0.6, TWO_PI * 400e3), ()),
-        (CompensationMode.none(), (1.0, 0.7)),
-    ])
+    N_STEPS = 16384
+
+    @pytest.mark.parametrize("comp,weights", REDUCTION_CONFIGS)
     def test_block_reductions_change_nothing(self, comp, weights):
-        cfg = DriveConfig(space=build_space(2, 3), eta=ETA, omega_v=OMEGA_V,
-                          pulse=PulseShape(omega_peak=OMEGA_PEAK, sigma=20e-6,
-                                           chirp_start=-TWO_PI * 100e3,
-                                           chirp_end=TWO_PI * 100e3),
-                          ion_weights=weights, compensation=comp)
+        cfg = short_rap_drive(comp, weights)
         psi0 = embed(cfg.space, "dd", 1)
-        n_steps = 16384
         duration = cfg.pulse.duration
-        res = evolve(cfg, psi0, dt=duration / n_steps)
-        ref = brute_force_evolve(cfg, psi0, n_steps, duration)
+        res = evolve(cfg, psi0, dt=duration / self.N_STEPS)
+        ref = dense_split_evolve(cfg, psi0, self.N_STEPS, duration)
         assert np.linalg.norm(res.final_state.amplitudes - ref) < 1e-10
+
+    @pytest.mark.parametrize("comp,weights", REDUCTION_CONFIGS)
+    def test_split_close_to_midpoint_rule(self, comp, weights):
+        cfg = short_rap_drive(comp, weights)
+        psi0 = embed(cfg.space, "dd", 1)
+        duration = cfg.pulse.duration
+        res = evolve(cfg, psi0, dt=duration / self.N_STEPS)
+        ref = brute_force_evolve(cfg, psi0, self.N_STEPS, duration)
+        assert np.linalg.norm(res.final_state.amplitudes - ref) < 1e-7
+
+
+class TestRandomizedEquivalence:
+    """Reduced split evolve vs the dense split oracle on random drives."""
+
+    N_STEPS = 256
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(n_qubits=st.integers(1, 3),
+           n_max=st.integers(1, 3),
+           uniform=st.booleans(),
+           weights=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+                            min_size=3, max_size=3),
+           offsets_khz=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+           comp=st.sampled_from([CompensationMode.none(),
+                                 CompensationMode.zero_carrier(),
+                                 CompensationMode.effective(0.6, TWO_PI * 40e3)]),
+           sideband=st.sampled_from(list(Sideband)),
+           eta=st.floats(0.02, 0.25),
+           sigma_us=st.floats(4.0, 12.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_reduced_split_matches_dense_split(self, n_qubits, n_max, uniform, weights,
+                                               offsets_khz, comp, sideband, eta,
+                                               sigma_us, seed):
+        if uniform:
+            weights, offsets_khz = [weights[0]] * 3, [offsets_khz[0]] * 3
+        # scaled-down frequencies keep 256 steps inside the 0.05 step guard
+        pulse = PulseShape(omega_peak=TWO_PI * 10e3, sigma=sigma_us * 1e-6,
+                           chirp_start=-TWO_PI * 5e3, chirp_end=TWO_PI * 5e3)
+        cfg = DriveConfig(space=build_space(n_qubits, n_max), eta=eta,
+                          omega_v=TWO_PI * 20e3, pulse=pulse,
+                          ion_weights=tuple(weights[:n_qubits]),
+                          ion_detuning_offsets=tuple(o * TWO_PI * 1e3
+                                                     for o in offsets_khz[:n_qubits]),
+                          sideband=sideband, compensation=comp)
+        rng = np.random.default_rng(seed)
+        pair = rng.normal(size=(2, cfg.space.dim)) + 1j * rng.normal(size=(2, cfg.space.dim))
+        psi, phi = (StateVector(cfg.space, v / np.linalg.norm(v)) for v in pair)
+        duration = pulse.duration
+        # random states fill the top Fock level; the leak guard is not under test
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagator, "LEAK_LIMIT", math.inf)
+            res = evolve(cfg, psi, dt=duration / self.N_STEPS)
+            res_phi = evolve(cfg, phi, dt=duration / self.N_STEPS)
+        ref = dense_split_evolve(cfg, psi, self.N_STEPS, duration)
+        assert np.linalg.norm(res.final_state.amplitudes - ref) < 1e-10
+        # unitarity: norms and the inner product are preserved
+        assert res.norm_drift < 1e-12 and res_phi.norm_drift < 1e-12
+        assert res_phi.final_state.overlap(res.final_state) == pytest.approx(
+            phi.overlap(psi), abs=1e-12)
 
 
 class TestRapOracle:
