@@ -4,9 +4,11 @@ of trapped ions with chirped sideband pulses.
 The package covers the full pipeline: Hilbert-space construction, the
 rotating-frame drive Hamiltonian with carrier-shift compensation modes, a
 unitary propagator that Strang-splits each step along the motional (Fock)
-number, adiabatic-potential analysis with diabatic-transition bounds, the
-two-ion measurement pipeline (populations, parity oscillations, fidelity,
-fluorescence readout) and robustness sweeps.
+number, adiabatic-potential analysis with diabatic-transition bounds on the
+drive Hamiltonian projected onto its symmetric low-excitation states, the
+Dicke-state fidelity for any ion number, the two-ion measurement pipeline
+(populations, parity oscillations, fluorescence readout) and robustness
+sweeps.
 """
 
 __version__ = "0.1.0"
@@ -22,30 +24,30 @@ from .errors import (ConfigError, ContinuityError, DegeneracyError,
 from .experiment import (ExperimentConfig, PrepMode, RapResult, SweepResult,
                          dicke_fidelity, potentials_report, prepare_fock1,
                          run_rap, sweep, truncation_overlap)
-from .measurement import (InternalDensityMatrix, ParityFit, fidelity_dicke,
-                          fit_parity, parity, parity_curve, rotate_global,
+from .measurement import (InternalDensityMatrix, ParityFit, fit_parity,
+                          parity, parity_curve, rotate_global,
                           simulate_histogram, threshold_estimate,
                           trace_out_motion)
 from .propagator import EvolutionResult, evolve, propagate_sequence
-from .spectral import (AdiabaticFrame, DiabaticBound, FiveStateModel,
-                       adiabatic_spectrum, build_five_state, diabatic_bound,
-                       morris_shore_2ion, nonadiabatic_coupling,
+from .spectral import (AdiabaticFrame, DiabaticBound, ReducedModel,
+                       adiabatic_spectrum, diabatic_bound,
+                       nonadiabatic_coupling, reduced_model,
                        spectrum_with_refinement)
 
 __all__ = [
     "AdiabaticFrame", "BasisState", "CompensationKind", "CompensationMode",
     "ConfigError", "ContinuityError", "DegeneracyError", "DiabaticBound",
-    "DriveConfig", "EvolutionResult", "ExperimentConfig", "FiveStateModel",
+    "DriveConfig", "EvolutionResult", "ExperimentConfig",
     "HermitianOperator", "HilbertSpace", "InternalDensityMatrix",
     "NumericsError", "ParityFit", "PrepMode", "PulseShape", "RapResult",
-    "ResourceGuardError", "Sideband", "StateVector", "StepSizeError",
-    "SweepResult", "TruncationLeakError", "adiabatic_spectrum",
-    "build_five_state", "build_space", "derive_eta", "detuning",
+    "ReducedModel", "ResourceGuardError", "Sideband", "StateVector",
+    "StepSizeError", "SweepResult", "TruncationLeakError",
+    "adiabatic_spectrum", "build_space", "derive_eta", "detuning",
     "diabatic_bound", "dicke_fidelity", "embed", "envelope", "evolve",
-    "expectation", "fidelity_dicke", "fit_parity", "hamiltonian_at",
-    "make_dicke", "morris_shore_2ion", "nonadiabatic_coupling", "parity",
-    "parity_curve", "potentials_report", "prepare_fock1",
-    "propagate_sequence", "rotate_global", "run_rap", "simulate_histogram",
+    "expectation", "fit_parity", "hamiltonian_at", "make_dicke",
+    "nonadiabatic_coupling", "parity", "parity_curve", "potentials_report",
+    "prepare_fock1", "propagate_sequence", "reduced_model",
+    "rotate_global", "run_rap", "simulate_histogram",
     "spectrum_with_refinement", "sweep", "threshold_estimate",
     "trace_out_motion", "truncation_overlap",
 ]

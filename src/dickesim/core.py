@@ -17,9 +17,9 @@ the ordering is spin-major with the Fock index ascending fastest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -109,9 +109,6 @@ class HilbertSpace:
         spins = word.replace("0", SPIN_DOWN).replace("1", SPIN_UP)
         return BasisState(spins, fock_n)
 
-    def basis_states(self):
-        return [self.basis_state(i) for i in range(self.dim)]
-
     # ------------------------------------------------------------------
     # dense operator building blocks (plain ndarrays, cached)
     # ------------------------------------------------------------------
@@ -168,10 +165,36 @@ class HilbertSpace:
             perm[j, i] = 1.0
         return np.kron(perm, np.eye(self.n_fock))
 
-    def fock_slice_weight(self, amplitudes: np.ndarray, fock_n: int) -> float:
-        """Total population sitting at one motional quantum number."""
-        idx = np.arange(2**self.n_qubits) * self.n_fock + fock_n
-        return float(np.sum(np.abs(amplitudes[idx]) ** 2))
+
+@lru_cache(maxsize=16)
+def symmetric_transform(n_qubits: int) -> np.ndarray:
+    """Orthogonal internal-basis change grouping states by up count.
+
+    Columns come in blocks of fixed up count m = 0..N; the first column of
+    each block is the uniform (permutation-symmetric, Dicke) combination and
+    the rest span its orthogonal complement, so every column remains an
+    eigenvector of the up-state number.  For two ions this is the bright/dark
+    change of Morris and Shore.  The returned array is cached and read-only.
+    """
+    dim = 2**n_qubits
+    n_up = np.array([bin(s).count("1") for s in range(dim)])
+    cols = []
+    for m in range(n_qubits + 1):
+        idx = np.flatnonzero(n_up == m)
+        c = len(idx)
+        sym = np.zeros(dim)
+        sym[idx] = 1.0 / sqrt(c)
+        cols.append(sym)
+        if c > 1:
+            # orthonormal complement of the uniform vector inside the block
+            _, _, vh = np.linalg.svd(np.ones((1, c)))
+            for row in vh[1:]:
+                v = np.zeros(dim)
+                v[idx] = row
+                cols.append(v)
+    transform = np.column_stack(cols)
+    transform.setflags(write=False)
+    return transform
 
 
 def build_space(n_qubits: int, n_max: int, dim_cap: int = DEFAULT_DIM_CAP) -> HilbertSpace:

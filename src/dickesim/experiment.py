@@ -5,6 +5,10 @@ Times are seconds and frequencies angular (rad/s) throughout, matching the
 drive layer.  The default operating point: peak carrier Rabi frequency
 2 pi x 145 kHz, pulse width 2 sigma = 244 us, detuning swept linearly over
 +-2 pi x 100 kHz, trap frequency 2 pi x 0.7 MHz.
+
+Every ion number takes the same path: the fidelity is :func:`dicke_fidelity`
+of the final state, and the diabatic bound (like the two-ion potentials
+report) reads the adiabatic frame of :func:`dickesim.spectral.reduced_model`.
 """
 
 from __future__ import annotations
@@ -17,13 +21,13 @@ import numpy as np
 
 from .core import (HilbertSpace, StateVector, build_space, embed, make_dicke)
 from .drive import (CompensationMode, DriveConfig, PulseShape, Sideband,
-                    TWO_PI, derive_eta, envelope)
+                    TWO_PI, derive_eta)
 from .errors import (ContinuityError, DegeneracyError, NumericsError,
                      ResourceGuardError)
-from .measurement import InternalDensityMatrix, fidelity_dicke, trace_out_motion
+from .measurement import InternalDensityMatrix, trace_out_motion
 from .propagator import EvolutionResult, evolve, max_frequency, propagate_sequence
-from .spectral import (AdiabaticFrame, DiabaticBound, adiabatic_spectrum,
-                       build_five_state, diabatic_bound, nonadiabatic_coupling,
+from .spectral import (DiabaticBound, adiabatic_spectrum, diabatic_bound,
+                       nonadiabatic_coupling, reduced_model,
                        spectrum_with_refinement)
 
 DEFAULT_OMEGA_PEAK = TWO_PI * 145e3
@@ -183,35 +187,25 @@ def prepare_fock1(cfg: ExperimentConfig) -> StateVector:
     return _prepare_from(cfg, 0)
 
 
-def _two_state_bright_model(cfg: ExperimentConfig):
-    """Bright-pair reduction |d..d,1> <-> |D,0> for ion numbers other than two.
+def _rap_frame(cfg: ExperimentConfig, n_points: int = 2001, times=None):
+    """Adiabatic frame of the reduced model and the RAP branch pair ``(i, j)``.
 
-    Carrier-induced shifts are not represented here; for two ions use the
-    five-state model instead.
+    The pair are the branches whose t=0 eigenvectors follow the bare states
+    ``|d..d,1>`` and ``|D,0>``.  Without ``times`` the grid is uniform with
+    ``n_points`` points, refined on branch-tracking failure.
     """
-    drive = cfg.rap_drive()
-    n = cfg.n_qubits
-    coupling_scale = math.sqrt(n) * np.mean(drive.ion_weights) * drive.eta / 2.0
-
-    def h_at(t: float) -> np.ndarray:
-        om = float(envelope(drive.pulse, t))
-        dc = float(drive.carrier_detuning(t))
-        return np.array([[drive.omega_v, coupling_scale * om],
-                         [coupling_scale * om, -dc]])
-
-    return h_at, ["|d..d,1>", "|D,0>"]
-
-
-def _rap_branch_pair(frame: AdiabaticFrame, targets) -> tuple:
-    """Branch indices whose t=0 eigenvectors follow the two bare RAP states."""
-    v0 = frame.vectors[0]
+    model = reduced_model(cfg.rap_drive())
+    labels = list(model.labels)
+    if times is None:
+        frame = spectrum_with_refinement(model.h_at, 0.0, cfg.pulse().duration,
+                                         n_points, basis_labels=labels)
+    else:
+        frame = adiabatic_spectrum(model.h_at, times, basis_labels=labels)
     picks = []
-    for target in targets:
-        overlaps = np.abs(target.conj() @ v0)
-        order = np.argsort(-overlaps)
-        pick = next(int(i) for i in order if int(i) not in picks)
-        picks.append(pick)
-    return tuple(picks)
+    for state in ((0, 1), (1, 0)):
+        overlaps = np.abs(frame.vectors[0][model.states.index(state)])
+        picks.append(next(int(i) for i in np.argsort(-overlaps) if int(i) not in picks))
+    return frame, tuple(picks)
 
 
 def rap_diabatic_bound(cfg: ExperimentConfig,
@@ -222,19 +216,8 @@ def rap_diabatic_bound(cfg: ExperimentConfig,
     drive is effectively off and the crossing is real), where the bound
     stops being meaningful.
     """
-    duration = cfg.pulse().duration
     try:
-        if cfg.n_qubits == 2:
-            model = build_five_state(cfg.rap_drive())
-            frame = spectrum_with_refinement(model.h_at, 0.0, duration, n_points,
-                                             basis_labels=list(model.basis))
-            targets = [np.eye(5)[1], np.eye(5)[2]]   # |dd,1>, |D,0>
-        else:
-            h_at, labels = _two_state_bright_model(cfg)
-            frame = spectrum_with_refinement(h_at, 0.0, duration, n_points,
-                                             basis_labels=labels)
-            targets = [np.eye(2)[0], np.eye(2)[1]]
-        i, j = _rap_branch_pair(frame, targets)
+        frame, (i, j) = _rap_frame(cfg, n_points)
         return diabatic_bound(frame, i, j)
     except (ContinuityError, DegeneracyError):
         return None
@@ -277,8 +260,6 @@ def run_rap(cfg: ExperimentConfig, sample_every: int = 0) -> RapResult:
             rho_acc += weight * trace_out_motion(res.final_state).matrix
 
     rho = InternalDensityMatrix(rho_acc) if rho_acc is not None else None
-    if rho is not None:
-        fid = fidelity_dicke(rho)
     bound = rap_diabatic_bound(cfg)
     return RapResult(evolution=evolution, rho=rho, fidelity=float(fid),
                      bound=bound, populations=pops_acc)
@@ -387,34 +368,20 @@ def potentials_report(cfg: ExperimentConfig, n_points: int = 2001,
     automatically on branch-tracking failure).
     """
     if cfg.n_qubits != 2:
-        raise ValueError("the potentials report uses the two-ion five-state model")
-    duration = cfg.pulse().duration
+        raise ValueError("the potentials report is defined for two ions")
     variants = {}
     if times is not None:
         times = np.asarray(times, dtype=float)
     for name, comp in (("none", CompensationMode.none()),
                        ("zero_carrier", CompensationMode.zero_carrier())):
-        drive = replace_compensation(cfg, comp).rap_drive()
-        model = build_five_state(drive)
-        if times is None:
-            frame = spectrum_with_refinement(model.h_at, 0.0, duration, n_points,
-                                             basis_labels=list(model.basis))
-            times = frame.times
-        else:
-            frame = adiabatic_spectrum(model.h_at, times,
-                                       basis_labels=list(model.basis))
-        i, j = _rap_branch_pair(frame, [np.eye(5)[1], np.eye(5)[2]])
-        gap = np.abs(frame.energies[:, j] - frame.energies[:, i])
+        frame, (i, j) = _rap_frame(replace(cfg, compensation=comp), n_points, times)
+        times = frame.times
         omega = frame.energies[:, j] - frame.energies[:, i]
         ratio = np.abs(nonadiabatic_coupling(frame, i, j) / omega) ** 2
         variants[name] = PotentialsVariant(name=name, energies=frame.energies,
-                                           rap_pair=(i, j), gap=gap,
+                                           rap_pair=(i, j), gap=np.abs(omega),
                                            alpha_over_omega_sq=ratio)
     return PotentialsReport(times=times, variants=variants)
-
-
-def replace_compensation(cfg: ExperimentConfig, comp: CompensationMode) -> ExperimentConfig:
-    return replace(cfg, compensation=comp)
 
 
 def truncation_overlap(cfg: ExperimentConfig, extra: int = 2) -> float:

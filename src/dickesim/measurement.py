@@ -1,4 +1,4 @@
-"""Two-ion measurement pipeline: populations, parity, fidelity, readout.
+"""Two-ion measurement pipeline: density matrix, populations, parity, readout.
 
 The reduced internal-state density matrix lives on the spin basis
 ``(dd, du, ud, uu)``.  A global analysis pulse is the simultaneous pi/2
@@ -70,14 +70,6 @@ def trace_out_motion(psi: StateVector) -> InternalDensityMatrix:
         raise ValueError("internal density matrix is defined for two ions")
     amp = psi.amplitudes.reshape(4, space.n_fock)
     return InternalDensityMatrix(amp @ amp.conj().T)
-
-
-def fidelity_dicke(rho: InternalDensityMatrix) -> float:
-    """Overlap with the symmetric single-excitation state:
-    ``F = (rho_du,du + rho_ud,ud)/2 + Re(rho_du,ud)``.
-    """
-    m = rho.matrix
-    return float(np.real(m[1, 1] + m[2, 2]) / 2.0 + np.real(m[1, 2]))
 
 
 def _sigma_phi(phi: float) -> np.ndarray:

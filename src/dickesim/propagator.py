@@ -28,23 +28,26 @@ Two structural reductions keep the cost down without changing the result:
   reduction of degenerate coupled systems), which splits the symmetric
   sector from the dark ones and shrinks the components further.
 
-Both are exact basis-level statements about H, not approximations; couplings
-below 1e-12 of the largest matrix element are treated as structural zeros.
+Both are exact basis-level statements about H, not approximations; entries
+of a drive term below 1e-12 of that term's largest entry are treated as
+structural zeros.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .core import StateVector
+from .core import StateVector, symmetric_transform
 from .drive import DriveConfig, drive_terms, envelope
 from .errors import NumericsError, StepSizeError, TruncationLeakError
 
+#: steps per chunk; blocks above 32 states get proportionally fewer, so a
+#: chunk's step unitaries never exceed CHUNK_ENTRIES complex entries (16 MB)
 CHUNK_STEPS = 1024
+CHUNK_ENTRIES = CHUNK_STEPS * 32**2
 STRUCTURAL_ZERO = 1e-12
 BLOCK_WEIGHT_FLOOR = 1e-20
 LEAK_LIMIT = 1e-4
@@ -76,33 +79,6 @@ def max_frequency(cfg: DriveConfig) -> float:
     )
 
 
-@lru_cache(maxsize=16)
-def _symmetric_transform(n_qubits: int) -> np.ndarray:
-    """Orthogonal internal-basis change grouping states by up count.
-
-    Within each fixed-up-count block the first column is the uniform
-    (permutation-symmetric) combination and the rest span its orthogonal
-    complement; every column remains an eigenvector of the up-state number.
-    """
-    dim = 2**n_qubits
-    n_up = np.array([bin(s).count("1") for s in range(dim)])
-    cols = []
-    for m in range(n_qubits + 1):
-        idx = np.flatnonzero(n_up == m)
-        c = len(idx)
-        sym = np.zeros(dim)
-        sym[idx] = 1.0 / math.sqrt(c)
-        cols.append(sym)
-        if c > 1:
-            # orthonormal complement of the uniform vector inside the block
-            _, _, vh = np.linalg.svd(np.ones((1, c)))
-            for row in vh[1:]:
-                v = np.zeros(dim)
-                v[idx] = row
-                cols.append(v)
-    return np.column_stack(cols)
-
-
 def _connected_components(pattern: np.ndarray):
     """Components of the symmetric adjacency implied by a boolean matrix."""
     dim = pattern.shape[0]
@@ -132,17 +108,26 @@ def _transformed_terms(cfg: DriveConfig):
     offsets = cfg.ion_detuning_offsets
     if (cfg.space.n_qubits > 1 and len(set(weights)) == 1 and len(set(offsets)) == 1
             and cfg.space.n_qubits <= 8):
-        t_int = _symmetric_transform(cfg.space.n_qubits)
+        t_int = symmetric_transform(cfg.space.n_qubits)
         t_full = np.kron(t_int, np.eye(cfg.space.n_fock))
         transformed = tuple(t_full.T @ s @ t_full for s in terms)
         candidates.append((transformed, t_full))
     return candidates
 
 
+def _structural_cut(terms) -> np.ndarray:
+    """Per-term threshold below which an entry is a structural zero.
+
+    Each term is cut against its own largest entry, so a weak coupling in S2
+    is not lost next to the large ``omega_v n`` diagonal of S0.
+    """
+    return STRUCTURAL_ZERO * np.array([np.abs(s).max() for s in terms])
+
+
 def _pattern(terms) -> np.ndarray:
-    total = sum(np.abs(s) for s in terms)
-    scale = max(total.max(), 1e-300)
-    pat = total > STRUCTURAL_ZERO * scale
+    pat = np.zeros(terms[0].shape, dtype=bool)
+    for s, cut in zip(terms, _structural_cut(terms)):
+        pat |= np.abs(s) > cut
     np.fill_diagonal(pat, False)
     return pat
 
@@ -219,7 +204,7 @@ def _fock_split(terms, internal: np.ndarray, idx: np.ndarray, n_fock: int,
                           for members, levels in layout])
 
     sub = np.stack([s[np.ix_(idx, idx)] for s in terms])
-    tol = STRUCTURAL_ZERO * np.abs(sub).max(axis=(1, 2))
+    tol = _structural_cut(sub)
     same = (idx % n_fock)[:, None] == (idx % n_fock)[None, :]
     cross = np.abs(np.where(same, 0.0, sub)).max(axis=(1, 2))
     if np.any(np.delete(cross > tol, 2)):
@@ -296,10 +281,12 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
     psis = [psi_rep[split.idx].astype(complex) for split in splits]
     leak_masks = [(split.idx % n_fock) == cfg.space.n_max for split in splits]
 
+    largest = max(len(split.idx) for split in splits)
+    chunk = max(1, min(CHUNK_STEPS, CHUNK_ENTRIES // largest**2))
     norm_drift = 0.0
     samples = []
-    for start in range(0, n_steps, CHUNK_STEPS):
-        steps = np.arange(start + 1, min(start + CHUNK_STEPS, n_steps) + 1)
+    for start in range(0, n_steps, chunk):
+        steps = np.arange(start + 1, min(start + chunk, n_steps) + 1)
         midpoints = (steps - 0.5) * dt_eff
         om = np.asarray(envelope(cfg.pulse, midpoints), dtype=float)
         dc = np.asarray(cfg.carrier_detuning(midpoints), dtype=float)

@@ -3,18 +3,21 @@
 Provides gauge-fixed adiabatic frames (branch-matched eigendecompositions on
 a time grid), nonadiabatic couplings ``alpha_ji(t) = <j(t)| d/dt |i(t)>``,
 the standard upper bound on diabatic-transition probability
-``max |alpha_ji / omega_ji|^2``, the two-ion bright/dark basis change, and
-the five-state reduced model of the chirped red-sideband pulse.
+``max |alpha_ji / omega_ji|^2``, and the reduced model of the chirped
+red-sideband pulse: the drive Hamiltonian projected onto the symmetric
+states with at most two excitations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .drive import CompensationKind, DriveConfig, Sideband, envelope
+from .core import symmetric_transform
+from .drive import DriveConfig, Sideband, drive_terms, envelope
 from .errors import ContinuityError, DegeneracyError
 
 CONTINUITY_MIN = 0.9
@@ -175,75 +178,50 @@ def diabatic_bound(frame: AdiabaticFrame, i: int, j: int) -> DiabaticBound:
     return DiabaticBound(value=float(ratio[k]), time=float(frame.times[k]))
 
 
-def morris_shore_2ion() -> np.ndarray:
-    """Two-ion internal basis change to bright/dark combinations.
-
-    Over (dd, du, ud, uu) the middle rows map {du, ud} to the symmetric
-    (bright) and antisymmetric (dark) pair; the matrix is real, orthogonal
-    and involutory.
-    """
-    r = 1.0 / np.sqrt(2.0)
-    return np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, r, r, 0.0],
-        [0.0, r, -r, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
-
-
-FIVE_STATE_LABELS = ["|dd,0>", "|dd,1>", "|D,0>", "|D,1>", "|uu,0>"]
-
-
 @dataclass
-class FiveStateModel:
-    """Reduced symmetric model of the chirped red-sideband pulse (two ions).
+class ReducedModel:
+    """``drive_terms`` projected onto symmetric states of a red-sideband drive.
 
-    Basis: ``|dd,0>, |dd,1>, |D,0>, |D,1>, |uu,0>`` where ``|D>`` is the
-    single-excitation Dicke state.  The sideband couples ``|dd,1> <-> |D,0>``
-    and ``|D,1> <-> |uu,0>`` with strength ``sqrt(2) eta Omega(t)/2``; the
-    carrier (dropped under ZERO_CARRIER compensation) couples states of equal
-    motional number with ``sqrt(2) Omega(t)/2``.
+    ``states[k] = (m, n)`` is the uniform superposition of all spin words
+    with m ions up (the Dicke state) times ``|n>``, for n <= 1, m + n <= 2
+    and m <= N; for two ions these are ``|dd,0>, |dd,1>, |D,0>, |D,1>,
+    |uu,0>``.  ``terms`` holds the projected coefficient matrices, so
+    ``h_at(t) = P0 - delta_c(t) P1 + Omega(t) P2 + Omega(t)^2 P3`` like the
+    full Hamiltonian.  The projection is exact for symmetric illumination;
+    with unequal weights or offsets it keeps their means.
     """
 
-    cfg: DriveConfig
-    basis: tuple = tuple(FIVE_STATE_LABELS)
-
-    _ATOM_NUMBER = np.array([0.0, 0.0, 1.0, 1.0, 2.0])
+    drive: DriveConfig
+    states: tuple
+    labels: tuple
+    terms: np.ndarray
 
     def h_at(self, t: float) -> np.ndarray:
-        cfg = self.cfg
-        om = float(envelope(cfg.pulse, t)) * cfg.ion_weights[0]
-        dc = float(cfg.carrier_detuning(t)) + cfg.ion_detuning_offsets[0]
-        omega_v = cfg.omega_v
-        h = np.diag([0.0, omega_v, -dc, -dc + omega_v, -2.0 * dc])
-        side = np.sqrt(2.0) * cfg.eta * om / 2.0
-        h[1, 2] = h[2, 1] = side
-        h[3, 4] = h[4, 3] = side
-        comp = cfg.compensation
-        if comp.kind is not CompensationKind.ZERO_CARRIER:
-            carrier = np.sqrt(2.0) * om / 2.0
-            h[0, 2] = h[2, 0] = carrier
-            h[1, 3] = h[3, 1] = carrier
-            h[2, 4] = h[4, 2] = carrier
-        if comp.kind is CompensationKind.EFFECTIVE:
-            shift = comp.power_ratio * om * om / (4.0 * comp.comp_detuning)
-            h -= shift * np.diag(self._ATOM_NUMBER)
-        return h
+        om = float(envelope(self.drive.pulse, t))
+        dc = float(self.drive.carrier_detuning(t))
+        p0, p1, p2, p3 = self.terms
+        return p0 - dc * p1 + om * p2 + om * om * p3
 
 
-def build_five_state(cfg: DriveConfig) -> FiveStateModel:
-    """Validated five-state model; requires two symmetrically driven ions."""
-    if cfg.space.n_qubits != 2:
-        raise ValueError("the five-state model describes exactly two ions")
-    if cfg.sideband is not Sideband.RED:
-        raise ValueError("the five-state model describes a red-sideband drive")
-    if len(set(cfg.ion_weights)) != 1:
-        raise ValueError(
-            f"five-state model assumes symmetric illumination, got weights {cfg.ion_weights}"
-        )
-    if len(set(cfg.ion_detuning_offsets)) != 1:
-        raise ValueError(
-            "five-state model assumes equal detuning offsets, got "
-            f"{cfg.ion_detuning_offsets}"
-        )
-    return FiveStateModel(cfg=cfg)
+def reduced_model(drive: DriveConfig) -> ReducedModel:
+    """Project the drive's Hamiltonian onto the symmetric low-excitation states.
+
+    Requires a red-sideband drive and ``n_max >= 1``.
+    """
+    if drive.sideband is not Sideband.RED:
+        raise ValueError("the reduced model describes a red-sideband drive")
+    space = drive.space
+    if space.n_max < 1:
+        raise ValueError("the reduced model needs n_max >= 1")
+    n_qubits = space.n_qubits
+    states = tuple((m, n) for m in range(min(n_qubits, 2) + 1)
+                   for n in range(2) if m + n <= 2)
+    # column of the uniform vector of each up count in symmetric_transform
+    first = np.cumsum([0] + [comb(n_qubits, m) for m in range(n_qubits)])
+    uniform = symmetric_transform(n_qubits)[:, first]
+    fock = np.eye(space.n_fock)
+    proj = np.column_stack([np.kron(uniform[:, m], fock[n]) for m, n in states])
+    terms = np.stack([proj.T @ s @ proj for s in drive_terms(drive)])
+    words = {0: "d" * n_qubits, 1: "D", n_qubits: "u" * n_qubits}
+    labels = tuple(f"|{words.get(m, f'D{m}')},{n}>" for m, n in states)
+    return ReducedModel(drive=drive, states=states, labels=labels, terms=terms)

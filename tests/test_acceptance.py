@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from dickesim import (CompensationMode, ExperimentConfig, InternalDensityMatrix,
-                      StateVector, adiabatic_spectrum, build_space, embed,
-                      evolve, fidelity_dicke, make_dicke, nonadiabatic_coupling,
-                      parity, potentials_report, rotate_global, run_rap,
+                      StateVector, adiabatic_spectrum, build_space,
+                      dicke_fidelity, embed, evolve, make_dicke,
+                      nonadiabatic_coupling, parity, potentials_report,
+                      reduced_model, rotate_global, run_rap,
                       simulate_histogram, sweep, threshold_estimate,
                       trace_out_motion)
 from dickesim.drive import TWO_PI
 from dickesim.experiment import count_local_maxima, count_local_minima
 from dickesim.measurement import parity_closed_form, random_density_matrix
-from dickesim.spectral import build_five_state
 
 OPERATING_POINT = ExperimentConfig()          # 145 kHz, 2 sigma = 244 us, +-100 kHz
 UNCOMPENSATED = ExperimentConfig(compensation=CompensationMode.none())
@@ -36,8 +36,13 @@ def test_fidelity_decomposition_arithmetic():
     rest = (1.0 - diag_sum) / 2.0
     m = np.diag([rest, diag_sum / 2, diag_sum / 2, rest]).astype(complex)
     m[1, 2] = m[2, 1] = offset / 2.0
-    from dickesim import fidelity_dicke as fd
-    value = fd(InternalDensityMatrix(m))
+    # purify rho through the motional mode: tracing the motion out of
+    # sum_k sqrt(p_k) |v_k>|k> gives back rho
+    p, v = np.linalg.eigh(m)
+    space = build_space(2, 3)
+    psi = StateVector(space, (v * np.sqrt(np.clip(p, 0.0, None))).reshape(-1))
+    assert np.allclose(trace_out_motion(psi).matrix, m, atol=1e-12)
+    value = dicke_fidelity(psi)
     assert value == pytest.approx(0.66, abs=0.005)
     report("fidelity-decomposition", t0, f"0.74/2 + 0.58/2 -> F = {value:.4f}")
 
@@ -169,7 +174,7 @@ def test_oracle_equivalences():
         drive = cfg.rap_drive()
         duration = drive.pulse.duration
         n_steps = 2**16
-        model = build_five_state(drive)
+        model = reduced_model(drive)
         psi5 = _five_state_reference(model, np.eye(5)[1], duration, n_steps)
         res = evolve(drive, embed(drive.space, "dd", 1), dt=duration / n_steps)
         space = drive.space

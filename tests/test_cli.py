@@ -108,6 +108,16 @@ class TestSimulateCommand:
         on_disk = json.loads((tmp_path / "out" / "simulate.json").read_text())
         assert on_disk == payload
 
+    @pytest.mark.parametrize("asymmetry", [{"ion_weights": [1.0, 0.9]},
+                                           {"ion_offsets_khz": [0.0, 2.0]}])
+    def test_asymmetric_ions(self, tmp_path, capsys, asymmetry):
+        cfg = write_config(tmp_path, asymmetry)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "simulate"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert math.isfinite(payload["diabatic_bound"]["value"])
+        assert 0.0 <= payload["fidelity"] <= 1.0
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         for sub in ("a", "b"):

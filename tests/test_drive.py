@@ -9,7 +9,7 @@ from dickesim import (CompensationMode, DriveConfig, PulseShape, Sideband,
                       build_space, derive_eta, detuning, envelope,
                       hamiltonian_at, make_dicke)
 from dickesim.drive import TWO_PI, hamiltonian_matrix
-from dickesim.spectral import build_five_state, spectrum_with_refinement
+from dickesim.spectral import reduced_model, spectrum_with_refinement
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
@@ -222,10 +222,10 @@ class TestStructuralInvariants:
                                           comp_detuning=0.3 * OMEGA_V)
         gaps = {}
         for name, mode in (("eff", comp), ("zc", CompensationMode.zero_carrier())):
-            model = build_five_state(operating_drive(mode))
+            model = reduced_model(operating_drive(mode))
             frame = spectrum_with_refinement(model.h_at, 0.0,
-                                             model.cfg.pulse.duration, 1001,
-                                             basis_labels=list(model.basis))
+                                             model.drive.pulse.duration, 1001,
+                                             basis_labels=list(model.labels))
             v0 = frame.vectors[0]
             b_dd1 = int(np.argmax(np.abs(v0[1])))
             b_d0 = int(np.argmax(np.abs(v0[2])))

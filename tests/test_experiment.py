@@ -145,11 +145,18 @@ class TestSweep:
     def test_broken_decomposition_identity_raises(self, monkeypatch):
         # a fidelity that no longer matches the density matrix must stop the
         # sweep, also under python -O
-        true_fidelity = experiment.fidelity_dicke
-        monkeypatch.setattr(experiment, "fidelity_dicke",
-                            lambda rho: true_fidelity(rho) + 1e-9)
+        true_fidelity = experiment.dicke_fidelity
+        monkeypatch.setattr(experiment, "dicke_fidelity",
+                            lambda psi: true_fidelity(psi) + 1e-9)
         with pytest.raises(NumericsError, match="diag_sum/2"):
             sweep(zc_config(), "width", [244e-6])
+
+    @pytest.mark.parametrize("asymmetry", [dict(ion_weights=(1.0, 0.9)),
+                                           dict(ion_detuning_offsets=(0.0, TWO_PI * 2e3))])
+    def test_asymmetric_ions_no_failed_points(self, asymmetry):
+        result = sweep(zc_config(**asymmetry), "width", [200e-6, 244e-6])
+        assert not result.partial
+        assert np.all(np.isfinite(result.fidelity)) and np.all(np.isfinite(result.bound))
 
     def test_errors_recorded_not_raised(self):
         cfg = zc_config(dt=1e-6)   # violates the step-size guard at every point

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dickesim import (InternalDensityMatrix, StateVector, build_space, embed,
-                      fidelity_dicke, fit_parity, make_dicke, parity,
+from dickesim import (InternalDensityMatrix, StateVector, build_space,
+                      dicke_fidelity, embed, fit_parity, make_dicke, parity,
                       parity_curve, rotate_global, simulate_histogram,
                       threshold_estimate, trace_out_motion)
 from dickesim.measurement import (parity_closed_form, random_density_matrix,
@@ -55,12 +55,21 @@ class TestTraceOutMotion:
             trace_out_motion(embed(space, "ddd", 0))
 
 
+def fidelity_dicke(rho):
+    """Closed-form two-ion Dicke fidelity, the oracle for ``dicke_fidelity``:
+    ``F = (rho_du,du + rho_ud,ud)/2 + Re(rho_du,ud)``.
+    """
+    m = rho.matrix
+    return float(np.real(m[1, 1] + m[2, 2]) / 2.0 + np.real(m[1, 2]))
+
+
 class TestFidelity:
     def test_decomposition_arithmetic(self):
         assert fidelity_dicke(reference_rho()) == pytest.approx(0.66, abs=1e-12)
 
     def test_pure_target(self):
         assert fidelity_dicke(DICKE_RHO) == pytest.approx(1.0)
+        assert dicke_fidelity(make_dicke(2, 1, build_space(2, 3))) == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
         rho = InternalDensityMatrix(np.eye(4) / 4)
@@ -72,6 +81,16 @@ class TestFidelity:
             rho = random_density_matrix(rng)
             sandwich = float(np.real(DICKE_VEC @ rho.matrix @ DICKE_VEC))
             assert abs(fidelity_dicke(rho) - sandwich) < 1e-12
+
+    def test_closed_form_matches_dicke_fidelity_on_random_states(self):
+        # motion entangled with the spins makes the reduced state mixed
+        rng = np.random.default_rng(13)
+        space = build_space(2, 3)
+        for _ in range(200):
+            amp = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+            psi = StateVector(space, amp / np.linalg.norm(amp))
+            closed = fidelity_dicke(trace_out_motion(psi))
+            assert abs(dicke_fidelity(psi) - closed) < 1e-12
 
 
 class TestRotationAndParity:

@@ -1,16 +1,24 @@
-"""Adiabatic frames, nonadiabatic couplings, diabatic bounds, reduced models."""
+"""Adiabatic frames, nonadiabatic couplings, diabatic bounds, the reduced model.
+
+The hand-written two-ion five-state matrix, the two-state bright model and
+the two-ion bright/dark matrix are kept here as independent oracles for the
+projection in :func:`reduced_model` and for :func:`symmetric_transform`.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickesim import (CompensationMode, ContinuityError, DegeneracyError,
                       DriveConfig, PulseShape, Sideband, adiabatic_spectrum,
-                      build_five_state, build_space, diabatic_bound,
-                      morris_shore_2ion, nonadiabatic_coupling,
-                      spectrum_with_refinement)
-from dickesim.drive import TWO_PI, hamiltonian_matrix
+                      build_space, diabatic_bound, nonadiabatic_coupling,
+                      reduced_model, spectrum_with_refinement)
+from dickesim.core import symmetric_transform
+from dickesim.drive import (TWO_PI, CompensationKind, envelope,
+                            hamiltonian_matrix)
 from dickesim.spectral import AdiabaticFrame
 
 OMEGA_PEAK = TWO_PI * 145e3
@@ -25,6 +33,49 @@ def five_state_drive(compensation, omega_peak=OMEGA_PEAK, sigma=SIGMA):
     return DriveConfig(space=build_space(2, 5), eta=ETA, omega_v=OMEGA_V,
                        pulse=pulse, sideband=Sideband.RED,
                        compensation=compensation)
+
+
+def hand_written_five_state(cfg, t):
+    """Two symmetrically driven ions over ``|dd,0>, |dd,1>, |D,0>, |D,1>, |uu,0>``.
+
+    The sideband couples ``|dd,1> <-> |D,0>`` and ``|D,1> <-> |uu,0>`` with
+    ``sqrt(2) eta Omega/2``; the carrier (dropped under ZERO_CARRIER) couples
+    states of equal motional number with ``sqrt(2) Omega/2``; EFFECTIVE adds
+    the counter-shift per up ion.
+    """
+    om = float(envelope(cfg.pulse, t)) * cfg.ion_weights[0]
+    dc = float(cfg.carrier_detuning(t)) + cfg.ion_detuning_offsets[0]
+    h = np.diag([0.0, cfg.omega_v, -dc, -dc + cfg.omega_v, -2.0 * dc])
+    side = math.sqrt(2.0) * cfg.eta * om / 2.0
+    h[1, 2] = h[2, 1] = side
+    h[3, 4] = h[4, 3] = side
+    comp = cfg.compensation
+    if comp.kind is not CompensationKind.ZERO_CARRIER:
+        carrier = math.sqrt(2.0) * om / 2.0
+        h[0, 2] = h[2, 0] = carrier
+        h[1, 3] = h[3, 1] = carrier
+        h[2, 4] = h[4, 2] = carrier
+    if comp.kind is CompensationKind.EFFECTIVE:
+        shift = comp.power_ratio * om * om / (4.0 * comp.comp_detuning)
+        h -= shift * np.diag([0.0, 0.0, 1.0, 1.0, 2.0])
+    return h
+
+
+def two_state_bright(cfg, t):
+    """Bright pair ``|d..d,1> <-> |D,0>`` with coupling ``sqrt(N) mean(w) eta Omega/2``."""
+    coupling = (math.sqrt(cfg.space.n_qubits) * np.mean(cfg.ion_weights)
+                * cfg.eta / 2.0 * float(envelope(cfg.pulse, t)))
+    return np.array([[cfg.omega_v, coupling],
+                     [coupling, -float(cfg.carrier_detuning(t))]])
+
+
+def morris_shore_2ion():
+    """Two-ion bright/dark change over (dd, du, ud, uu): real, orthogonal, involutory."""
+    r = 1.0 / math.sqrt(2.0)
+    return np.array([[1.0, 0.0, 0.0, 0.0],
+                     [0.0, r, r, 0.0],
+                     [0.0, r, -r, 0.0],
+                     [0.0, 0.0, 0.0, 1.0]])
 
 
 class TestAdiabaticSpectrum:
@@ -48,7 +99,7 @@ class TestAdiabaticSpectrum:
 
     def test_orthonormality_and_gauge(self):
         cfg = five_state_drive(CompensationMode.none())
-        model = build_five_state(cfg)
+        model = reduced_model(cfg)
         times = np.linspace(0, cfg.pulse.duration, 501)
         frame = adiabatic_spectrum(model.h_at, times)
         for k in (0, 250, 500):
@@ -60,7 +111,7 @@ class TestAdiabaticSpectrum:
 
     def test_eigen_residual_and_trace(self):
         cfg = five_state_drive(CompensationMode.none())
-        model = build_five_state(cfg)
+        model = reduced_model(cfg)
         times = np.linspace(0, cfg.pulse.duration, 101)
         frame = adiabatic_spectrum(model.h_at, times)
         for k in (0, 50, 100):
@@ -128,7 +179,7 @@ class TestNonadiabaticCoupling:
 
     def test_self_convergence_on_refinement(self):
         cfg = five_state_drive(CompensationMode.zero_carrier())
-        model = build_five_state(cfg)
+        model = reduced_model(cfg)
         dur = cfg.pulse.duration
         frames = [adiabatic_spectrum(model.h_at, np.linspace(0, dur, n))
                   for n in (1001, 2001)]
@@ -156,10 +207,10 @@ class TestDiabaticBound:
         for scale in (1.0, 3.0, 10.0):
             cfg = five_state_drive(CompensationMode.zero_carrier(),
                                    sigma=SIGMA * scale)
-            model = build_five_state(cfg)
+            model = reduced_model(cfg)
             frame = spectrum_with_refinement(model.h_at, 0.0,
                                              cfg.pulse.duration, 2001,
-                                             basis_labels=list(model.basis))
+                                             basis_labels=list(model.labels))
             values.append(diabatic_bound(frame, 1, 2).value)
         assert values[0] > values[1] > values[2]
 
@@ -167,7 +218,7 @@ class TestDiabaticBound:
         # conjugating H(t) by a fixed diagonal phase unitary rephases every
         # eigenvector; the bound must not move
         cfg = five_state_drive(CompensationMode.none())
-        model = build_five_state(cfg)
+        model = reduced_model(cfg)
         rng = np.random.default_rng(3)
         d = np.exp(1j * rng.uniform(0, 2 * math.pi, 5))
         times = np.linspace(0, cfg.pulse.duration, 1001)
@@ -213,11 +264,20 @@ class TestMorrisShore:
         transformed = u @ coupling
         assert transformed[2] == pytest.approx(0.2 / math.sqrt(2) * ETA * OMEGA_PEAK / 2)
 
+    def test_symmetric_transform_is_morris_shore(self):
+        # equal up to the sign of the dark column, so every check above holds
+        # for the transform the propagator and the reduced model use
+        t = symmetric_transform(2)
+        u = morris_shore_2ion()
+        assert np.allclose(t[:, [0, 1, 3]], u[:, [0, 1, 3]], atol=1e-15)
+        assert min(np.abs(t[:, 2] - u[:, 2]).max(),
+                   np.abs(t[:, 2] + u[:, 2]).max()) < 1e-15
+
 
 class TestFiveStateModel:
     def test_zero_drive_matches_bare_energies(self):
         cfg = five_state_drive(CompensationMode.none(), omega_peak=0.0)
-        model = build_five_state(cfg)
+        model = reduced_model(cfg)
         t = 0.2 * cfg.pulse.duration
         h = model.h_at(t)
         delta_c = float(cfg.carrier_detuning(t))
@@ -226,7 +286,7 @@ class TestFiveStateModel:
 
     def test_zero_carrier_block_structure(self):
         cfg = five_state_drive(CompensationMode.zero_carrier())
-        h = build_five_state(cfg).h_at(cfg.pulse.duration / 2)
+        h = reduced_model(cfg).h_at(cfg.pulse.duration / 2)
         # blocks {dd0}, {dd1, D0}, {D1, uu0}
         coupled = {(1, 2), (2, 1), (3, 4), (4, 3)}
         for i in range(5):
@@ -239,7 +299,7 @@ class TestFiveStateModel:
         # Hamiltonian under zero-carrier compensation
         cfg = five_state_drive(CompensationMode.zero_carrier())
         t = cfg.pulse.duration / 2
-        h5 = build_five_state(cfg).h_at(t)
+        h5 = reduced_model(cfg).h_at(t)
         eig5 = np.linalg.eigvalsh(h5)
         full = np.linalg.eigvalsh(hamiltonian_matrix(cfg, t))
         bright = math.sqrt(2) * ETA * OMEGA_PEAK / 2
@@ -248,18 +308,75 @@ class TestFiveStateModel:
             assert np.min(np.abs(full - target)) < 1e-6 * OMEGA_PEAK
 
     def test_rejects_asymmetric_configs(self):
+        # unequal weights and other ion numbers project like any other drive;
+        # only a drive other than the red sideband is refused
         pulse = PulseShape(omega_peak=OMEGA_PEAK, sigma=SIGMA)
         base = dict(eta=ETA, omega_v=OMEGA_V, pulse=pulse, sideband=Sideband.RED)
+        for cfg in (DriveConfig(space=build_space(2, 5), ion_weights=(1.0, 0.5), **base),
+                    DriveConfig(space=build_space(3, 5), **base)):
+            h = reduced_model(cfg).h_at(pulse.duration / 2)
+            assert h.shape == (5, 5) and np.all(np.isfinite(h))
         with pytest.raises(ValueError):
-            build_five_state(DriveConfig(space=build_space(2, 5),
-                                         ion_weights=(1.0, 0.5), **base))
-        with pytest.raises(ValueError):
-            build_five_state(DriveConfig(space=build_space(3, 5), **base))
-        with pytest.raises(ValueError):
-            build_five_state(DriveConfig(space=build_space(2, 5),
-                                         sideband=Sideband.BLUE,
-                                         **{k: v for k, v in base.items()
-                                            if k != "sideband"}))
+            reduced_model(DriveConfig(space=build_space(2, 5),
+                                      sideband=Sideband.BLUE,
+                                      **{k: v for k, v in base.items()
+                                         if k != "sideband"}))
+
+    @pytest.mark.parametrize("compensation", [
+        CompensationMode.none(), CompensationMode.zero_carrier(),
+        CompensationMode.effective(0.6, TWO_PI * 400e3)])
+    def test_matches_hand_written_five_state(self, compensation):
+        cfg = five_state_drive(compensation)
+        model = reduced_model(cfg)
+        assert model.labels == ("|dd,0>", "|dd,1>", "|D,0>", "|D,1>", "|uu,0>")
+        rng = np.random.default_rng(7)
+        for t in rng.uniform(0.0, cfg.pulse.duration, 20):
+            expected = hand_written_five_state(cfg, t)
+            gap = np.abs(model.h_at(t) - expected).max()
+            assert gap <= 1e-15 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n_qubits", [1, 3, 4])
+    @pytest.mark.parametrize("compensation", [CompensationMode.none(),
+                                              CompensationMode.zero_carrier()])
+    def test_bright_pair_block_is_two_state_model(self, n_qubits, compensation):
+        rng = np.random.default_rng(n_qubits)
+        pulse = PulseShape(omega_peak=OMEGA_PEAK, sigma=SIGMA,
+                           chirp_start=-TWO_PI * 100e3, chirp_end=TWO_PI * 100e3)
+        cfg = DriveConfig(space=build_space(n_qubits, 3), eta=ETA, omega_v=OMEGA_V,
+                          pulse=pulse, ion_weights=tuple(rng.uniform(0.5, 1.0, n_qubits)),
+                          compensation=compensation)
+        model = reduced_model(cfg)
+        pair = [model.states.index((0, 1)), model.states.index((1, 0))]
+        for t in rng.uniform(0.0, pulse.duration, 10):
+            expected = two_state_bright(cfg, t)
+            block = model.h_at(t)[np.ix_(pair, pair)]
+            assert np.abs(block - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+class TestReducedModelEigenvalues:
+    """Under zero_carrier with equal weights and offsets, ``{|d..d,1>, |D,0>}``
+    is an invariant subspace of the full Hamiltonian."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_qubits=st.integers(1, 4), n_max=st.integers(1, 3),
+           weight=st.floats(0.05, 1.0), offset_khz=st.floats(-20.0, 20.0),
+           frac=st.floats(0.0, 1.0))
+    def test_bright_pair_eigenvalues_are_full_eigenvalues(self, n_qubits, n_max, weight,
+                                                          offset_khz, frac):
+        pulse = PulseShape(omega_peak=OMEGA_PEAK, sigma=SIGMA,
+                           chirp_start=-TWO_PI * 100e3, chirp_end=TWO_PI * 100e3)
+        cfg = DriveConfig(space=build_space(n_qubits, n_max), eta=ETA, omega_v=OMEGA_V,
+                          pulse=pulse, ion_weights=(weight,) * n_qubits,
+                          ion_detuning_offsets=(TWO_PI * 1e3 * offset_khz,) * n_qubits,
+                          compensation=CompensationMode.zero_carrier())
+        t = frac * pulse.duration
+        model = reduced_model(cfg)
+        pair = [model.states.index((0, 1)), model.states.index((1, 0))]
+        reduced = np.linalg.eigvalsh(model.h_at(t)[np.ix_(pair, pair)])
+        h = hamiltonian_matrix(cfg, t)
+        full = np.linalg.eigvalsh(h)
+        for value in reduced:
+            assert np.min(np.abs(full - value)) <= 1e-12 * np.abs(h).max()
 
 
 class TestCarrierShiftStructure:
@@ -273,9 +390,9 @@ class TestCarrierShiftStructure:
 
     def branch_data(self, compensation, omega_peak=TWO_PI * 300e3):
         cfg = five_state_drive(compensation, omega_peak=omega_peak)
-        model = build_five_state(cfg)
+        model = reduced_model(cfg)
         frame = spectrum_with_refinement(model.h_at, 0.0, cfg.pulse.duration,
-                                         2001, basis_labels=list(model.basis))
+                                         2001, basis_labels=list(model.labels))
         v0 = frame.vectors[0]
         i = int(np.argmax(np.abs(v0[1])))
         j = int(np.argmax(np.abs(v0[2])))
