@@ -385,19 +385,22 @@ def potentials_report(cfg: ExperimentConfig, n_points: int = 2001,
 
 
 def truncation_overlap(cfg: ExperimentConfig, extra: int = 2) -> float:
-    """Squared overlap of the final state with a rerun at ``n_max + extra``.
+    """Smallest squared overlap of a final state with a rerun at ``n_max + extra``.
 
-    The Fock-truncation convergence check: values below ``1 - 1e-6`` mean
+    The Fock-truncation convergence check, taken over every thermal
+    component :func:`run_rap` keeps (only n = 0 when ``nbar = 0``): each is
+    prepared and propagated at both cutoffs.  Values below ``1 - 1e-6`` mean
     the configured ``n_max`` is too small.
     """
-    res_small = run_rap(cfg)
     big = replace(cfg, n_max=cfg.n_max + extra)
-    res_big = run_rap(big)
-    small_space = cfg.space()
-    big_space = big.space()
-    amp = res_small.evolution.final_state.amplitudes.reshape(
-        2**cfg.n_qubits, small_space.n_fock)
-    padded = np.zeros((2**cfg.n_qubits, big_space.n_fock), dtype=complex)
-    padded[:, : small_space.n_fock] = amp
-    lifted = StateVector(big_space, padded.reshape(-1))
-    return lifted.squared_overlap(res_big.evolution.final_state)
+    small_drive, big_drive = cfg.rap_drive(), big.rap_drive()
+    n_fock, big_space = cfg.space().n_fock, big.space()
+    worst = math.inf
+    for n, _ in _thermal_weights(cfg.nbar, cfg.n_max - 2):
+        small = evolve(small_drive, _prepare_from(cfg, n), dt=cfg.dt_for(small_drive))
+        large = evolve(big_drive, _prepare_from(big, n), dt=big.dt_for(big_drive))
+        padded = np.zeros((2**cfg.n_qubits, big_space.n_fock), dtype=complex)
+        padded[:, :n_fock] = small.final_state.amplitudes.reshape(-1, n_fock)
+        lifted = StateVector(big_space, padded.reshape(-1))
+        worst = min(worst, lifted.squared_overlap(large.final_state))
+    return worst

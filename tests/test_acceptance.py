@@ -192,7 +192,8 @@ def test_oracle_equivalences():
     k_rate, v = 1.0, 0.25
     times = np.linspace(-8, 8, 4001)
     frame = adiabatic_spectrum(
-        lambda t: np.array([[-k_rate * t / 2, v], [v, k_rate * t / 2]]), times)
+        lambda ts: np.stack([np.array([[-k_rate * t / 2, v], [v, k_rate * t / 2]])
+                             for t in ts]), times)
     alpha = nonadiabatic_coupling(frame, 0, 1)
     analytic = k_rate * v / (k_rate**2 * times**2 + 4 * v**2)
     lz_err = float(np.max(np.abs(np.abs(alpha[1:-1]) - analytic[1:-1]))

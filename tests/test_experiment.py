@@ -202,6 +202,15 @@ class TestTruncationConvergence:
     def test_default_n_max_converged(self):
         assert truncation_overlap(zc_config()) >= 1.0 - 1e-6
 
+    def test_thermal_component_at_the_cutoff(self):
+        # crosstalk on the preparation's sideband pulse puts a little of the
+        # n = 1 component in |uu, n_max>, whose sideband partner lies above
+        # the cutoff; the n = 0 component reaches only n_max - 1
+        cfg = zc_config(n_max=3, nbar=0.5, prep=PrepMode.SIMULATED_PULSES,
+                        prep_weights=(1.0, 0.002))
+        assert truncation_overlap(replace(cfg, nbar=0.0)) >= 1.0 - 1e-6
+        assert truncation_overlap(cfg) < 1.0 - 1e-6
+
 
 class TestHelpers:
     def test_internal_populations_sum(self):

@@ -3,9 +3,13 @@
 The hand-written two-ion five-state matrix, the two-state bright model and
 the two-ion bright/dark matrix are kept here as independent oracles for the
 projection in :func:`reduced_model` and for :func:`symmetric_transform`.
+The point-by-point spectrum scan with greedy branch matching is kept as the
+reference for the blocked :func:`adiabatic_spectrum`.
 """
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from dickesim import (CompensationMode, ContinuityError, DegeneracyError,
 from dickesim.core import symmetric_transform
 from dickesim.drive import (TWO_PI, CompensationKind, envelope,
                             hamiltonian_matrix)
-from dickesim.spectral import AdiabaticFrame
+from dickesim.spectral import CHUNK_POINTS, CONTINUITY_MIN, DEGENERACY_REL, AdiabaticFrame
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
@@ -78,10 +82,210 @@ def morris_shore_2ion():
                      [0.0, 0.0, 0.0, 1.0]])
 
 
+def stacked(h):
+    """Adapt a callable of one time to the stacked ``(K, d, d)`` contract."""
+    return lambda ts: np.stack([h(t) for t in ts])
+
+
+def greedy_assignment(overlaps):
+    """Match new eigenvectors to previous branches by descending |overlap|."""
+    n = overlaps.shape[0]
+    assignment = np.full(n, -1)
+    taken = np.zeros(n, dtype=bool)
+    for flat in np.argsort(-overlaps.ravel()):
+        prev, new = divmod(flat, n)
+        if assignment[prev] < 0 and not taken[new]:
+            assignment[prev] = new
+            taken[new] = True
+            if np.all(assignment >= 0):
+                break
+    return assignment
+
+
+def sequential_spectrum(h_of_t, times):
+    """Reference scan: one eigh per point, greedy matching, per-step gauge fix.
+
+    ``h_of_t`` takes one time.  Returns ``(energies, vectors)``.
+    """
+    times = np.asarray(times, dtype=float)
+    h0 = np.asarray(h_of_t(times[0]))
+    dim = h0.shape[0]
+    energies = np.empty((len(times), dim))
+    vectors = np.empty((len(times), dim, dim), dtype=h0.dtype)
+    for k, t in enumerate(times):
+        h = np.asarray(h_of_t(t)) if k else h0
+        w, v = np.linalg.eigh(h)
+        scale = max(1.0, float(np.max(np.abs(w))))
+        if np.any(np.diff(w) <= DEGENERACY_REL * scale):
+            raise DegeneracyError(f"exactly degenerate eigenvalues at t={t:.6e} s",
+                                  time=float(t))
+        if k == 0:
+            energies[0], vectors[0] = w, v
+            continue
+        overlap = np.abs(vectors[k - 1].conj().T @ v)
+        cols = greedy_assignment(overlap)
+        diag = overlap[np.arange(dim), cols]
+        if np.any(diag <= CONTINUITY_MIN):
+            raise ContinuityError(f"overlap {diag.min():.3f} between "
+                                  f"t={times[k-1]:.6e} and t={t:.6e}")
+        w, v = w[cols], v[:, cols]
+        raw = np.sum(vectors[k - 1].conj() * v, axis=0)
+        v = v * np.exp(-1j * np.angle(raw)) if np.iscomplexobj(v) else v * np.sign(raw)
+        energies[k], vectors[k] = w, v
+    return energies, vectors
+
+
+def between(exc):
+    """The pair of grid times a ContinuityError names."""
+    return re.search(r"between t=\S+ and t=\S+", str(exc)).group(0).rstrip(";")
+
+
+def random_hermitian(rng, n, complex_):
+    m = rng.normal(size=(n, n))
+    if complex_:
+        m = m + 1j * rng.normal(size=(n, n))
+    return (m + m.conj().T) / 2
+
+
+def block_diagonal(blocks):
+    dim = sum(len(b) for b in blocks)
+    out = np.zeros((dim, dim), dtype=np.result_type(*blocks))
+    k = 0
+    for b in blocks:
+        out[k:k + len(b), k:k + len(b)] = b
+        k += len(b)
+    return out
+
+
+def polynomial_family(rng, dim, complex_, layout, t_cross=0.0):
+    """``H(t) = A + t B + t^2 C`` with random Hermitian coefficients.
+
+    ``sectors``: two uncoupled sectors whose levels cross exactly (eigh's
+    ascending order swaps there, so branches follow non-identity
+    permutations).  ``twins``: a sector and its copy shifted by
+    ``(t - t_cross)``, exactly degenerate at ``t_cross``.  Works for a scalar
+    time and for a 1-d array of times.
+    """
+    half = dim // 2
+    sizes = {"dense": [dim], "sectors": [half, dim - half],
+             "twins": [half, half, dim - 2 * half]}[layout]
+    coefs = []
+    for scale in (1.0, 3.0, 2.0):
+        blocks = [scale * random_hermitian(rng, n, complex_) for n in sizes]
+        if layout == "twins":
+            blocks[1] = blocks[0]
+        coefs.append(block_diagonal(blocks))
+    a, b, c = coefs
+    twin = np.diag(np.repeat([0.0, 1.0, 0.0][:len(sizes)], sizes))
+
+    def h(t):
+        t = np.asarray(t)[..., None, None]
+        out = a + t * b + t * t * c
+        return out + (t - t_cross) * twin if layout == "twins" else out
+    return h
+
+
+class TestSequentialEquivalence:
+    """The blocked scan reproduces the point-by-point reference: frames, the
+    exception class and where in time the first failure sits."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), complex_=st.booleans(),
+           layout=st.sampled_from(["dense", "sectors", "twins"]),
+           n_points=st.one_of(st.integers(3, 40),
+                              st.integers(CHUNK_POINTS - 3, 2 * CHUNK_POINTS + 20)))
+    def test_matches_sequential_reference(self, seed, dim, complex_, layout, n_points):
+        rng = np.random.default_rng(seed)
+        times = np.linspace(-1.0, 1.0, n_points)
+        h = polynomial_family(rng, dim, complex_, layout,
+                              t_cross=times[int(rng.integers(n_points))])
+        try:
+            energies, vectors = sequential_spectrum(h, times)
+        except (ContinuityError, DegeneracyError) as ref:
+            with pytest.raises((ContinuityError, DegeneracyError)) as err:
+                adiabatic_spectrum(h, times)
+            assert type(err.value) is type(ref)
+            if isinstance(ref, DegeneracyError):
+                assert err.value.time == ref.time
+            else:
+                assert between(err.value) == between(ref)
+            return
+        frame = adiabatic_spectrum(h, times)
+        if complex_:
+            assert np.abs(frame.energies - energies).max() <= 1e-12
+            assert np.abs(frame.vectors - vectors).max() <= 1e-12
+        else:
+            assert np.array_equal(frame.energies, energies)
+            assert np.array_equal(frame.vectors, vectors)
+
+    @pytest.mark.parametrize("k_cross", [CHUNK_POINTS - 1, CHUNK_POINTS, CHUNK_POINTS + 10])
+    def test_first_failure_in_a_later_block(self, k_cross):
+        # a sharp avoided crossing just after grid point k_cross: the failing
+        # step straddles the block boundary, or sits inside the second block
+        times = np.linspace(0.0, 1.0, 2 * CHUNK_POINTS + 7)
+        step = times[1] - times[0]
+        t_c = times[k_cross] + 0.3 * step
+
+        def h(t):
+            # the mixing angle turns by ~56 degrees over the failing step only
+            x = np.asarray(t)[..., None, None] - t_c
+            return x * np.diag([-1.0, 1.0]) + 0.3 * step * np.array([[0.0, 1.0], [1.0, 0.0]])
+
+        with pytest.raises(ContinuityError) as ref:
+            sequential_spectrum(h, times)
+        with pytest.raises(ContinuityError) as err:
+            adiabatic_spectrum(h, times)
+        assert between(err.value) == between(ref.value)
+        assert f"t={times[k_cross + 1]:.6e}" in between(err.value)
+
+    @pytest.mark.parametrize("k", [1, CHUNK_POINTS])
+    def test_degeneracy_beats_continuity_at_one_point(self, k):
+        # H vanishes at times[k]: degenerate there, and the step into it
+        # breaks continuity too (identity columns against (1, +-1)/sqrt 2)
+        times = np.linspace(0.0, 1.0, CHUNK_POINTS + 9)
+
+        def h(t):
+            return (times[k] - np.asarray(t))[..., None, None] * np.array([[0.0, 1.0],
+                                                                          [1.0, 0.0]])
+
+        with pytest.raises(DegeneracyError) as ref:
+            sequential_spectrum(h, times)
+        with pytest.raises(DegeneracyError) as err:
+            adiabatic_spectrum(h, times)
+        assert err.value.time == ref.value.time == times[k]
+
+    @pytest.mark.parametrize("compensation", [
+        CompensationMode.none(), CompensationMode.zero_carrier(),
+        CompensationMode.effective(0.6, TWO_PI * 400e3)])
+    @pytest.mark.parametrize("sigma", [SIGMA / 3, SIGMA, 2.5 * SIGMA])
+    def test_reduced_model_frames_identical(self, compensation, sigma):
+        cfg = five_state_drive(compensation, sigma=sigma)
+        model = reduced_model(cfg)
+        times = np.linspace(0.0, cfg.pulse.duration, 2001)
+        energies, vectors = sequential_spectrum(model.h_at, times)
+        frame = adiabatic_spectrum(model.h_at, times)
+        assert np.array_equal(frame.energies, energies)
+        assert np.array_equal(frame.vectors, vectors)
+
+    def test_temporaries_scale_with_block_not_grid(self):
+        # the most refined grid spectrum_with_refinement builds: three doublings
+        cfg = five_state_drive(CompensationMode.none())
+        model = reduced_model(cfg)
+        times = np.linspace(0.0, cfg.pulse.duration, 8 * (2001 - 1) + 1)
+        tracemalloc.start()
+        try:
+            frame = adiabatic_spectrum(model.h_at, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = frame.energies.nbytes + frame.vectors.nbytes
+        assert peak < own + 2**20
+
+
 class TestAdiabaticSpectrum:
     def test_constant_diagonal(self):
         diag = np.diag([0.0, 1.0, 3.0])
-        frame = adiabatic_spectrum(lambda t: diag, np.linspace(0, 1, 11))
+        frame = adiabatic_spectrum(stacked(lambda t: diag), np.linspace(0, 1, 11))
         assert np.allclose(frame.energies, [0.0, 1.0, 3.0])
         for k in range(11):
             assert np.allclose(np.abs(frame.vectors[k]), np.eye(3))
@@ -93,7 +297,7 @@ class TestAdiabaticSpectrum:
             return np.array([[-t, v], [v, t]])
 
         times = np.linspace(-5, 5, 801)
-        frame = adiabatic_spectrum(h, times)
+        frame = adiabatic_spectrum(stacked(h), times)
         gap = frame.energies[:, 1] - frame.energies[:, 0]
         assert np.min(gap) == pytest.approx(2 * v, rel=1e-4)
 
@@ -128,37 +332,58 @@ class TestAdiabaticSpectrum:
             return np.array([[-t, 1e-4], [1e-4, t]])
 
         with pytest.raises(ContinuityError):
-            adiabatic_spectrum(h, np.linspace(-5, 5, 5))
+            adiabatic_spectrum(stacked(h), np.linspace(-5, 5, 5))
 
     def test_refinement_recovers(self):
         def h(t):
             return np.array([[-t, 0.3], [0.3, t]])
 
         with pytest.raises(ContinuityError):
-            adiabatic_spectrum(h, np.linspace(-5, 5, 11))
-        frame = spectrum_with_refinement(h, -5.0, 5.0, n_points=11)
+            adiabatic_spectrum(stacked(h), np.linspace(-5, 5, 11))
+        frame = spectrum_with_refinement(stacked(h), -5.0, 5.0, n_points=11)
         assert len(frame.times) == 41   # two doublings of the interval count
+        assert frame.refinements == 2
 
     def test_exact_degeneracy_detected(self):
         def h(t):
             return np.diag([0.0, t])
 
         with pytest.raises(DegeneracyError) as err:
-            adiabatic_spectrum(h, np.linspace(-1, 1, 21))
+            adiabatic_spectrum(stacked(h), np.linspace(-1, 1, 21))
         assert err.value.time == pytest.approx(0.0)
 
     def test_grid_validation(self):
-        h = lambda t: np.eye(2)
+        h = stacked(lambda t: np.eye(2))
         with pytest.raises(ValueError):
             adiabatic_spectrum(h, [0.0, 1.0])
         with pytest.raises(ValueError):
             adiabatic_spectrum(h, [0.0, 1.0, 0.5])
 
+    def test_callable_must_return_stack(self):
+        grid = np.linspace(0, 1, 5)
+        for h in (lambda t: np.eye(2),                       # one matrix, not a stack
+                  lambda t: np.zeros((len(t) - 1, 2, 2)),    # wrong count
+                  lambda t: np.zeros((len(t), 2, 3))):       # not square
+            with pytest.raises(ValueError):
+                adiabatic_spectrum(h, grid)
+        # a later block with another dimension
+        with pytest.raises(ValueError):
+            adiabatic_spectrum(
+                lambda t: np.tile(np.diag([1.0, 2.0, 3.0][:2 + int(t[0] > 0.5)]), (len(t), 1, 1)),
+                np.linspace(0, 1, CHUNK_POINTS + 1))
+
+    def test_direct_grid_reports_no_refinement(self):
+        frame = spectrum_with_refinement(stacked(lambda t: np.diag([0.0, 1.0 + t])),
+                                         0.0, 1.0, n_points=11)
+        assert frame.refinements == 0
+        assert adiabatic_spectrum(stacked(lambda t: np.eye(2) * [1.0, 2.0]),
+                                  np.linspace(0, 1, 5)).refinements == 0
+
 
 class TestNonadiabaticCoupling:
     def test_constant_hamiltonian_gives_zero(self):
         h = np.array([[0.0, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 2.5]])
-        frame = adiabatic_spectrum(lambda t: h, np.linspace(0, 1, 51))
+        frame = adiabatic_spectrum(stacked(lambda t: h), np.linspace(0, 1, 51))
         alpha = nonadiabatic_coupling(frame, 0, 1)
         assert np.max(np.abs(alpha)) < 1e-12
 
@@ -170,7 +395,7 @@ class TestNonadiabaticCoupling:
             return np.array([[-k_rate * t / 2, v], [v, k_rate * t / 2]])
 
         times = np.linspace(-8, 8, 4001)
-        frame = adiabatic_spectrum(h, times)
+        frame = adiabatic_spectrum(stacked(h), times)
         alpha = nonadiabatic_coupling(frame, 0, 1)
         expected = k_rate * v / (k_rate**2 * times**2 + 4 * v**2)
         interior = slice(1, -1)
@@ -191,7 +416,7 @@ class TestNonadiabaticCoupling:
 
     def test_same_branch_rejected(self):
         h = np.diag([0.0, 1.0, 2.0])
-        frame = adiabatic_spectrum(lambda t: h, np.linspace(0, 1, 11))
+        frame = adiabatic_spectrum(stacked(lambda t: h), np.linspace(0, 1, 11))
         with pytest.raises(ValueError):
             nonadiabatic_coupling(frame, 1, 1)
 
@@ -199,7 +424,7 @@ class TestNonadiabaticCoupling:
 class TestDiabaticBound:
     def test_constant_hamiltonian_zero_bound(self):
         h = np.array([[0.0, 0.3], [0.3, 1.0]])
-        frame = adiabatic_spectrum(lambda t: h, np.linspace(0, 1, 51))
+        frame = adiabatic_spectrum(stacked(lambda t: h), np.linspace(0, 1, 51))
         assert diabatic_bound(frame, 0, 1).value == pytest.approx(0.0, abs=1e-20)
 
     def test_slow_limit_monotone(self):
@@ -330,10 +555,12 @@ class TestFiveStateModel:
         model = reduced_model(cfg)
         assert model.labels == ("|dd,0>", "|dd,1>", "|D,0>", "|D,1>", "|uu,0>")
         rng = np.random.default_rng(7)
-        for t in rng.uniform(0.0, cfg.pulse.duration, 20):
+        times = rng.uniform(0.0, cfg.pulse.duration, 20)
+        for t in times:
             expected = hand_written_five_state(cfg, t)
             gap = np.abs(model.h_at(t) - expected).max()
             assert gap <= 1e-15 * np.abs(expected).max()
+        assert np.array_equal(model.h_at(times), np.stack([model.h_at(t) for t in times]))
 
     @pytest.mark.parametrize("n_qubits", [1, 3, 4])
     @pytest.mark.parametrize("compensation", [CompensationMode.none(),
