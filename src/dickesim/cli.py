@@ -69,6 +69,12 @@ def _positive(raw: dict, key: str) -> float:
     return float(value)
 
 
+def _count(name: str, value, minimum: int) -> int:
+    if not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name}: expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _tuple_or_none(raw, key, scale=1.0):
     value = raw.get(key)
     if value is None:
@@ -137,9 +143,8 @@ def parse_config(path) -> ExperimentConfig:
     nbar = merged["nbar"]
     if not isinstance(nbar, (int, float)) or nbar < 0:
         raise ConfigError(f"nbar: expected a nonnegative number, got {nbar!r}")
-    for key in ("phases", "shots", "seed"):
-        if not isinstance(merged[key], int) or merged[key] < (3 if key == "phases" else 1 if key == "shots" else 0):
-            raise ConfigError(f"{key}: invalid value {merged[key]!r}")
+    for key, minimum in (("phases", 3), ("shots", 1), ("seed", 0)):
+        _count(key, merged[key], minimum)
 
     cfg = ExperimentConfig(
         n_qubits=n_qubits,
@@ -169,6 +174,7 @@ def parse_config(path) -> ExperimentConfig:
     try:
         cfg.space()          # dimension cap
         cfg.rap_drive()      # eta window, weight lengths, ...
+        cfg.thermal_components()   # nbar > 0 needs room below the guard level
     except (ValueError, ResourceGuardError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     return cfg
@@ -399,7 +405,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+            cfg = replace(cfg, seed=_count("--seed", args.seed, 0))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":

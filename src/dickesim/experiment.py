@@ -107,6 +107,29 @@ class ExperimentConfig:
             return self.dt
         return EXPERIMENT_DT_FACTOR / max_frequency(drive)
 
+    def thermal_components(self) -> list:
+        """Fock-diagonal thermal weights ``[(n, p), ...]``, renormalized over the kept ones.
+
+        Components stop once the remaining tail drops below ``THERMAL_TAIL``
+        and never exceed ``n_max - 2`` (preparation adds one quantum, and the
+        topmost Fock level is reserved as the truncation guard), so
+        ``nbar > 0`` needs ``n_max >= 2``; a ValueError says so otherwise.
+        """
+        if self.nbar <= 0:
+            return [(0, 1.0)]
+        if self.n_max < 2:
+            raise ValueError(f"nbar = {self.nbar} needs n_max >= 2 to keep any thermal "
+                             f"component, got n_max = {self.n_max}")
+        weights = []
+        total = 0.0
+        for n in range(self.n_max - 1):
+            p = self.nbar**n / (1.0 + self.nbar) ** (n + 1)
+            weights.append((n, p))
+            total += p
+            if 1.0 - total < THERMAL_TAIL:
+                break
+        return [(n, p / total) for n, p in weights]
+
 
 def internal_populations(psi: StateVector) -> dict:
     """Spin-word populations with motion summed out."""
@@ -123,26 +146,6 @@ def dicke_fidelity(psi: StateVector, m: int = 1) -> float:
     d = make_dicke(space.n_qubits, m).amplitudes
     amp = psi.amplitudes.reshape(2**space.n_qubits, space.n_fock)
     return float(np.sum(np.abs(d.conj() @ amp) ** 2))
-
-
-def _thermal_weights(nbar: float, n_cap: int):
-    """Fock-diagonal thermal weights, renormalized over the kept components.
-
-    Components stop once the remaining tail drops below ``THERMAL_TAIL`` and
-    never exceed ``n_cap`` (preparation adds one quantum, and the topmost
-    Fock level is reserved as the truncation guard).
-    """
-    if nbar <= 0:
-        return [(0, 1.0)]
-    weights = []
-    total = 0.0
-    for n in range(n_cap + 1):
-        p = nbar**n / (1.0 + nbar) ** (n + 1)
-        weights.append((n, p))
-        total += p
-        if 1.0 - total < THERMAL_TAIL:
-            break
-    return [(n, p / total) for n, p in weights]
 
 
 def _prep_stages(cfg: ExperimentConfig):
@@ -242,7 +245,7 @@ def run_rap(cfg: ExperimentConfig, sample_every: int = 0) -> RapResult:
     """
     drive = cfg.rap_drive()
     dt = cfg.dt_for(drive)
-    components = _thermal_weights(cfg.nbar, cfg.n_max - 2)
+    components = cfg.thermal_components()
 
     evolution = None
     rho_acc = np.zeros((4, 4), dtype=complex) if cfg.n_qubits == 2 else None
@@ -396,7 +399,7 @@ def truncation_overlap(cfg: ExperimentConfig, extra: int = 2) -> float:
     small_drive, big_drive = cfg.rap_drive(), big.rap_drive()
     n_fock, big_space = cfg.space().n_fock, big.space()
     worst = math.inf
-    for n, _ in _thermal_weights(cfg.nbar, cfg.n_max - 2):
+    for n, _ in cfg.thermal_components():
         small = evolve(small_drive, _prepare_from(cfg, n), dt=cfg.dt_for(small_drive))
         large = evolve(big_drive, _prepare_from(big, n), dt=big.dt_for(big_drive))
         padded = np.zeros((2**cfg.n_qubits, big_space.n_fock), dtype=complex)

@@ -15,8 +15,13 @@ A step of length dt at midpoint t is ``U = A B A`` with
 ``A = exp(-i H_F(t) dt / 2)`` and ``B = exp(-i Omega(t) R dt)``.  Every
 factor is an exact exponential, so each step is unitary to machine
 precision and the global error is second order in dt.  The step unitaries of
-a chunk are built in batch; the loop over steps is one matrix-vector product
-each, and the norm drift and truncation leak are read off every stored state.
+a chunk are built in batch.  For blocks of at most ``SCAN_BLOCK`` states the
+states after every step come from a two-level prefix-product scan (groups of
+about sqrt(K) steps: batched products within each group, one matrix-vector
+product per group, one batched product for every state), so the Python-level
+loop runs about sqrt(K) times per chunk of K steps instead of K times; larger
+blocks take one matrix-vector product per step.  Either way every state is
+produced, and the norm drift and truncation leak are read off each of them.
 
 Two structural reductions keep the cost down without changing the result:
 
@@ -44,10 +49,14 @@ from .core import StateVector, symmetric_transform
 from .drive import DriveConfig, drive_terms, envelope
 from .errors import NumericsError, StepSizeError, TruncationLeakError
 
-#: steps per chunk; blocks above 32 states get proportionally fewer, so a
-#: chunk's step unitaries never exceed CHUNK_ENTRIES complex entries (16 MB)
-CHUNK_STEPS = 1024
-CHUNK_ENTRIES = CHUNK_STEPS * 32**2
+#: steps per chunk; blocks above 9 states get proportionally fewer, so a
+#: chunk's step unitaries never exceed CHUNK_ENTRIES complex entries (5.3 MB,
+#: what 1024 steps of an 18-state block take)
+CHUNK_STEPS = 4096
+CHUNK_ENTRIES = 1024 * 18**2
+#: largest block (and inner product size) taken by the prefix-product scan
+#: and by broadcast multiply-adds instead of one BLAS call per matrix
+SCAN_BLOCK = 4
 STRUCTURAL_ZERO = 1e-12
 BLOCK_WEIGHT_FLOOR = 1e-20
 LEAK_LIMIT = 1e-4
@@ -55,10 +64,26 @@ LEAK_LIMIT = 1e-4
 
 @dataclass
 class EvolutionResult:
-    """Final state plus integration diagnostics."""
+    """Final state plus integration diagnostics.
+
+    ``steps`` and ``dt`` are the step count and the effective step,
+    ``block_sizes`` the sizes of the evolved coupling blocks (largest first)
+    and ``symmetric_basis`` whether they live in the permutation-symmetric
+    basis.  ``peak_leak`` is the largest population at ``fock_n = n_max``
+    after any step and ``peak_leak_time`` when it happened.  For a
+    multi-stage sequence ``steps`` is the total, the peak leak is the
+    sequence's and its time counts from the sequence start, while ``dt``,
+    ``block_sizes`` and ``symmetric_basis`` are None: each stage has its own.
+    """
 
     final_state: StateVector
     norm_drift: float
+    steps: int
+    dt: float | None
+    block_sizes: tuple | None
+    symmetric_basis: bool | None
+    peak_leak: float
+    peak_leak_time: float
     trajectory: list | None = None  # [(t, StateVector), ...] when sampled
 
 
@@ -182,9 +207,9 @@ class _FockSplit:
             shift = np.exp(-0.5j * dt * omega_v * levels)[:, None]
             np.multiply(av.reshape(n, size, n_levels, m), shift * half_b,
                         out=q[:, rows].reshape(n, size, n_levels, m))
-        # a second buffer keeps numpy off its a @ a.T (syrk) path, which is
-        # about twice as slow on these small stacked matrices
-        return q @ q.copy().transpose(0, 2, 1)
+        # above SCAN_BLOCK states a second buffer keeps numpy off its a @ a.T
+        # (syrk) path, which is about twice as slow on small stacked matrices
+        return _matmul(q, q.copy().transpose(0, 2, 1))
 
 
 def _fock_split(terms, internal: np.ndarray, idx: np.ndarray, n_fock: int,
@@ -228,12 +253,48 @@ def _fock_split(terms, internal: np.ndarray, idx: np.ndarray, n_fock: int,
     return _FockSplit(idx, groups, r_values, r_vectors)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked matrix product ``a @ b``.
+
+    ``@`` makes one BLAS call per matrix of the stack, which dominates for
+    small matrices; up to ``SCAN_BLOCK`` inner terms, broadcast multiply-adds
+    over the inner index are several times faster.
+    """
+    inner = a.shape[-1]
+    if inner > SCAN_BLOCK:
+        return a @ b
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, inner):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
+
+
 def _run_chunk(unitaries: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The state after every step, one matrix-vector product per step."""
-    states = np.empty(unitaries.shape[:2], dtype=complex)
-    for u, out in zip(unitaries, states):
-        psi = np.dot(u, psi, out=out)
-    return states
+    """The state after every step of a chunk, by a two-level scan.
+
+    The K steps form groups of L consecutive steps.  Phase 1 overwrites each
+    step unitary in place with the product of its group up to that step
+    (L - 1 batched products), phase 2 carries the state across group ends
+    (one matrix-vector product per full group) and phase 3 applies every
+    prefix product to the state entering its group (one batched product).
+    L is about sqrt(K) for blocks of at most ``SCAN_BLOCK`` states and 1
+    above that, where phases 1 and 3 are empty and phase 2 is one
+    matrix-vector product per step.
+    """
+    n_steps, m = unitaries.shape[:2]
+    size = math.isqrt(n_steps) if m <= SCAN_BLOCK else 1
+    for j in range(1, size):
+        later = unitaries[j::size]
+        later[...] = _matmul(later, unitaries[j - 1::size][:len(later)])
+    ends = unitaries[size - 1::size]
+    carried = np.empty((len(ends) + 1, m), dtype=complex)
+    carried[0] = psi
+    for u, before, out in zip(ends, carried, carried[1:]):
+        np.dot(u, before, out=out)
+    if size == 1:
+        return carried[1:]
+    entering = carried[np.arange(n_steps) // size]
+    return _matmul(unitaries, entering[:, :, None])[:, :, 0]
 
 
 def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
@@ -284,6 +345,7 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
     largest = max(len(split.idx) for split in splits)
     chunk = max(1, min(CHUNK_STEPS, CHUNK_ENTRIES // largest**2))
     norm_drift = 0.0
+    peak_leak, peak_leak_time = 0.0, 0.0
     samples = []
     for start in range(0, n_steps, chunk):
         steps = np.arange(start + 1, min(start + chunk, n_steps) + 1)
@@ -312,6 +374,8 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
                 f"population {leaks[peak]:.3e} reached fock_n = n_max = {cfg.space.n_max} "
                 f"at t = {steps[peak] * dt_eff:.3e} s; increase n_max"
             )
+        if leaks[peak] > peak_leak:
+            peak_leak, peak_leak_time = float(leaks[peak]), float(steps[peak] * dt_eff)
         samples.extend(zip(steps[picks], picked))
 
     def back(vec):
@@ -327,7 +391,11 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
     for split, psi in zip(splits, psis):
         psi_final[split.idx] = psi
     final = StateVector(cfg.space, back(psi_final))
-    return EvolutionResult(final_state=final, norm_drift=norm_drift, trajectory=trajectory)
+    return EvolutionResult(
+        final_state=final, norm_drift=norm_drift, steps=n_steps, dt=dt_eff,
+        block_sizes=tuple(sorted((len(split.idx) for split in splits), reverse=True)),
+        symmetric_basis=t_full is not None, peak_leak=peak_leak,
+        peak_leak_time=peak_leak_time, trajectory=trajectory)
 
 
 def propagate_sequence(stages, psi0: StateVector, dt: float | None = None,
@@ -337,13 +405,20 @@ def propagate_sequence(stages, psi0: StateVector, dt: float | None = None,
         raise ValueError("stage list is empty")
     psi = psi0
     drift = 0.0
+    n_steps = 0
+    peak_leak, peak_leak_time = 0.0, 0.0
     trajectory = [(0.0, psi0.copy())] if sample_every > 0 else None
     t_offset = 0.0
     for cfg, duration in stages:
         res = evolve(cfg, psi, dt=dt, sample_every=sample_every, duration=duration)
         psi = res.final_state
         drift = max(drift, res.norm_drift)
+        n_steps += res.steps
+        if res.peak_leak > peak_leak:
+            peak_leak, peak_leak_time = res.peak_leak, t_offset + res.peak_leak_time
         if trajectory is not None and res.trajectory:
             trajectory.extend((t_offset + t, s) for t, s in res.trajectory[1:])
         t_offset += duration
-    return EvolutionResult(final_state=psi, norm_drift=drift, trajectory=trajectory)
+    return EvolutionResult(final_state=psi, norm_drift=drift, steps=n_steps, dt=None,
+                           block_sizes=None, symmetric_basis=None, peak_leak=peak_leak,
+                           peak_leak_time=peak_leak_time, trajectory=trajectory)

@@ -246,6 +246,30 @@ class TestExitCodes:
         assert len(captured.err.strip().splitlines()) == 1
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_thermal_needs_room_below_the_guard_level(self, tmp_path, capsys, n_qubits):
+        # nbar > 0 at n_max = 1 keeps no thermal component: it used to end
+        # in an AttributeError (3 ions) or a misleading trace error (2 ions)
+        cfg = write_config(tmp_path, {"n_qubits": n_qubits, "n_max": 1, "nbar": 0.5})
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert "nbar" in captured.err and "n_max" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "histogram"])
+    def test_negative_seed_rejected_before_any_work(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "--seed", "-1",
+                     command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: --seed")
+        assert not out.exists()
+
     def test_stdout_clean_on_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"omega_peak_khz": -1})
         main(["--config", str(cfg), "simulate"])

@@ -93,6 +93,12 @@ class TestRunRap:
             manual += (w / total) * dicke_fidelity(res_n.final_state)
         assert warm.fidelity == pytest.approx(manual, abs=1e-9)
 
+    def test_thermal_without_room_below_the_guard_level_raises(self):
+        # n_max = 1 leaves no Fock level for a thermal component once the
+        # prepared quantum and the guard level are taken
+        with pytest.raises(ValueError, match="n_max >= 2"):
+            run_rap(zc_config(nbar=0.5, n_max=1))
+
 
 class TestWStateExtension:
     def test_three_ion_single_excitation(self):

@@ -4,7 +4,9 @@ Two dense full-space oracles run without any reduction: ``brute_force_evolve``
 applies the exact exponential of the midpoint Hamiltonian (the accuracy
 reference the split is pinned against), and ``dense_split_evolve`` applies the
 same Fock-number Strang split as ``evolve`` (the equivalence reference for
-the block and symmetric-basis reductions).
+the block and symmetric-basis reductions).  ``sequential_chunk`` applies a
+chunk's step unitaries one matrix-vector product at a time (the reference for
+the prefix-product scan).
 """
 
 import math
@@ -15,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickesim import (CompensationMode, DriveConfig, NumericsError, PulseShape,
-                      Sideband, StateVector, StepSizeError, TruncationLeakError,
-                      build_space, embed, evolve, make_dicke,
-                      propagate_sequence)
+from dickesim import (CompensationMode, DriveConfig, ExperimentConfig, NumericsError,
+                      PulseShape, Sideband, StateVector, StepSizeError,
+                      TruncationLeakError, build_space, embed, evolve, make_dicke,
+                      prepare_fock1, propagate_sequence)
 from dickesim import propagator
 from dickesim.drive import TWO_PI, drive_terms, hamiltonian_matrix
 
@@ -67,6 +69,35 @@ def dense_split_evolve(cfg, psi0, n_steps, duration):
         a = (vf * np.exp(-0.5j * wf * dt)) @ vf.T
         psi = a @ ((vr * np.exp(-1j * wr * dt)) @ (vr.T @ (a @ psi)))
     return psi
+
+
+def sequential_chunk(unitaries, psi):
+    """Reference chunk kernel: the state after every step, one matvec per step."""
+    states = np.empty(unitaries.shape[:2], dtype=complex)
+    for u, out in zip(unitaries, states):
+        psi = np.dot(u, psi, out=out)
+    return states
+
+
+def scan_drive():
+    """Scaled-down RAP drive whose ``|dd,1>`` block has two states (the scan path)."""
+    pulse = PulseShape(omega_peak=TWO_PI * 10e3, sigma=10e-6,
+                       chirp_start=-TWO_PI * 5e3, chirp_end=TWO_PI * 5e3)
+    return DriveConfig(space=build_space(2, 3), eta=0.1, omega_v=TWO_PI * 20e3,
+                       pulse=pulse, compensation=CompensationMode.zero_carrier())
+
+
+def rabi_cycle_drive():
+    """One ion on the blue sideband: ``|d,1> -> |u,2> -> |d,1>`` over ``t_cycle``.
+
+    The block ``{|d,1>, |u,2>}`` has two states and its population sits at
+    ``n_max = 2`` mid-cycle.
+    """
+    eta = 0.25
+    cfg = DriveConfig(space=build_space(1, 2), eta=eta, omega_v=TWO_PI * 0.2e6,
+                      pulse=PulseShape.flat(OMEGA_PEAK), sideband=Sideband.BLUE,
+                      compensation=CompensationMode.zero_carrier())
+    return cfg, 2 * math.pi / (eta * OMEGA_PEAK * math.sqrt(2))
 
 
 class TestFreeEvolution:
@@ -244,6 +275,115 @@ class TestChunkMemory:
             tracemalloc.stop()
         assert res.norm_drift < 1e-9
         assert peak < 150e6
+
+
+class TestChunkScan:
+    """The prefix-product scan of ``_run_chunk`` against ``sequential_chunk``."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(m=st.sampled_from([1, 2, 3, 4, 5, 6, 18]),
+           n_steps=st.one_of(st.integers(1, 5000),
+                             st.sampled_from([1, 2, 3, 5, 4093, 4095, 4096, 4097, 4999])),
+           seed=st.integers(0, 2**32 - 1))
+    def test_scan_matches_sequential(self, m, n_steps, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n_steps, m, m)) + 1j * rng.normal(size=(n_steps, m, m))
+        unitaries = np.linalg.qr(z)[0]
+        psi = rng.normal(size=m) + 1j * rng.normal(size=m)
+        psi /= np.linalg.norm(psi)
+        ref = sequential_chunk(unitaries, psi)
+        states = propagator._run_chunk(unitaries.copy(), psi)
+        if m > propagator.SCAN_BLOCK:
+            # groups of one step: the same products in the same order
+            np.testing.assert_array_equal(states, ref)
+        else:
+            assert np.abs(states - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("n_steps", [propagator.CHUNK_STEPS - 1,
+                                         propagator.CHUNK_STEPS + 1,
+                                         2 * propagator.CHUNK_STEPS + 7])
+    def test_trajectory_matches_sequential(self, monkeypatch, n_steps):
+        cfg = scan_drive()
+        psi0 = embed(cfg.space, "dd", 1)
+        dt = cfg.pulse.duration / n_steps
+        res = evolve(cfg, psi0, dt=dt, sample_every=97)
+        monkeypatch.setattr(propagator, "_run_chunk", sequential_chunk)
+        ref = evolve(cfg, psi0, dt=dt, sample_every=97)
+        assert res.block_sizes == (2,) and res.steps == n_steps
+        assert [t for t, _ in res.trajectory] == [t for t, _ in ref.trajectory]
+        gap = max(np.abs(a.amplitudes - b.amplitudes).max()
+                  for (_, a), (_, b) in zip(res.trajectory, ref.trajectory))
+        assert gap < 1e-12
+        assert np.abs(res.final_state.amplitudes - ref.final_state.amplitudes).max() < 1e-12
+        assert res.norm_drift == pytest.approx(ref.norm_drift, abs=1e-13)
+        assert res.peak_leak == pytest.approx(ref.peak_leak, abs=1e-13)
+        assert res.peak_leak_time == ref.peak_leak_time
+
+    def test_leak_error_names_the_same_time(self, monkeypatch):
+        cfg, t_cycle = rabi_cycle_drive()
+        psi0 = embed(cfg.space, "d", 1)
+        dt = t_cycle / (2 * propagator.CHUNK_STEPS + 7)
+        messages = []
+        for kernel in (propagator._run_chunk, sequential_chunk):
+            monkeypatch.setattr(propagator, "_run_chunk", kernel)
+            with pytest.raises(TruncationLeakError, match="at t = ") as err:
+                evolve(cfg, psi0, dt=dt, duration=t_cycle)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_small_block_chunk_memory(self):
+        # the chunk temporaries of a two-state block (4096-step chunks of 2x2
+        # unitaries are 256 kB each) peak near 2.3 MB whatever the step count
+        cfg = scan_drive()
+        psi0 = embed(cfg.space, "dd", 1)
+        for n_steps in (2 * propagator.CHUNK_STEPS + 7, 20 * propagator.CHUNK_STEPS):
+            tracemalloc.start()
+            try:
+                res = evolve(cfg, psi0, dt=cfg.pulse.duration / n_steps)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert res.block_sizes == (2,)
+            assert peak < 4e6
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("kwargs,block_sizes,symmetric", [
+        # a sweep point: the scan path
+        ({}, (2,), True),
+        # the carrier-coupled block: one matvec per step
+        ({"compensation": CompensationMode.none()}, (18,), True),
+        # unequal ions stay in the product basis
+        ({"ion_weights": (1.0, 0.9)}, (3,), False),
+    ])
+    def test_representation_and_steps(self, kwargs, block_sizes, symmetric):
+        cfg = ExperimentConfig(**kwargs)
+        drive = cfg.rap_drive()
+        duration = 2e-6       # the blocks do not depend on how long the pulse runs
+        res = evolve(drive, prepare_fock1(cfg), dt=cfg.dt_for(drive), duration=duration)
+        assert res.block_sizes == block_sizes
+        assert res.symmetric_basis is symmetric
+        assert res.steps == math.ceil(duration / cfg.dt_for(drive))
+        assert res.dt == pytest.approx(duration / res.steps, rel=1e-15)
+
+    def test_peak_leak_and_its_time(self, monkeypatch):
+        # all population reaches n_max half way through the cycle
+        cfg, t_cycle = rabi_cycle_drive()
+        psi0 = embed(cfg.space, "d", 1)
+        dt = t_cycle / 2000
+        monkeypatch.setattr(propagator, "LEAK_LIMIT", math.inf)
+        res = evolve(cfg, psi0, dt=dt, duration=t_cycle)
+        assert res.peak_leak == pytest.approx(1.0, abs=1e-5)
+        assert res.peak_leak_time == pytest.approx(t_cycle / 2, abs=dt)
+        # a sequence counts steps over its stages and times from its start
+        idle = DriveConfig(space=cfg.space, eta=cfg.eta, omega_v=cfg.omega_v,
+                           pulse=PulseShape(omega_peak=0.0, sigma=SIGMA),
+                           compensation=CompensationMode.none())
+        seq = propagate_sequence([(idle, 1e-6), (cfg, t_cycle)], psi0, dt=dt)
+        assert seq.steps == math.ceil(1e-6 / dt) + res.steps
+        assert seq.peak_leak == pytest.approx(res.peak_leak, abs=1e-12)
+        assert seq.peak_leak_time == pytest.approx(1e-6 + res.peak_leak_time, rel=1e-12)
+        assert seq.dt is None and seq.block_sizes is None and seq.symmetric_basis is None
 
 
 class TestRandomizedEquivalence:
