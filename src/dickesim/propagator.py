@@ -18,10 +18,12 @@ precision and the global error is second order in dt.  The step unitaries of
 a chunk are built in batch.  For blocks of at most ``SCAN_BLOCK`` states the
 states after every step come from a two-level prefix-product scan (groups of
 about sqrt(K) steps: batched products within each group, one matrix-vector
-product per group, one batched product for every state), so the Python-level
-loop runs about sqrt(K) times per chunk of K steps instead of K times; larger
-blocks take one matrix-vector product per step.  Either way every state is
-produced, and the norm drift and truncation leak are read off each of them.
+product per group, one in-place batched product for every state), so the
+Python-level loop runs about sqrt(K) times per chunk of K steps instead of K
+times; larger blocks take one matrix-vector product per step.  Either way
+every state is produced, and the norm drift and truncation leak are read off
+each of them.  The scanned blocks build the step unitaries of every chunk
+in one buffer allocated per call, so their chunk loop allocates no stack.
 
 Two structural reductions keep the cost down without changing the result:
 
@@ -189,15 +191,21 @@ class _FockSplit:
     r_values: np.ndarray
     r_vectors: np.ndarray
 
-    def step_unitaries(self, coefs: np.ndarray, omega_v: float, dt: float) -> np.ndarray:
+    def step_unitaries(self, coefs: np.ndarray, omega_v: float, dt: float,
+                       work: np.ndarray | None = None) -> np.ndarray:
         """``U_k = A_k V diag(b_k) V^T A_k`` for every row of ``coefs``.
 
         ``A_k`` is complex symmetric, so with ``Q_k = A_k V diag(b_k)^(1/2)``
-        the step is ``U_k = Q_k Q_k^T``.
+        the step is ``U_k = Q_k Q_k^T``.  For blocks of at most
+        ``SCAN_BLOCK`` states ``work`` may be a (3, K, m, m) buffer with
+        K >= len(coefs): the unitaries are then written to ``work[0]``,
+        Q and a scratch product to the other two, and nothing of the
+        chunk's size is allocated.
         """
         n, m = len(coefs), len(self.r_values)
         half_b = np.exp(-0.5j * dt * coefs[:, 2:3] * self.r_values)[:, None, None, :]
-        q = np.empty((n, m, m), dtype=complex)
+        u, q, scratch = work[:, :n] if work is not None else (
+            None, np.empty((n, m, m), dtype=complex), None)
         for stack, first, levels in self.groups:
             size, n_levels = stack.shape[1], len(levels)
             rows = slice(first, first + size * n_levels)
@@ -207,8 +215,10 @@ class _FockSplit:
             shift = np.exp(-0.5j * dt * omega_v * levels)[:, None]
             np.multiply(av.reshape(n, size, n_levels, m), shift * half_b,
                         out=q[:, rows].reshape(n, size, n_levels, m))
-        # above SCAN_BLOCK states a second buffer keeps numpy off its a @ a.T
-        # (syrk) path, which is about twice as slow on small stacked matrices
+        if m <= SCAN_BLOCK:
+            return _matmul(q, q.transpose(0, 2, 1), out=u, tmp=scratch)
+        # a second buffer keeps numpy off its a @ a.T (syrk) path, which is
+        # about twice as slow on small stacked matrices
         return _matmul(q, q.copy().transpose(0, 2, 1))
 
 
@@ -253,19 +263,21 @@ def _fock_split(terms, internal: np.ndarray, idx: np.ndarray, n_fock: int,
     return _FockSplit(idx, groups, r_values, r_vectors)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+            tmp: np.ndarray | None = None) -> np.ndarray:
     """Stacked matrix product ``a @ b``.
 
     ``@`` makes one BLAS call per matrix of the stack, which dominates for
     small matrices; up to ``SCAN_BLOCK`` inner terms, broadcast multiply-adds
-    over the inner index are several times faster.
+    over the inner index are several times faster, and they write the
+    product to ``out`` and each added term to ``tmp`` when those are given.
     """
     inner = a.shape[-1]
     if inner > SCAN_BLOCK:
         return a @ b
-    out = a[..., :, :1] * b[..., :1, :]
+    out = np.multiply(a[..., :, :1], b[..., :1, :], out=out)
     for j in range(1, inner):
-        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+        out += np.multiply(a[..., :, j:j + 1], b[..., j:j + 1, :], out=tmp)
     return out
 
 
@@ -276,10 +288,11 @@ def _run_chunk(unitaries: np.ndarray, psi: np.ndarray) -> np.ndarray:
     step unitary in place with the product of its group up to that step
     (L - 1 batched products), phase 2 carries the state across group ends
     (one matrix-vector product per full group) and phase 3 applies every
-    prefix product to the state entering its group (one batched product).
-    L is about sqrt(K) for blocks of at most ``SCAN_BLOCK`` states and 1
-    above that, where phases 1 and 3 are empty and phase 2 is one
-    matrix-vector product per step.
+    prefix product to the state entering its group (one batched product,
+    accumulated in place: the states are returned as a view of column 0 of
+    ``unitaries``).  L is about sqrt(K) for blocks of at most ``SCAN_BLOCK``
+    states and 1 above that, where phases 1 and 3 are empty and phase 2 is
+    one matrix-vector product per step.
     """
     n_steps, m = unitaries.shape[:2]
     size = math.isqrt(n_steps) if m <= SCAN_BLOCK else 1
@@ -293,8 +306,16 @@ def _run_chunk(unitaries: np.ndarray, psi: np.ndarray) -> np.ndarray:
         np.dot(u, before, out=out)
     if size == 1:
         return carried[1:]
-    entering = carried[np.arange(n_steps) // size]
-    return _matmul(unitaries, entering[:, :, None])[:, :, 0]
+    # phase 3 in place: scale column j of every prefix product by entry j of
+    # the state entering its group, then add the columns up into column 0
+    full = n_steps - n_steps % size
+    groups = unitaries[:full].reshape(-1, size, m, m)
+    for prods, entering in ((groups, carried[:-1, None, None]),
+                            (unitaries[full:], carried[-1])):
+        prods *= entering
+        for j in range(1, m):
+            prods[..., 0] += prods[..., j]
+    return unitaries[:, :, 0]
 
 
 def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
@@ -344,6 +365,12 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
 
     largest = max(len(split.idx) for split in splits)
     chunk = max(1, min(CHUNK_STEPS, CHUNK_ENTRIES // largest**2))
+    # the scanned blocks build every chunk's stacks in this one buffer:
+    # stacks allocated per chunk were handed back to the system by the C
+    # allocator and faulted in again, ~300 page faults per 4096-step chunk
+    scanned = max((len(split.idx) for split in splits if len(split.idx) <= SCAN_BLOCK),
+                  default=0)
+    work = np.empty(3 * chunk * scanned**2, dtype=complex)
     norm_drift = 0.0
     peak_leak, peak_leak_time = 0.0, 0.0
     samples = []
@@ -360,8 +387,13 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
         leaks = np.zeros(len(steps))
         picked = np.zeros((len(picks), cfg.space.dim), dtype=complex)
         for b, split in enumerate(splits):
-            states = _run_chunk(split.step_unitaries(coefs, cfg.omega_v, dt_eff), psis[b])
-            psis[b] = states[-1]
+            m = len(split.idx)
+            buffer = None
+            if m <= SCAN_BLOCK:
+                buffer = work[:3 * chunk * m * m].reshape(3, chunk, m, m)
+            states = _run_chunk(split.step_unitaries(coefs, cfg.omega_v, dt_eff, buffer),
+                                psis[b])
+            psis[b] = states[-1].copy()
             pops = states.real**2 + states.imag**2
             norms += pops.sum(axis=1)
             leaks += pops[:, leak_masks[b]].sum(axis=1)

@@ -10,6 +10,7 @@ the prefix-product scan).
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -260,7 +261,7 @@ class TestChunkMemory:
     def test_large_block_chunk_memory(self):
         # one 96-state block (four unequal ions, carrier on); 1024-step chunks
         # of 96 x 96 step unitaries peaked at ~612 MB, shorter chunks for
-        # large blocks keep it near 70 MB
+        # large blocks keep it near 22 MB
         pulse = PulseShape(omega_peak=OMEGA_PEAK, sigma=5e-6,
                            chirp_start=-TWO_PI * 100e3, chirp_end=TWO_PI * 100e3)
         cfg = DriveConfig(space=build_space(4, 5), eta=ETA, omega_v=OMEGA_V,
@@ -333,7 +334,7 @@ class TestChunkScan:
 
     def test_small_block_chunk_memory(self):
         # the chunk temporaries of a two-state block (4096-step chunks of 2x2
-        # unitaries are 256 kB each) peak near 2.3 MB whatever the step count
+        # unitaries are 256 kB each) peak near 2-3 MB whatever the step count
         cfg = scan_drive()
         psi0 = embed(cfg.space, "dd", 1)
         for n_steps in (2 * propagator.CHUNK_STEPS + 7, 20 * propagator.CHUNK_STEPS):
@@ -345,6 +346,32 @@ class TestChunkScan:
                 tracemalloc.stop()
             assert res.block_sizes == (2,)
             assert peak < 4e6
+
+    def test_scan_works_in_place(self):
+        # the states of a small block are a view of its chunk's unitaries
+        rng = np.random.default_rng(3)
+        unitaries = np.linalg.qr(rng.normal(size=(500, 2, 2)) + 0j)[0]
+        states = propagator._run_chunk(unitaries, np.array([1.0, 0.0], dtype=complex))
+        assert states.shape == (500, 2)
+        assert np.shares_memory(states, unitaries)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts the minor page faults getrusage reports on Linux")
+    def test_chunks_reuse_their_memory(self):
+        # every chunk writes its step unitaries into one buffer, so ten times
+        # the chunks fault in about as many pages (a buffer per chunk: ~250
+        # faults per chunk, as the allocator hands the memory back each time)
+        import resource
+
+        cfg = scan_drive()
+        psi0 = embed(cfg.space, "dd", 1)
+        faults = []
+        for n_chunks in (2, 20):
+            dt = cfg.pulse.duration / (n_chunks * propagator.CHUNK_STEPS)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            evolve(cfg, psi0, dt=dt)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert faults[1] - faults[0] < 18 * 25
 
 
 class TestDiagnostics:
