@@ -6,18 +6,17 @@ rotating-frame drive Hamiltonian with carrier-shift compensation modes, a
 unitary propagator that Strang-splits each step along the motional (Fock)
 number, adiabatic-potential analysis with diabatic-transition bounds on the
 drive Hamiltonian projected onto its symmetric low-excitation states, the
-Dicke-state fidelity for any ion number, the two-ion measurement pipeline
-(populations, parity oscillations, fluorescence readout) and robustness
-sweeps.
+reduced internal state of any ion number with its populations, Dicke-state
+fidelity and fluorescence readout, two-ion parity oscillations, and
+robustness sweeps.
 """
 
 __version__ = "0.1.0"
 
-from .core import (BasisState, HermitianOperator, HilbertSpace, StateVector,
-                   build_space, embed, expectation, make_dicke)
+from .core import (BasisState, HilbertSpace, StateVector, build_space, embed,
+                   make_dicke)
 from .drive import (CompensationKind, CompensationMode, DriveConfig,
-                    PulseShape, Sideband, derive_eta, detuning, envelope,
-                    hamiltonian_at)
+                    PulseShape, Sideband, derive_eta, detuning, envelope)
 from .errors import (ConfigError, ContinuityError, DegeneracyError,
                      NumericsError, ResourceGuardError, StepSizeError,
                      TruncationLeakError)
@@ -26,8 +25,7 @@ from .experiment import (ExperimentConfig, PrepMode, RapResult, SweepResult,
                          run_rap, sweep, truncation_overlap)
 from .measurement import (InternalDensityMatrix, ParityFit, fit_parity,
                           parity, parity_curve, rotate_global,
-                          simulate_histogram, threshold_estimate,
-                          trace_out_motion)
+                          simulate_histogram, trace_out_motion)
 from .propagator import EvolutionResult, evolve, propagate_sequence
 from .spectral import (AdiabaticFrame, DiabaticBound, ReducedModel,
                        adiabatic_spectrum, diabatic_bound,
@@ -37,17 +35,15 @@ from .spectral import (AdiabaticFrame, DiabaticBound, ReducedModel,
 __all__ = [
     "AdiabaticFrame", "BasisState", "CompensationKind", "CompensationMode",
     "ConfigError", "ContinuityError", "DegeneracyError", "DiabaticBound",
-    "DriveConfig", "EvolutionResult", "ExperimentConfig",
-    "HermitianOperator", "HilbertSpace", "InternalDensityMatrix",
-    "NumericsError", "ParityFit", "PrepMode", "PulseShape", "RapResult",
-    "ReducedModel", "ResourceGuardError", "Sideband", "StateVector",
-    "StepSizeError", "SweepResult", "TruncationLeakError",
-    "adiabatic_spectrum", "build_space", "derive_eta", "detuning",
-    "diabatic_bound", "dicke_fidelity", "embed", "envelope", "evolve",
-    "expectation", "fit_parity", "hamiltonian_at", "make_dicke",
-    "nonadiabatic_coupling", "parity", "parity_curve", "potentials_report",
-    "prepare_fock1", "propagate_sequence", "reduced_model",
-    "rotate_global", "run_rap", "simulate_histogram",
-    "spectrum_with_refinement", "sweep", "threshold_estimate",
+    "DriveConfig", "EvolutionResult", "ExperimentConfig", "HilbertSpace",
+    "InternalDensityMatrix", "NumericsError", "ParityFit", "PrepMode",
+    "PulseShape", "RapResult", "ReducedModel", "ResourceGuardError",
+    "Sideband", "StateVector", "StepSizeError", "SweepResult",
+    "TruncationLeakError", "adiabatic_spectrum", "build_space", "derive_eta",
+    "detuning", "diabatic_bound", "dicke_fidelity", "embed", "envelope",
+    "evolve", "fit_parity", "make_dicke", "nonadiabatic_coupling", "parity",
+    "parity_curve", "potentials_report", "prepare_fock1",
+    "propagate_sequence", "reduced_model", "rotate_global", "run_rap",
+    "simulate_histogram", "spectrum_with_refinement", "sweep",
     "trace_out_motion", "truncation_overlap",
 ]

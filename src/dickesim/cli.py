@@ -26,8 +26,9 @@ from .drive import CompensationMode, TWO_PI
 from .errors import ConfigError, NumericsError, ResourceGuardError
 from .experiment import (ExperimentConfig, PrepMode, default_sweep_values,
                          potentials_report, run_rap, sweep)
-from .measurement import (InternalDensityMatrix, fit_parity, parity_curve,
-                          rotate_global, simulate_histogram)
+from .measurement import (InternalDensityMatrix, fidelity_decomposition,
+                          fit_parity, parity_curve, rotate_global,
+                          simulate_histogram)
 
 _KHZ = TWO_PI * 1e3   # config kHz -> rad/s
 
@@ -62,15 +63,27 @@ def _fail_key(key: str) -> ConfigError:
     return ConfigError(f"unknown config key {key!r}{hint}")
 
 
+def _is_number(value) -> bool:
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(raw: dict, key: str) -> float:
+    value = raw[key]
+    if not _is_number(value):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _positive(raw: dict, key: str) -> float:
     value = raw[key]
-    if not isinstance(value, (int, float)) or not value > 0:
+    if not _is_number(value) or not value > 0:
         raise ConfigError(f"{key}: expected a positive number, got {value!r}")
     return float(value)
 
 
 def _count(name: str, value, minimum: int) -> int:
-    if not isinstance(value, int) or value < minimum:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ConfigError(f"{name}: expected an integer >= {minimum}, got {value!r}")
     return value
 
@@ -79,7 +92,7 @@ def _tuple_or_none(raw, key, scale=1.0):
     value = raw.get(key)
     if value is None:
         return ()
-    if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
+    if not isinstance(value, list) or not all(_is_number(v) for v in value):
         raise ConfigError(f"{key}: expected a list of numbers, got {value!r}")
     return tuple(float(v) * scale for v in value)
 
@@ -105,12 +118,8 @@ def parse_config(path) -> ExperimentConfig:
     merged = dict(_OPTIONAL_KEYS)
     merged.update(raw)
 
-    n_qubits = merged["n_qubits"]
-    n_max = merged["n_max"]
-    if not isinstance(n_qubits, int) or n_qubits < 1:
-        raise ConfigError(f"n_qubits: expected a positive integer, got {n_qubits!r}")
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ConfigError(f"n_max: expected a nonnegative integer, got {n_max!r}")
+    n_qubits = _count("n_qubits", merged["n_qubits"], 1)
+    n_max = _count("n_max", merged["n_max"], 0)
 
     comp_name = merged["compensation"]
     if comp_name == "none":
@@ -119,8 +128,8 @@ def parse_config(path) -> ExperimentConfig:
         compensation = CompensationMode.zero_carrier()
     elif comp_name == "effective":
         compensation = CompensationMode.effective(
-            power_ratio=float(merged["power_ratio"]),
-            comp_detuning=float(merged["comp_detuning_khz"]) * _KHZ)
+            power_ratio=_number(merged, "power_ratio"),
+            comp_detuning=_number(merged, "comp_detuning_khz") * _KHZ)
     else:
         raise ConfigError(
             f"compensation: expected none|zero_carrier|effective, got {comp_name!r}")
@@ -133,15 +142,15 @@ def parse_config(path) -> ExperimentConfig:
             f"prep: expected ideal_fock|simulated_pulses, got {prep_name!r}") from None
 
     eta = merged["eta"]
-    if eta is not None and not (isinstance(eta, (int, float)) and 0 < eta < 0.3):
+    if eta is not None and not (_is_number(eta) and 0 < eta < 0.3):
         raise ConfigError(f"eta: expected a number in (0, 0.3) or null, got {eta!r}")
 
     chirp = _positive(merged, "chirp_khz") * _KHZ
     dt_ns = merged["dt_ns"]
-    if dt_ns is not None and not (isinstance(dt_ns, (int, float)) and dt_ns > 0):
+    if dt_ns is not None and not (_is_number(dt_ns) and dt_ns > 0):
         raise ConfigError(f"dt_ns: expected a positive number or null, got {dt_ns!r}")
     nbar = merged["nbar"]
-    if not isinstance(nbar, (int, float)) or nbar < 0:
+    if not _is_number(nbar) or nbar < 0:
         raise ConfigError(f"nbar: expected a nonnegative number, got {nbar!r}")
     for key, minimum in (("phases", 3), ("shots", 1), ("seed", 0)):
         _count(key, merged[key], minimum)
@@ -158,7 +167,7 @@ def parse_config(path) -> ExperimentConfig:
         eta=None if eta is None else float(eta),
         wavelength=_positive(merged, "wavelength_nm") * 1e-9,
         mass_amu=_positive(merged, "mass_amu"),
-        beam_angle=float(merged["beam_angle_rad"]),
+        beam_angle=_number(merged, "beam_angle_rad"),
         compensation=compensation,
         ion_weights=_tuple_or_none(merged, "ion_weights"),
         ion_detuning_offsets=_tuple_or_none(merged, "ion_offsets_khz", _KHZ),
@@ -278,7 +287,6 @@ def _phi_grid(cfg: ExperimentConfig) -> np.ndarray:
 
 def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path):
     res = run_rap(cfg)
-    m = res.rho.matrix if res.rho is not None else None
     bound = (None if res.bound is None
              else {"value": res.bound.value, "time_s": res.bound.time})
     payload = {
@@ -287,9 +295,8 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path):
         "norm_drift": res.evolution.norm_drift,
         "populations": {k: v for k, v in sorted(res.populations.items())},
     }
-    if m is not None:
-        payload["diag_sum"] = float(np.real(m[1, 1] + m[2, 2]))
-        payload["offdiag"] = float(2.0 * np.real(m[1, 2]))
+    if cfg.n_qubits == 2:
+        payload["diag_sum"], payload["offdiag"] = fidelity_decomposition(res.rho)
     text = json.dumps(payload, sort_keys=True, indent=2)
     (out_dir / "simulate.json").write_text(text + "\n")
     write_manifest(out_dir, "simulate", cfg, [out_dir / "simulate.json"])
@@ -311,14 +318,10 @@ def _cmd_potentials(cfg: ExperimentConfig, out_dir: Path):
     print(manifest.read_text(), end="")
 
 
-def _require_two_ions(cfg: ExperimentConfig, command: str):
+def _cmd_parity(cfg: ExperimentConfig, out_dir: Path, ideal: bool):
     if cfg.n_qubits != 2:
         raise ConfigError(
-            f"{command} is defined for two ions; the config has n_qubits={cfg.n_qubits}")
-
-
-def _cmd_parity(cfg: ExperimentConfig, out_dir: Path, ideal: bool):
-    _require_two_ions(cfg, "parity")
+            f"parity is defined for two ions; the config has n_qubits={cfg.n_qubits}")
     if ideal:
         d = np.zeros(4, dtype=complex)
         d[1] = d[2] = 1.0 / math.sqrt(2.0)
@@ -348,10 +351,9 @@ def _cmd_parity(cfg: ExperimentConfig, out_dir: Path, ideal: bool):
 
 
 def _cmd_histogram(cfg: ExperimentConfig, out_dir: Path):
-    _require_two_ions(cfg, "histogram")
-    rho = run_rap(cfg).rho
-    pops = rho.populations()
-    classes = (float(pops[0]), float(pops[1] + pops[2]), float(pops[3]))
+    classes = np.zeros(cfg.n_qubits + 1)
+    for word, p in run_rap(cfg).populations.items():
+        classes[word.count("u")] += p
     hist = simulate_histogram(classes, shots=cfg.shots, seed=cfg.seed)
     rows = [(int(c), int(f)) for c, f in enumerate(hist)]
     path = out_dir / "histogram.csv"

@@ -1,4 +1,4 @@
-"""Hilbert space, state vectors, Hermitian operators and Dicke states.
+"""Hilbert space, state vectors and Dicke states.
 
 The simulation space is N optical qubits times one truncated harmonic
 oscillator (the axial center-of-mass mode).  Qubit levels are written
@@ -34,7 +34,6 @@ _SPIN_ALIASES = {"↓": SPIN_DOWN, "↑": SPIN_UP, "d": SPIN_DOWN, "u": SPIN_UP}
 DEFAULT_DIM_CAP = 4096
 
 NORM_TOL = 1e-9
-HERMITICITY_TOL = 1e-12
 
 
 def normalize_spins(spins) -> str:
@@ -149,22 +148,6 @@ class HilbertSpace:
         """Number of ions in the up state, summed over ions."""
         return sum(self.up_projector(j) for j in range(self.n_qubits))
 
-    @cached_property
-    def excitation_number(self) -> np.ndarray:
-        """Total excitation number: up-state ions plus motional quanta."""
-        return self.atom_number + self.fock_number
-
-    @cached_property
-    def swap_xchg(self) -> np.ndarray:
-        """Two-ion swap operator (N = 2 only)."""
-        if self.n_qubits != 2:
-            raise ValueError("swap operator defined for two ions")
-        perm = np.zeros((4, 4))
-        for i, word in enumerate(["dd", "du", "ud", "uu"]):
-            j = int(word[::-1].replace("d", "0").replace("u", "1"), 2)
-            perm[j, i] = 1.0
-        return np.kron(perm, np.eye(self.n_fock))
-
 
 @lru_cache(maxsize=16)
 def symmetric_transform(n_qubits: int) -> np.ndarray:
@@ -254,23 +237,6 @@ class StateVector:
         return StateVector(self.space, self.amplitudes.copy(), self.unnormalized)
 
 
-@dataclass
-class HermitianOperator:
-    """A dense Hermitian matrix tied to its space; hermiticity is asserted."""
-
-    space: HilbertSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix)
-        d = self.space.dim
-        if self.matrix.shape != (d, d):
-            raise ValueError(f"matrix shape {self.matrix.shape}, expected ({d}, {d})")
-        scale = max(1.0, float(np.max(np.abs(self.matrix))))
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > HERMITICITY_TOL * scale:
-            raise ValueError("matrix is not Hermitian within tolerance")
-
-
 def embed(space: HilbertSpace, spins, fock_n: int) -> StateVector:
     """Unit basis vector ``|spins, fock_n>``."""
     amplitudes = np.zeros(space.dim, dtype=complex)
@@ -308,13 +274,3 @@ def make_dicke(n_qubits: int, m: int, space: HilbertSpace | None = None) -> Stat
     for word in dicke_spin_words(n_qubits, m):
         amplitudes[space.index(word, 0)] = amp
     return StateVector(space, amplitudes)
-
-
-def expectation(op: HermitianOperator, psi: StateVector) -> float:
-    """``<psi|O|psi>`` with the (relative) imaginary residual checked and dropped."""
-    if op.space != psi.space:
-        raise ValueError("operator and state live in different spaces")
-    value = complex(np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes))
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise ValueError(f"expectation value has imaginary residual {value.imag:.3e}")
-    return value.real

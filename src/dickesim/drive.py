@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import HermitianOperator, HilbertSpace
+from .core import HilbertSpace
 
 TWO_PI = 2.0 * math.pi
 
@@ -274,8 +274,3 @@ def hamiltonian_matrix(cfg: DriveConfig, t: float) -> np.ndarray:
     om = envelope(cfg.pulse, t)
     dc = cfg.carrier_detuning(t)
     return s0 - dc * s1 + om * s2 + om * om * s3
-
-
-def hamiltonian_at(cfg: DriveConfig, t: float) -> HermitianOperator:
-    """Rotating-frame Hamiltonian at time t (hbar = 1, entries in rad/s)."""
-    return HermitianOperator(cfg.space, hamiltonian_matrix(cfg, t))

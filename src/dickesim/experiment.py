@@ -6,9 +6,11 @@ drive layer.  The default operating point: peak carrier Rabi frequency
 2 pi x 145 kHz, pulse width 2 sigma = 244 us, detuning swept linearly over
 +-2 pi x 100 kHz, trap frequency 2 pi x 0.7 MHz.
 
-Every ion number takes the same path: the fidelity is :func:`dicke_fidelity`
-of the final state, and the diabatic bound (like the two-ion potentials
-report) reads the adiabatic frame of :func:`dickesim.spectral.reduced_model`.
+Every ion number takes the same path: one reduced density matrix of the
+final state (averaged over the thermal components) gives the populations and
+the fidelity :func:`dicke_fidelity`, and the diabatic bound (like the two-ion
+potentials report) reads the adiabatic frame of
+:func:`dickesim.spectral.reduced_model`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .drive import (CompensationMode, DriveConfig, PulseShape, Sideband,
                     TWO_PI, derive_eta)
 from .errors import (ContinuityError, DegeneracyError, NumericsError,
                      ResourceGuardError)
-from .measurement import InternalDensityMatrix, trace_out_motion
+from .measurement import (InternalDensityMatrix, fidelity_decomposition,
+                          trace_out_motion)
 from .propagator import EvolutionResult, evolve, max_frequency, propagate_sequence
 from .spectral import (DiabaticBound, adiabatic_spectrum, diabatic_bound,
                        nonadiabatic_coupling, reduced_model,
@@ -131,21 +134,10 @@ class ExperimentConfig:
         return [(n, p / total) for n, p in weights]
 
 
-def internal_populations(psi: StateVector) -> dict:
-    """Spin-word populations with motion summed out."""
-    space = psi.space
-    amp = psi.amplitudes.reshape(2**space.n_qubits, space.n_fock)
-    pops = np.sum(np.abs(amp) ** 2, axis=1)
-    return {space.basis_state(s * space.n_fock).spins: float(p)
-            for s, p in enumerate(pops)}
-
-
-def dicke_fidelity(psi: StateVector, m: int = 1) -> float:
-    """``<D_N^(m)| rho_internal |D_N^(m)>`` for any ion number."""
-    space = psi.space
-    d = make_dicke(space.n_qubits, m).amplitudes
-    amp = psi.amplitudes.reshape(2**space.n_qubits, space.n_fock)
-    return float(np.sum(np.abs(d.conj() @ amp) ** 2))
+def dicke_fidelity(rho: InternalDensityMatrix, m: int = 1) -> float:
+    """``<D_N^(m)| rho |D_N^(m)>`` for the reduced state of any ion number N."""
+    d = make_dicke(rho.n_qubits, m).amplitudes
+    return float(np.real(d.conj() @ rho.matrix @ d))
 
 
 def _prep_stages(cfg: ExperimentConfig):
@@ -228,44 +220,35 @@ def rap_diabatic_bound(cfg: ExperimentConfig,
 
 @dataclass
 class RapResult:
+    """``populations`` maps each spin word to its probability, read off ``rho``."""
+
     evolution: EvolutionResult
-    rho: InternalDensityMatrix | None
+    rho: InternalDensityMatrix
     fidelity: float
     bound: DiabaticBound | None
     populations: dict
 
 
-def run_rap(cfg: ExperimentConfig, sample_every: int = 0) -> RapResult:
+def run_rap(cfg: ExperimentConfig) -> RapResult:
     """Preparation, entangling pulse, trace-out and fidelity in one call.
 
     With ``nbar > 0`` the initial motional state is a Fock-diagonal thermal
-    mixture; each component is propagated as a pure state and populations,
-    density matrix and fidelity are averaged (they are linear in the state).
-    The returned evolution is the dominant (n = 0) component's.
+    mixture; each component is propagated as a pure state and the reduced
+    density matrix is their weighted mixture.  Populations and fidelity are
+    read from that one matrix.  The returned evolution is the dominant
+    (n = 0) component's.
     """
     drive = cfg.rap_drive()
     dt = cfg.dt_for(drive)
-    components = cfg.thermal_components()
-
-    evolution = None
-    rho_acc = np.zeros((4, 4), dtype=complex) if cfg.n_qubits == 2 else None
-    fid = 0.0
-    pops_acc: dict = {}
-    for n, weight in components:
-        psi0 = _prepare_from(cfg, n)
-        res = evolve(drive, psi0, dt=dt, sample_every=sample_every)
-        if evolution is None:
-            evolution = res
-        fid += weight * dicke_fidelity(res.final_state)
-        for word, p in internal_populations(res.final_state).items():
-            pops_acc[word] = pops_acc.get(word, 0.0) + weight * p
-        if rho_acc is not None:
-            rho_acc += weight * trace_out_motion(res.final_state).matrix
-
-    rho = InternalDensityMatrix(rho_acc) if rho_acc is not None else None
-    bound = rap_diabatic_bound(cfg)
-    return RapResult(evolution=evolution, rho=rho, fidelity=float(fid),
-                     bound=bound, populations=pops_acc)
+    space = cfg.space()
+    finals = []
+    for n, weight in cfg.thermal_components():
+        finals.append((weight, evolve(drive, _prepare_from(cfg, n), dt=dt)))
+    rho = trace_out_motion([(weight, res.final_state) for weight, res in finals])
+    populations = {space.basis_state(s * space.n_fock).spins: float(p)
+                   for s, p in enumerate(rho.populations())}
+    return RapResult(evolution=finals[0][1], rho=rho, fidelity=dicke_fidelity(rho),
+                     bound=rap_diabatic_bound(cfg), populations=populations)
 
 
 @dataclass
@@ -300,7 +283,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None) -> SweepResult:
     if axis not in ("width", "peak"):
         raise ValueError(f"unknown sweep axis {axis!r}; expected 'width' or 'peak'")
     if cfg.n_qubits != 2:
-        raise ValueError("the sweep's fidelity decomposition is defined for two ions")
+        raise ValueError("the sweep's fidelity decomposition is defined for two ions; "
+                         f"the config has n_qubits={cfg.n_qubits}")
     if values is None:
         center = 2.0 * cfg.sigma if axis == "width" else cfg.omega_peak
         values = default_sweep_values(center)
@@ -319,9 +303,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None) -> SweepResult:
         except (NumericsError, ResourceGuardError, ValueError) as exc:
             errors[k] = f"{type(exc).__name__}: {exc}"
             continue
-        m = res.rho.matrix
-        diag[k] = float(np.real(m[1, 1] + m[2, 2]))
-        off[k] = float(2.0 * np.real(m[1, 2]))
+        diag[k], off[k] = fidelity_decomposition(res.rho)
         fid[k] = res.fidelity
         bound[k] = res.bound.value if res.bound is not None else np.nan
         if not abs(fid[k] - (diag[k] / 2.0 + off[k] / 2.0)) < DECOMPOSITION_TOL:
@@ -348,19 +330,6 @@ class PotentialsReport:
     variants: dict
 
 
-def count_local_minima(y: np.ndarray, smooth: int = 5) -> int:
-    """Interior minima of a curve after moving-average smoothing."""
-    y = np.asarray(y, dtype=float)
-    if smooth > 1:
-        y = np.convolve(y, np.ones(smooth) / smooth, mode="valid")
-    d = np.diff(y)
-    return int(np.sum((d[:-1] < 0) & (d[1:] >= 0)))
-
-
-def count_local_maxima(y: np.ndarray, smooth: int = 5) -> int:
-    return count_local_minima(-np.asarray(y, dtype=float), smooth=smooth)
-
-
 def potentials_report(cfg: ExperimentConfig, n_points: int = 2001,
                       times=None) -> PotentialsReport:
     """Adiabatic energies and |alpha/omega|^2 with and without carrier couplings.
@@ -371,7 +340,8 @@ def potentials_report(cfg: ExperimentConfig, n_points: int = 2001,
     automatically on branch-tracking failure).
     """
     if cfg.n_qubits != 2:
-        raise ValueError("the potentials report is defined for two ions")
+        raise ValueError("the potentials report is defined for two ions; "
+                         f"the config has n_qubits={cfg.n_qubits}")
     variants = {}
     if times is not None:
         times = np.asarray(times, dtype=float)

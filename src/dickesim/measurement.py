@@ -1,8 +1,10 @@
-"""Two-ion measurement pipeline: density matrix, populations, parity, readout.
+"""Measurement: the N-ion reduced state, two-ion parity, fluorescence readout.
 
-The reduced internal-state density matrix lives on the spin basis
-``(dd, du, ud, uu)``.  A global analysis pulse is the simultaneous pi/2
-rotation ``R(phi) = exp[-i (pi/4) (sigma_phi x 1 + 1 x sigma_phi)]`` with
+The reduced internal-state density matrix of N ions lives on the 2**N spin
+words in the core basis order (``dd, du, ud, uu`` for two ions); every
+readout (populations, Dicke fidelity, readout classes) is taken from it.
+A global analysis pulse on two ions is the simultaneous pi/2 rotation
+``R(phi) = exp[-i (pi/4) (sigma_phi x 1 + 1 x sigma_phi)]`` with
 ``sigma_phi = cos(phi) sigma_x + sin(phi) sigma_y``; the state transforms as
 ``rho -> R' rho R``.  With that convention the parity after rotation obeys
 the closed form
@@ -11,8 +13,8 @@ the closed form
                   + Im rho_dd,uu sin(2 phi) ],
 
 which :func:`parity_curve` verifies against the operator computation on
-every call.  Fluorescence readout is modeled as Poisson counts with one
-bright level per down ion.
+every call; parity is defined for two ions only.  Fluorescence readout is
+modeled as Poisson counts with one bright level per down ion.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import numpy as np
 
 from .core import StateVector
 
-SPIN_ORDER = ("dd", "du", "ud", "uu")
-
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 CLOSED_FORM_TOL = 1e-8
@@ -32,21 +32,21 @@ CLOSED_FORM_TOL = 1e-8
 #: Mean fluorescence counts per bright (down) ion and detector background.
 BRIGHT_MEAN = 70.0
 BACKGROUND_MEAN = 0.5
-DEFAULT_THRESHOLDS = (35, 105)
 
 _PARITY_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass
 class InternalDensityMatrix:
-    """4x4 density matrix over (dd, du, ud, uu); motion traced out."""
+    """2**N x 2**N density matrix over the spin words; motion traced out."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {self.matrix.shape}")
+        shape = self.matrix.shape
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2 or shape[0] & (shape[0] - 1):
+            raise ValueError(f"expected a 2**N x 2**N matrix, got shape {shape}")
         if np.max(np.abs(self.matrix - self.matrix.conj().T)) > TRACE_TOL:
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(self.matrix)).real
@@ -56,20 +56,44 @@ class InternalDensityMatrix:
         if evals.min() < EIGENVALUE_FLOOR:
             raise ValueError(f"negative eigenvalue {evals.min():.3e}")
 
-    def element(self, bra: str, ket: str) -> complex:
-        return complex(self.matrix[SPIN_ORDER.index(bra), SPIN_ORDER.index(ket)])
+    @property
+    def n_qubits(self) -> int:
+        return self.matrix.shape[0].bit_length() - 1
 
     def populations(self) -> np.ndarray:
         return np.real(np.diag(self.matrix)).copy()
 
 
-def trace_out_motion(psi: StateVector) -> InternalDensityMatrix:
-    """Partial trace over the motional mode (two ions)."""
-    space = psi.space
-    if space.n_qubits != 2:
-        raise ValueError("internal density matrix is defined for two ions")
-    amp = psi.amplitudes.reshape(4, space.n_fock)
-    return InternalDensityMatrix(amp @ amp.conj().T)
+def trace_out_motion(state) -> InternalDensityMatrix:
+    """Partial trace over the motional mode, for any ion number.
+
+    ``state`` is a :class:`StateVector` or a mixture of states on one space
+    given as ``[(weight, StateVector), ...]``; the result is
+    ``sum_k weight_k Tr_motion |psi_k><psi_k|``.
+    """
+    mixture = [(1.0, state)] if isinstance(state, StateVector) else list(state)
+    if not mixture:
+        raise ValueError("the mixture has no states")
+    space = mixture[0][1].space
+    matrix = np.zeros((2**space.n_qubits,) * 2, dtype=complex)
+    for weight, psi in mixture:
+        if psi.space != space:
+            raise ValueError("the states of a mixture live in different spaces")
+        amp = psi.amplitudes.reshape(2**space.n_qubits, space.n_fock)
+        matrix += weight * (amp @ amp.conj().T)
+    return InternalDensityMatrix(matrix)
+
+
+def fidelity_decomposition(rho: InternalDensityMatrix) -> tuple:
+    """Two-ion ``(diag_sum, offdiag)`` = ``(rho_du,du + rho_ud,ud, 2 Re rho_du,ud)``.
+
+    The Dicke fidelity of two ions is ``diag_sum/2 + offdiag/2``.
+    """
+    if rho.n_qubits != 2:
+        raise ValueError("the fidelity decomposition is defined for two ions, "
+                         f"got {rho.n_qubits}")
+    m = rho.matrix
+    return float(np.real(m[1, 1] + m[2, 2])), float(2.0 * np.real(m[1, 2]))
 
 
 def _sigma_phi(phi: float) -> np.ndarray:
@@ -162,16 +186,17 @@ def fit_parity(samples) -> ParityFit:
 def simulate_histogram(populations, shots: int, seed: int,
                        bright_mean: float = BRIGHT_MEAN,
                        background: float = BACKGROUND_MEAN) -> np.ndarray:
-    """Sampled fluorescence-count histogram for projective readout.
+    """Sampled fluorescence-count histogram for projective readout of N ions.
 
-    ``populations = (P_dd, P_du + P_ud, P_uu)``; down ions fluoresce, so the
-    three classes produce Poisson counts with means ``background + 2 b``,
-    ``background + b`` and ``background``.  Returns integer frequencies
-    indexed by count value (``hist[c]`` = number of shots with c counts).
+    ``populations[m]`` (m = 0..N) is the probability that m ions are up;
+    the other N - m are down and fluoresce, so class m gives Poisson counts
+    with mean ``background + (N - m) bright_mean``.  For two ions that is
+    ``(P_dd, P_du + P_ud, P_uu)``.  Returns integer frequencies indexed by
+    count value (``hist[c]`` = number of shots with c counts).
     """
     populations = np.asarray(populations, dtype=float)
-    if populations.shape != (3,):
-        raise ValueError("populations must be (P_dd, P_mid, P_uu)")
+    if populations.ndim != 1 or populations.size < 2:
+        raise ValueError(f"populations must list N + 1 >= 2 classes, got {populations}")
     if np.any(populations < 0):
         raise ValueError(f"negative populations: {populations}")
     if abs(populations.sum() - 1.0) > 1e-9:
@@ -179,35 +204,8 @@ def simulate_histogram(populations, shots: int, seed: int,
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
-    means = background + bright_mean * np.array([2.0, 1.0, 0.0])
-    classes = rng.choice(3, size=shots, p=populations)
+    n_ions = populations.size - 1
+    means = background + bright_mean * np.arange(n_ions, -1, -1.0)
+    classes = rng.choice(n_ions + 1, size=shots, p=populations)
     counts = rng.poisson(means[classes])
     return np.bincount(counts)
-
-
-def threshold_estimate(histogram, thresholds=DEFAULT_THRESHOLDS) -> np.ndarray:
-    """Class fractions (P_dd, P_mid, P_uu) from count thresholds.
-
-    Counts ``<= low`` are dark (both ions up), counts in ``(low, high]`` one
-    bright ion, counts ``> high`` two bright ions; boundaries classify by the
-    ``<=`` convention.
-    """
-    low, high = thresholds
-    if not low < high:
-        raise ValueError(f"need low < high thresholds, got {thresholds}")
-    histogram = np.asarray(histogram)
-    total = int(histogram.sum())
-    if total == 0:
-        raise ValueError("histogram is empty")
-    values = np.arange(len(histogram))
-    n_uu = int(histogram[values <= low].sum())
-    n_mid = int(histogram[(values > low) & (values <= high)].sum())
-    n_dd = total - n_uu - n_mid
-    return np.array([n_dd, n_mid, n_uu], dtype=float) / total
-
-
-def random_density_matrix(rng: np.random.Generator) -> InternalDensityMatrix:
-    """Random valid state via the normalized A A' construction."""
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m = a @ a.conj().T
-    return InternalDensityMatrix(m / np.trace(m).real)

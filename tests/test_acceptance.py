@@ -16,11 +16,11 @@ from dickesim import (CompensationMode, ExperimentConfig, InternalDensityMatrix,
                       dicke_fidelity, embed, evolve, make_dicke,
                       nonadiabatic_coupling, parity, potentials_report,
                       reduced_model, rotate_global, run_rap,
-                      simulate_histogram, sweep, threshold_estimate,
-                      trace_out_motion)
+                      simulate_histogram, sweep, trace_out_motion)
 from dickesim.drive import TWO_PI
-from dickesim.experiment import count_local_maxima, count_local_minima
-from dickesim.measurement import parity_closed_form, random_density_matrix
+from dickesim.measurement import parity_closed_form
+from oracles import (count_local_maxima, count_local_minima, excitation_number,
+                     random_density_matrix, threshold_estimate)
 
 OPERATING_POINT = ExperimentConfig()          # 145 kHz, 2 sigma = 244 us, +-100 kHz
 UNCOMPENSATED = ExperimentConfig(compensation=CompensationMode.none())
@@ -41,8 +41,9 @@ def test_fidelity_decomposition_arithmetic():
     p, v = np.linalg.eigh(m)
     space = build_space(2, 3)
     psi = StateVector(space, (v * np.sqrt(np.clip(p, 0.0, None))).reshape(-1))
-    assert np.allclose(trace_out_motion(psi).matrix, m, atol=1e-12)
-    value = dicke_fidelity(psi)
+    rho = trace_out_motion(psi)
+    assert np.allclose(rho.matrix, m, atol=1e-12)
+    value = dicke_fidelity(rho)
     assert value == pytest.approx(0.66, abs=0.005)
     report("fidelity-decomposition", t0, f"0.74/2 + 0.58/2 -> F = {value:.4f}")
 
@@ -127,7 +128,7 @@ def test_conservation_and_structure_suite():
     res = evolve(drive, psi0, dt=OPERATING_POINT.dt_for(drive), sample_every=2000)
     assert res.norm_drift < 1e-9
 
-    n_e = drive.space.excitation_number
+    n_e = excitation_number(drive.space)
     excitation = [np.vdot(s.amplitudes, n_e @ s.amplitudes).real
                   for _, s in res.trajectory]
     drift_ne = float(np.max(np.abs(np.array(excitation) - 1.0)))

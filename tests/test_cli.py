@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dickesim import ConfigError
+from dickesim import ConfigError, propagator
 from dickesim.cli import main, parse_config, resolved_snapshot, verify_manifest
 from dickesim.drive import TWO_PI
 
@@ -88,6 +88,32 @@ class TestParseConfig:
         assert cfg.compensation.power_ratio == 0.6
         assert cfg.compensation.comp_detuning == pytest.approx(TWO_PI * 400e3)
 
+    @pytest.mark.parametrize("overrides,key", [
+        ({"shots": True}, "shots"),
+        ({"phases": True}, "phases"),
+        ({"seed": False}, "seed"),
+        ({"n_qubits": True}, "n_qubits"),
+        ({"n_max": False}, "n_max"),
+        ({"sigma_us": True}, "sigma_us"),
+        ({"omega_peak_khz": True}, "omega_peak_khz"),
+        ({"nbar": False}, "nbar"),
+        ({"eta": True}, "eta"),
+        ({"dt_ns": True}, "dt_ns"),
+        ({"beam_angle_rad": False}, "beam_angle_rad"),
+        ({"ion_weights": [1.0, True]}, "ion_weights"),
+        ({"prep_offsets_khz": [False, 0.0]}, "prep_offsets_khz"),
+        ({"compensation": "effective", "power_ratio": True}, "power_ratio"),
+    ])
+    def test_json_booleans_rejected(self, tmp_path, capsys, overrides, key):
+        # bool is an int subclass: true must not pass as 1 (one shot, 1 us, ...)
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {key}: ")
+        assert not out.exists()
+
     def test_snapshot_materializes_everything(self, tmp_path):
         snap = resolved_snapshot(parse_config(write_config(tmp_path)))
         assert snap["omega_v_khz"] == pytest.approx(700.0)
@@ -117,6 +143,19 @@ class TestSimulateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert math.isfinite(payload["diabatic_bound"]["value"])
         assert 0.0 <= payload["fidelity"] <= 1.0
+
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_long_pulse(self, tmp_path, capsys, n_qubits):
+        # ~310k steps: rounding in the norm used to break the trace check
+        cfg = write_config(tmp_path, {"n_qubits": n_qubits, "sigma_us": 600})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "simulate"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["norm_drift"] < 1e-9
+        assert math.isclose(sum(payload["populations"].values()), 1.0, abs_tol=1e-12)
+        assert len(payload["populations"]) == 2**n_qubits
+        # the two-ion fidelity decomposition is written for two ions only
+        assert ("diag_sum" in payload) == ("offdiag" in payload) == (n_qubits == 2)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -162,6 +201,19 @@ class TestHistogramCommand:
         capsys.readouterr()
         rows = np.loadtxt(out / "histogram.csv", delimiter=",", skiprows=1)
         assert rows[:, 1].sum() == 2500
+
+    def test_three_ions(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n_qubits": 3, "shots": 2500})
+        for sub in ("a", "b"):
+            assert main(["--config", str(cfg), "--out", str(tmp_path / sub),
+                         "histogram"]) == 0
+        capsys.readouterr()
+        rows = np.loadtxt(tmp_path / "a" / "histogram.csv", delimiter=",", skiprows=1)
+        assert rows[:, 1].sum() == 2500
+        # up to 3 bright ions: counts reach well past the two-ion 140.5 mean
+        assert rows[:, 0].max() > 180
+        assert (tmp_path / "a" / "histogram.csv").read_bytes() == \
+            (tmp_path / "b" / "histogram.csv").read_bytes()
 
 
 class TestPotentialsCommand:
@@ -234,7 +286,22 @@ class TestExitCodes:
                      "simulate"]) == 3
         assert "numerical guard" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["histogram"], ["parity"], ["parity", "--ideal"]])
+    def test_non_unitary_step_is_3(self, tmp_path, capsys, monkeypatch):
+        step_unitaries = propagator._FockSplit.step_unitaries
+
+        def leaky(self, *args):
+            return step_unitaries(self, *args) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(propagator._FockSplit, "step_unitaries", leaky)
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "simulate"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical guard: norm drifted")
+
+    @pytest.mark.parametrize("argv", [["parity"], ["parity", "--ideal"], ["potentials"],
+                                      ["sweep", "--axis", "width", "--points", "3"]])
     def test_two_ion_commands_reject_three_ions(self, tmp_path, capsys, argv):
         cfg = write_config(tmp_path, {"n_qubits": 3})
         out = tmp_path / "o"

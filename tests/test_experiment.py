@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from dickesim import (CompensationMode, ExperimentConfig, NumericsError,
-                      PrepMode, build_space, dicke_fidelity, make_dicke,
-                      potentials_report, prepare_fock1, run_rap, sweep,
-                      truncation_overlap)
-from dickesim import experiment
+                      PrepMode, make_dicke, potentials_report, prepare_fock1,
+                      run_rap, sweep, truncation_overlap)
+from dickesim import experiment, measurement
 from dickesim.drive import TWO_PI
-from dickesim.experiment import (count_local_minima, default_sweep_values,
-                                 internal_populations)
+from dickesim.experiment import default_sweep_values
+from oracles import count_local_minima, psi_dicke_fidelity, psi_internal_populations
 
 
 def zc_config(**kwargs):
@@ -90,8 +89,23 @@ class TestRunRap:
             from dickesim import embed, evolve
             res_n = evolve(cfg_n.rap_drive(), embed(space, "dd", n + 1),
                            dt=cfg_n.dt_for(cfg_n.rap_drive()))
-            manual += (w / total) * dicke_fidelity(res_n.final_state)
+            manual += (w / total) * psi_dicke_fidelity(res_n.final_state)
         assert warm.fidelity == pytest.approx(manual, abs=1e-9)
+
+    def test_one_density_matrix_per_call(self, monkeypatch):
+        # the thermal mixture is reduced once; populations and fidelity read it
+        built = []
+        check = measurement.InternalDensityMatrix.__post_init__
+
+        def counting(rho):
+            built.append(rho)
+            check(rho)
+
+        monkeypatch.setattr(measurement.InternalDensityMatrix, "__post_init__", counting)
+        res = run_rap(zc_config(nbar=0.06))
+        assert built == [res.rho]
+        assert res.fidelity == experiment.dicke_fidelity(res.rho)
+        assert list(res.populations.values()) == list(res.rho.populations())
 
     def test_thermal_without_room_below_the_guard_level_raises(self):
         # n_max = 1 leaves no Fock level for a thermal component once the
@@ -110,6 +124,13 @@ class TestWStateExtension:
         target = make_dicke(3, 1, cfg.space())
         final = res.evolution.final_state
         assert final.squared_overlap(target) >= 0.98
+        # every readout comes from the 8x8 reduced state
+        assert res.rho.matrix.shape == (8, 8)
+        assert res.fidelity == pytest.approx(psi_dicke_fidelity(final), abs=1e-12)
+        expected = psi_internal_populations(final)
+        assert list(res.populations) == list(expected)
+        for word, p in expected.items():
+            assert res.populations[word] == pytest.approx(p, abs=1e-12)
 
 
 class TestSweep:
@@ -142,6 +163,15 @@ class TestSweep:
         assert np.all(zc.fidelity >= 0.5)
         assert np.any(raw.fidelity < zc.fidelity)
         assert not zc.partial and not raw.partial
+
+    def test_long_pulses_around_200_us(self):
+        # the widest point, 2 sigma = 1.26 ms, runs ~380k steps; rounding
+        # used to push its trace past the density matrix's tolerance
+        cfg = zc_config(sigma=200e-6)
+        result = sweep(cfg, "width", default_sweep_values(2 * cfg.sigma, 5))
+        assert result.values[-1] == pytest.approx(1.265e-3, rel=1e-3)
+        assert not result.partial, result.errors
+        assert np.all(result.fidelity >= 0.5)
 
     def test_monotone_bound_along_width(self):
         widths = [150e-6, 244e-6, 400e-6]
@@ -219,12 +249,6 @@ class TestTruncationConvergence:
 
 
 class TestHelpers:
-    def test_internal_populations_sum(self):
-        space = build_space(2, 3)
-        pops = internal_populations(make_dicke(2, 1, space))
-        assert sum(pops.values()) == pytest.approx(1.0)
-        assert pops["du"] == pytest.approx(0.5)
-
     def test_default_sweep_values_span_one_decade(self):
         values = default_sweep_values(100.0)
         assert len(values) == 15

@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickesim import (InternalDensityMatrix, StateVector, build_space,
                       dicke_fidelity, embed, fit_parity, make_dicke, parity,
                       parity_curve, rotate_global, simulate_histogram,
-                      threshold_estimate, trace_out_motion)
-from dickesim.measurement import (parity_closed_form, random_density_matrix,
+                      trace_out_motion)
+from dickesim.measurement import (fidelity_decomposition, parity_closed_form,
                                   rotation_matrix)
+from oracles import (psi_dicke_fidelity, psi_internal_populations,
+                     random_density_matrix, three_class_histogram,
+                     threshold_estimate)
 
 DICKE_VEC = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
 DICKE_RHO = InternalDensityMatrix(np.outer(DICKE_VEC, DICKE_VEC))
@@ -28,7 +33,7 @@ class TestTraceOutMotion:
     def test_bright_state_with_ground_motion(self):
         space = build_space(2, 5)
         rho = trace_out_motion(make_dicke(2, 1, space))
-        assert rho.element("du", "ud") == pytest.approx(0.5)
+        assert rho.matrix[1, 2] == pytest.approx(0.5)      # du, ud
         assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0)
 
     def test_motional_which_path_kills_coherence(self):
@@ -38,9 +43,9 @@ class TestTraceOutMotion:
         amp[space.index("ud", 1)] = 1 / math.sqrt(2)
         rho = trace_out_motion(StateVector(space, amp))
         # hand-computed partial trace: diagonal 1/2, 1/2 and no du-ud coherence
-        assert rho.element("du", "du") == pytest.approx(0.5)
-        assert rho.element("ud", "ud") == pytest.approx(0.5)
-        assert abs(rho.element("du", "ud")) < 1e-15
+        assert rho.matrix[1, 1] == pytest.approx(0.5)      # du, du
+        assert rho.matrix[2, 2] == pytest.approx(0.5)      # ud, ud
+        assert abs(rho.matrix[1, 2]) < 1e-15
 
     def test_product_state(self):
         space = build_space(2, 5)
@@ -49,10 +54,20 @@ class TestTraceOutMotion:
         expected[0, 0] = 1.0
         assert np.allclose(rho.matrix, expected)
 
-    def test_requires_two_ions(self):
+    def test_three_ions(self):
+        # W state: uniform 1/3 coherences among the one-up words, zero elsewhere
         space = build_space(3, 2)
+        rho = trace_out_motion(make_dicke(3, 1, space))
+        one_up = [space.index(w, 0) // space.n_fock for w in ("ddu", "dud", "udd")]
+        expected = np.zeros((8, 8))
+        expected[np.ix_(one_up, one_up)] = 1.0 / 3.0
+        assert rho.n_qubits == 3
+        assert np.allclose(rho.matrix, expected, atol=1e-15)
+
+    def test_mixture_of_states_on_different_spaces_rejected(self):
+        a, b = embed(build_space(2, 2), "dd", 0), embed(build_space(2, 3), "dd", 0)
         with pytest.raises(ValueError):
-            trace_out_motion(embed(space, "ddd", 0))
+            trace_out_motion([(0.5, a), (0.5, b)])
 
 
 def fidelity_dicke(rho):
@@ -69,7 +84,8 @@ class TestFidelity:
 
     def test_pure_target(self):
         assert fidelity_dicke(DICKE_RHO) == pytest.approx(1.0)
-        assert dicke_fidelity(make_dicke(2, 1, build_space(2, 3))) == pytest.approx(1.0)
+        target = make_dicke(2, 1, build_space(2, 3))
+        assert dicke_fidelity(trace_out_motion(target)) == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
         rho = InternalDensityMatrix(np.eye(4) / 4)
@@ -89,8 +105,49 @@ class TestFidelity:
         for _ in range(200):
             amp = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
             psi = StateVector(space, amp / np.linalg.norm(amp))
-            closed = fidelity_dicke(trace_out_motion(psi))
-            assert abs(dicke_fidelity(psi) - closed) < 1e-12
+            rho = trace_out_motion(psi)
+            assert abs(dicke_fidelity(rho) - fidelity_dicke(rho)) < 1e-12
+            diag_sum, offdiag = fidelity_decomposition(rho)
+            assert abs(dicke_fidelity(rho) - (diag_sum / 2 + offdiag / 2)) < 1e-12
+
+    def test_decomposition_is_two_ion(self):
+        with pytest.raises(ValueError):
+            fidelity_decomposition(trace_out_motion(make_dicke(3, 1)))
+
+
+def thermal_weights(nbar, count):
+    weights = np.array([nbar**n / (1.0 + nbar) ** (n + 1) for n in range(count)])
+    return weights / weights.sum()
+
+
+class TestReducedStateEquivalence:
+    """Readouts of the reduced state vs the amplitude formulas of its states."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_qubits=st.integers(1, 4),
+           n_max=st.integers(0, 4),
+           n_states=st.integers(1, 4),
+           nbar=st.floats(0.01, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_populations_and_fidelities_match_amplitudes(self, n_qubits, n_max, n_states,
+                                                         nbar, seed):
+        rng = np.random.default_rng(seed)
+        space = build_space(n_qubits, n_max)
+        # random amplitudes entangle the spins with the motion
+        amps = rng.normal(size=(n_states, space.dim)) + 1j * rng.normal(size=(n_states, space.dim))
+        states = [StateVector(space, a / np.linalg.norm(a)) for a in amps]
+        weights = thermal_weights(nbar, n_states)
+        mixture = list(zip(weights, states))
+        rho = trace_out_motion(mixture if n_states > 1 else states[0])
+        assert rho.matrix.shape == (2**n_qubits,) * 2
+
+        words = psi_internal_populations(states[0]).keys()
+        for s, word in enumerate(words):
+            expected = sum(w * psi_internal_populations(psi)[word] for w, psi in mixture)
+            assert abs(rho.populations()[s] - expected) < 1e-12
+        for m in range(n_qubits + 1):
+            expected = sum(w * psi_dicke_fidelity(psi, m) for w, psi in mixture)
+            assert abs(dicke_fidelity(rho, m) - expected) < 1e-12
 
 
 class TestRotationAndParity:
@@ -149,7 +206,7 @@ class TestParityCurve:
 class TestBellTransfer:
     def test_half_pulse_reaches_even_parity_bell_state(self):
         rotated = rotate_global(DICKE_RHO, 0.0)
-        coherence = rotated.element("dd", "uu")
+        coherence = rotated.matrix[0, 3]      # dd, uu
         assert abs(coherence) == pytest.approx(0.5, abs=1e-12)
         chi = -np.angle(coherence)
         bell = np.array([1.0, 0.0, 0.0, np.exp(1j * chi)]) / math.sqrt(2)
@@ -226,20 +283,24 @@ class TestHistogram:
             simulate_histogram((0.5, 0.2, 0.2), shots=10, seed=0)
         with pytest.raises(ValueError):
             simulate_histogram((1.0, 0.0, 0.0), shots=0, seed=0)
+        with pytest.raises(ValueError):
+            simulate_histogram((1.0,), shots=10, seed=0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**31 + 5])
+    def test_two_ions_equal_three_class_model(self, seed):
+        for pops in ((0.13, 0.74, 0.13), (1.0, 0.0, 0.0), (0.2, 0.5, 0.3)):
+            assert np.array_equal(simulate_histogram(pops, shots=3000, seed=seed),
+                                  three_class_histogram(pops, shots=3000, seed=seed))
 
-class TestThresholdEstimate:
-    def test_all_zero_counts(self):
-        est = threshold_estimate(np.array([100]), (35, 105))
-        assert np.allclose(est, [0.0, 0.0, 1.0])
-
-    def test_boundary_convention(self):
-        hist = np.zeros(107, dtype=int)
-        hist[35] = 5     # exactly at the low threshold: dark class
-        hist[105] = 7    # exactly at the high threshold: middle class
-        hist[106] = 2
-        est = threshold_estimate(hist, (35, 105))
-        assert np.allclose(est, [2 / 14, 7 / 14, 5 / 14])
+    @pytest.mark.parametrize("n_ions", [1, 3, 4])
+    def test_class_means_for_n_ions(self, n_ions):
+        # class m has m ions up and n_ions - m bright ones
+        for m in range(n_ions + 1):
+            pops = np.eye(n_ions + 1)[m]
+            hist = simulate_histogram(pops, shots=20_000, seed=m)
+            counts = np.arange(len(hist))
+            mean = float((counts * hist).sum() / hist.sum())
+            assert mean == pytest.approx(0.5 + 70.0 * (n_ions - m), abs=1.0)
 
     def test_round_trip(self):
         pops = (0.13, 0.74, 0.13)
@@ -249,12 +310,6 @@ class TestThresholdEstimate:
         for p, e in zip(pops, est):
             sigma = math.sqrt(p * (1 - p) / shots)
             assert abs(e - p) <= 3 * sigma
-
-    def test_empty_histogram(self):
-        with pytest.raises(ValueError):
-            threshold_estimate(np.zeros(10, dtype=int))
-        with pytest.raises(ValueError):
-            threshold_estimate(np.array([1, 2]), (5, 5))
 
 
 class TestDensityMatrixValidation:
@@ -266,6 +321,11 @@ class TestDensityMatrixValidation:
         m = np.diag([0.8, 0.5, -0.2, -0.1])
         with pytest.raises(ValueError):
             InternalDensityMatrix(m)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 1), (4, 2), (4,)])
+    def test_shape_enforced(self, shape):
+        with pytest.raises(ValueError):
+            InternalDensityMatrix(np.ones(shape) / shape[0])
 
     def test_hermiticity_enforced(self):
         m = np.diag([0.25] * 4).astype(complex)

@@ -24,6 +24,7 @@ from dickesim import (CompensationMode, DriveConfig, ExperimentConfig, NumericsE
                       prepare_fock1, propagate_sequence)
 from dickesim import propagator
 from dickesim.drive import TWO_PI, drive_terms, hamiltonian_matrix
+from oracles import excitation_number
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
@@ -195,6 +196,26 @@ class TestUnitarityAndConvergence:
         cfg = rap_drive()
         res = evolve(cfg, embed(cfg.space, "dd", 1))
         assert res.norm_drift < 1e-9
+
+    def test_long_pulse_rescaled_to_unit_norm(self):
+        # ~310k steps at the experiment step: without the per-chunk rescale
+        # the final norm^2 drifts by ~1e-10
+        cfg = rap_drive(sigma=600e-6)
+        res = evolve(cfg, embed(cfg.space, "dd", 1), dt=0.04 / OMEGA_V)
+        assert res.steps > 300_000
+        assert abs(res.final_state.norm_sq - 1.0) < 1e-13
+        assert res.norm_drift < 1e-9
+
+    def test_non_unitary_step_raises(self, monkeypatch):
+        step_unitaries = propagator._FockSplit.step_unitaries
+
+        def leaky(self, *args):
+            return step_unitaries(self, *args) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(propagator._FockSplit, "step_unitaries", leaky)
+        cfg = rap_drive()
+        with pytest.raises(NumericsError, match="norm drifted by"):
+            evolve(cfg, embed(cfg.space, "dd", 1))
 
     def test_second_order_convergence(self):
         # scaled-down frequencies so coarse steps pass the dt guard
@@ -490,7 +511,7 @@ class TestStructuralDynamics:
         cfg = rap_drive()
         psi0 = embed(cfg.space, "dd", 1)
         res = evolve(cfg, psi0, sample_every=2000)
-        n_e = cfg.space.excitation_number
+        n_e = excitation_number(cfg.space)
         values = [np.vdot(s.amplitudes, n_e @ s.amplitudes).real
                   for _, s in res.trajectory]
         assert np.max(np.abs(np.array(values) - 1.0)) < 1e-8
