@@ -4,8 +4,9 @@ Config files use explicit unit suffixes (``omega_peak_khz``, ``sigma_us``);
 unknown keys are rejected.  Frequencies in emitted data are ordinary Hz,
 times are seconds.  Stdout carries data only (the result JSON for
 ``simulate``, the run manifest for the file-emitting subcommands);
-diagnostics go to stderr.  Exit codes: 0 success, 2 configuration error,
-3 numerical-guard error.
+diagnostics go to stderr.  Exit codes: 0 success, 2 configuration error
+(:class:`ConfigError`), 3 numerical-guard error or any other ``ValueError``
+raised after the configuration was accepted.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .core import make_dicke
 from .drive import CompensationMode, TWO_PI
 from .errors import ConfigError, NumericsError, ResourceGuardError
 from .experiment import (ExperimentConfig, PrepMode, default_sweep_values,
                          potentials_report, run_rap, sweep)
-from .measurement import (InternalDensityMatrix, fidelity_decomposition,
-                          fit_parity, parity_curve, rotate_global,
-                          simulate_histogram)
+from .measurement import (fidelity_decomposition, fit_parity, parity_curve,
+                          rotate_global, simulate_histogram, trace_out_motion)
 
 _KHZ = TWO_PI * 1e3   # config kHz -> rad/s
 
@@ -322,12 +323,7 @@ def _cmd_parity(cfg: ExperimentConfig, out_dir: Path, ideal: bool):
     if cfg.n_qubits != 2:
         raise ConfigError(
             f"parity is defined for two ions; the config has n_qubits={cfg.n_qubits}")
-    if ideal:
-        d = np.zeros(4, dtype=complex)
-        d[1] = d[2] = 1.0 / math.sqrt(2.0)
-        rho = InternalDensityMatrix(np.outer(d, d.conj()))
-    else:
-        rho = run_rap(cfg).rho
+    rho = trace_out_motion(make_dicke(2, 1)) if ideal else run_rap(cfg).rho
     grid = _phi_grid(cfg)
     exact = parity_curve(rho, grid)
     rng = np.random.default_rng(cfg.seed)
@@ -408,6 +404,8 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=_count("--seed", args.seed, 0))
+        if args.command == "sweep":
+            _count("--points", args.points, 1)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
@@ -427,8 +425,8 @@ def main(argv=None) -> int:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

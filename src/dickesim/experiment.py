@@ -24,7 +24,7 @@ import numpy as np
 from .core import (HilbertSpace, StateVector, build_space, embed, make_dicke)
 from .drive import (CompensationMode, DriveConfig, PulseShape, Sideband,
                     TWO_PI, derive_eta)
-from .errors import (ContinuityError, DegeneracyError, NumericsError,
+from .errors import (ConfigError, ContinuityError, DegeneracyError, NumericsError,
                      ResourceGuardError)
 from .measurement import (InternalDensityMatrix, fidelity_decomposition,
                           trace_out_motion)
@@ -283,8 +283,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None) -> SweepResult:
     if axis not in ("width", "peak"):
         raise ValueError(f"unknown sweep axis {axis!r}; expected 'width' or 'peak'")
     if cfg.n_qubits != 2:
-        raise ValueError("the sweep's fidelity decomposition is defined for two ions; "
-                         f"the config has n_qubits={cfg.n_qubits}")
+        raise ConfigError("the sweep's fidelity decomposition is defined for two ions; "
+                          f"the config has n_qubits={cfg.n_qubits}")
     if values is None:
         center = 2.0 * cfg.sigma if axis == "width" else cfg.omega_peak
         values = default_sweep_values(center)
@@ -340,8 +340,8 @@ def potentials_report(cfg: ExperimentConfig, n_points: int = 2001,
     automatically on branch-tracking failure).
     """
     if cfg.n_qubits != 2:
-        raise ValueError("the potentials report is defined for two ions; "
-                         f"the config has n_qubits={cfg.n_qubits}")
+        raise ConfigError("the potentials report is defined for two ions; "
+                          f"the config has n_qubits={cfg.n_qubits}")
     variants = {}
     if times is not None:
         times = np.asarray(times, dtype=float)

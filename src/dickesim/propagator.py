@@ -14,16 +14,20 @@ into
 A step of length dt at midpoint t is ``U = A B A`` with
 ``A = exp(-i H_F(t) dt / 2)`` and ``B = exp(-i Omega(t) R dt)``.  Every
 factor is an exact exponential, so each step is unitary to machine
-precision and the global error is second order in dt.  The step unitaries of
-a chunk are built in batch.  For blocks of at most ``SCAN_BLOCK`` states the
-states after every step come from a two-level prefix-product scan (groups of
-about sqrt(K) steps: batched products within each group, one matrix-vector
-product per group, one in-place batched product for every state), so the
-Python-level loop runs about sqrt(K) times per chunk of K steps instead of K
-times; larger blocks take one matrix-vector product per step.  Either way
-every state is produced, and the norm drift and truncation leak are read off
-each of them.  The scanned blocks build the step unitaries of every chunk
-in one buffer allocated per call, so their chunk loop allocates no stack.
+precision and the global error is second order in dt.  ``A`` is complex
+symmetric and ``B = V diag(b) V^T`` with V real (the eigenvectors of R), so
+every step factors as ``U = Q Q^T`` with ``Q = A V diag(b)^(1/2)``; the
+factors of a chunk are built in batch.  Blocks above ``SCAN_BLOCK`` states
+apply each step as ``Q (Q^T psi)``, two matrix-vector products, and never
+form U.  For smaller blocks the states
+after every step come from a two-level prefix-product scan over the formed
+step unitaries (groups of about sqrt(K) steps: batched products within each
+group, one matrix-vector product per group, one in-place batched product for
+every state), so the Python-level loop runs about sqrt(K) times per chunk of
+K steps instead of K times.  Either way every state is produced, and the
+norm drift and truncation leak are read off each of them.  Every block
+builds the stacks of every chunk in one buffer allocated per call, so the
+chunk loop allocates no stack.
 
 Rounding still moves the norm by about 3e-16 per step, so after each chunk
 the carried block states are rescaled jointly to unit norm (projection onto
@@ -56,13 +60,14 @@ from .core import StateVector, symmetric_transform
 from .drive import DriveConfig, drive_terms, envelope
 from .errors import NumericsError, StepSizeError, TruncationLeakError
 
-#: steps per chunk; blocks above 9 states get proportionally fewer, so a
-#: chunk's step unitaries never exceed CHUNK_ENTRIES complex entries (5.3 MB,
-#: what 1024 steps of an 18-state block take)
+#: steps per chunk; blocks above 4 states get proportionally fewer, so one
+#: stack of a chunk never exceeds CHUNK_ENTRIES complex entries (1.3 MB, what
+#: 256 steps of an 18-state block take) and the three stacks of the per-call
+#: buffer stay below numpy's 4 MiB huge-page threshold
 CHUNK_STEPS = 4096
-CHUNK_ENTRIES = 1024 * 18**2
-#: largest block (and inner product size) taken by the prefix-product scan
-#: and by broadcast multiply-adds instead of one BLAS call per matrix
+CHUNK_ENTRIES = 256 * 18**2
+#: largest block taken by the prefix-product scan (and largest inner size of
+#: its broadcast multiply-adds); larger blocks never form the step unitaries
 SCAN_BLOCK = 4
 STRUCTURAL_ZERO = 1e-12
 BLOCK_WEIGHT_FLOOR = 1e-20
@@ -200,21 +205,17 @@ class _FockSplit:
     r_values: np.ndarray
     r_vectors: np.ndarray
 
-    def step_unitaries(self, coefs: np.ndarray, omega_v: float, dt: float,
-                       work: np.ndarray | None = None) -> np.ndarray:
-        """``U_k = A_k V diag(b_k) V^T A_k`` for every row of ``coefs``.
+    def step_factors(self, coefs: np.ndarray, omega_v: float, dt: float,
+                     out: np.ndarray) -> np.ndarray:
+        """The factors ``Q_k`` of ``U_k = A_k V diag(b_k) V^T A_k = Q_k Q_k^T``.
 
-        ``A_k`` is complex symmetric, so with ``Q_k = A_k V diag(b_k)^(1/2)``
-        the step is ``U_k = Q_k Q_k^T``.  For blocks of at most
-        ``SCAN_BLOCK`` states ``work`` may be a (3, K, m, m) buffer with
-        K >= len(coefs): the unitaries are then written to ``work[0]``,
-        Q and a scratch product to the other two, and nothing of the
-        chunk's size is allocated.
+        ``A_k`` is complex symmetric, so ``Q_k = A_k V diag(b_k)^(1/2)``, one
+        per row of ``coefs``.  They are written to ``out``, a (K, m, m) stack
+        with K >= len(coefs), and the filled part of it is returned.
         """
         n, m = len(coefs), len(self.r_values)
         half_b = np.exp(-0.5j * dt * coefs[:, 2:3] * self.r_values)[:, None, None, :]
-        u, q, scratch = work[:, :n] if work is not None else (
-            None, np.empty((n, m, m), dtype=complex), None)
+        q = out[:n]
         for stack, first, levels in self.groups:
             size, n_levels = stack.shape[1], len(levels)
             rows = slice(first, first + size * n_levels)
@@ -224,11 +225,7 @@ class _FockSplit:
             shift = np.exp(-0.5j * dt * omega_v * levels)[:, None]
             np.multiply(av.reshape(n, size, n_levels, m), shift * half_b,
                         out=q[:, rows].reshape(n, size, n_levels, m))
-        if m <= SCAN_BLOCK:
-            return _matmul(q, q.transpose(0, 2, 1), out=u, tmp=scratch)
-        # a second buffer keeps numpy off its a @ a.T (syrk) path, which is
-        # about twice as slow on small stacked matrices
-        return _matmul(q, q.copy().transpose(0, 2, 1))
+        return q
 
 
 def _fock_split(terms, internal: np.ndarray, idx: np.ndarray, n_fock: int,
@@ -274,37 +271,45 @@ def _fock_split(terms, internal: np.ndarray, idx: np.ndarray, n_fock: int,
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
             tmp: np.ndarray | None = None) -> np.ndarray:
-    """Stacked matrix product ``a @ b``.
+    """Stacked matrix product ``a @ b`` for at most ``SCAN_BLOCK`` inner terms.
 
     ``@`` makes one BLAS call per matrix of the stack, which dominates for
-    small matrices; up to ``SCAN_BLOCK`` inner terms, broadcast multiply-adds
-    over the inner index are several times faster, and they write the
-    product to ``out`` and each added term to ``tmp`` when those are given.
+    small matrices; broadcast multiply-adds over the inner index are several
+    times faster, and they write the product to ``out`` and each added term
+    to ``tmp`` when those are given.
     """
-    inner = a.shape[-1]
-    if inner > SCAN_BLOCK:
-        return a @ b
     out = np.multiply(a[..., :, :1], b[..., :1, :], out=out)
-    for j in range(1, inner):
+    for j in range(1, a.shape[-1]):
         out += np.multiply(a[..., :, j:j + 1], b[..., j:j + 1, :], out=tmp)
     return out
 
 
-def _run_chunk(unitaries: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The state after every step of a chunk, by a two-level scan.
+def _run_chunk(q: np.ndarray, psi: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The state after every step ``U_k = Q_k Q_k^T`` of a chunk of K steps.
 
-    The K steps form groups of L consecutive steps.  Phase 1 overwrites each
-    step unitary in place with the product of its group up to that step
-    (L - 1 batched products), phase 2 carries the state across group ends
-    (one matrix-vector product per full group) and phase 3 applies every
-    prefix product to the state entering its group (one batched product,
+    Blocks above ``SCAN_BLOCK`` states take each step as ``Q_k (Q_k^T psi)``:
+    two matrix-vector products, and U is never formed.  Smaller blocks form
+    every U in ``work[0]`` (``work`` is a (2, K, m, m) buffer, ``work[1]`` the
+    scratch product) and run a two-level scan.  The K steps form groups of
+    L = floor(sqrt(K)) consecutive steps.  Phase 1 overwrites each step
+    unitary in place with the product of its group up to that step (L - 1
+    batched products), phase 2 carries the state across group ends (one
+    matrix-vector product per full group) and phase 3 applies every prefix
+    product to the state entering its group (one batched product,
     accumulated in place: the states are returned as a view of column 0 of
-    ``unitaries``).  L is about sqrt(K) for blocks of at most ``SCAN_BLOCK``
-    states and 1 above that, where phases 1 and 3 are empty and phase 2 is
-    one matrix-vector product per step.
+    ``work[0]``).
     """
-    n_steps, m = unitaries.shape[:2]
-    size = math.isqrt(n_steps) if m <= SCAN_BLOCK else 1
+    n_steps, m = q.shape[:2]
+    if m > SCAN_BLOCK:
+        states = np.empty((n_steps, m), dtype=complex)
+        half = np.empty(m, dtype=complex)
+        for qk, out in zip(q, states):
+            np.dot(qk.T, psi, out=half)
+            psi = np.dot(qk, half, out=out)
+        return states
+    unitaries, scratch = work[:, :n_steps]
+    _matmul(q, q.transpose(0, 2, 1), out=unitaries, tmp=scratch)
+    size = math.isqrt(n_steps)
     for j in range(1, size):
         later = unitaries[j::size]
         later[...] = _matmul(later, unitaries[j - 1::size][:len(later)])
@@ -313,8 +318,6 @@ def _run_chunk(unitaries: np.ndarray, psi: np.ndarray) -> np.ndarray:
     carried[0] = psi
     for u, before, out in zip(ends, carried, carried[1:]):
         np.dot(u, before, out=out)
-    if size == 1:
-        return carried[1:]
     # phase 3 in place: scale column j of every prefix product by entry j of
     # the state entering its group, then add the columns up into column 0
     full = n_steps - n_steps % size
@@ -375,12 +378,10 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
 
     largest = max(len(split.idx) for split in splits)
     chunk = max(1, min(CHUNK_STEPS, CHUNK_ENTRIES // largest**2))
-    # the scanned blocks build every chunk's stacks in this one buffer:
-    # stacks allocated per chunk were handed back to the system by the C
-    # allocator and faulted in again, ~300 page faults per 4096-step chunk
-    scanned = max((len(split.idx) for split in splits if len(split.idx) <= SCAN_BLOCK),
-                  default=0)
-    work = np.empty(3 * chunk * scanned**2, dtype=complex)
+    # every block builds its chunk's stacks (Q, and U with a scratch product
+    # for the scanned blocks) in this one buffer: stacks allocated per chunk
+    # were handed back to the system by the C allocator and faulted in again
+    work = np.empty(3 * chunk * largest**2, dtype=complex)
     norm_drift = 0.0
     peak_leak, peak_leak_time = 0.0, 0.0
     samples = []
@@ -398,11 +399,9 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
         picked = np.zeros((len(picks), cfg.space.dim), dtype=complex)
         for b, split in enumerate(splits):
             m = len(split.idx)
-            buffer = None
-            if m <= SCAN_BLOCK:
-                buffer = work[:3 * chunk * m * m].reshape(3, chunk, m, m)
-            states = _run_chunk(split.step_unitaries(coefs, cfg.omega_v, dt_eff, buffer),
-                                psis[b])
+            buffer = work[:3 * chunk * m * m].reshape(3, chunk, m, m)
+            q = split.step_factors(coefs, cfg.omega_v, dt_eff, buffer[0])
+            states = _run_chunk(q, psis[b], buffer[1:])
             psis[b] = states[-1].copy()
             pops = states.real**2 + states.imag**2
             norms += pops.sum(axis=1)
@@ -449,8 +448,7 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
         peak_leak_time=peak_leak_time, trajectory=trajectory)
 
 
-def propagate_sequence(stages, psi0: StateVector, dt: float | None = None,
-                       sample_every: int = 0) -> EvolutionResult:
+def propagate_sequence(stages, psi0: StateVector, dt: float | None = None) -> EvolutionResult:
     """Apply ``stages = [(DriveConfig, duration), ...]`` coherently in order."""
     if not stages:
         raise ValueError("stage list is empty")
@@ -458,18 +456,15 @@ def propagate_sequence(stages, psi0: StateVector, dt: float | None = None,
     drift = 0.0
     n_steps = 0
     peak_leak, peak_leak_time = 0.0, 0.0
-    trajectory = [(0.0, psi0.copy())] if sample_every > 0 else None
     t_offset = 0.0
     for cfg, duration in stages:
-        res = evolve(cfg, psi, dt=dt, sample_every=sample_every, duration=duration)
+        res = evolve(cfg, psi, dt=dt, duration=duration)
         psi = res.final_state
         drift = max(drift, res.norm_drift)
         n_steps += res.steps
         if res.peak_leak > peak_leak:
             peak_leak, peak_leak_time = res.peak_leak, t_offset + res.peak_leak_time
-        if trajectory is not None and res.trajectory:
-            trajectory.extend((t_offset + t, s) for t, s in res.trajectory[1:])
         t_offset += duration
     return EvolutionResult(final_state=psi, norm_drift=drift, steps=n_steps, dt=None,
                            block_sizes=None, symmetric_basis=None, peak_leak=peak_leak,
-                           peak_leak_time=peak_leak_time, trajectory=trajectory)
+                           peak_leak_time=peak_leak_time)

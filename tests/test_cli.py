@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dickesim import ConfigError, propagator
+from dickesim import ConfigError, measurement, propagator
 from dickesim.cli import main, parse_config, resolved_snapshot, verify_manifest
 from dickesim.drive import TWO_PI
 
@@ -287,12 +287,12 @@ class TestExitCodes:
         assert "numerical guard" in capsys.readouterr().err
 
     def test_non_unitary_step_is_3(self, tmp_path, capsys, monkeypatch):
-        step_unitaries = propagator._FockSplit.step_unitaries
+        step_factors = propagator._FockSplit.step_factors
 
         def leaky(self, *args):
-            return step_unitaries(self, *args) * (1.0 + 1e-6)
+            return step_factors(self, *args) * (1.0 + 1e-6)
 
-        monkeypatch.setattr(propagator._FockSplit, "step_unitaries", leaky)
+        monkeypatch.setattr(propagator._FockSplit, "step_factors", leaky)
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "simulate"]) == 3
@@ -336,6 +336,28 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("config error: --seed")
         assert not out.exists()
+
+    def test_zero_points_rejected_before_any_work(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "sweep", "--axis", "width", "--points", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: --points")
+        assert not out.exists()
+
+    def test_value_error_after_parsing_is_3(self, tmp_path, capsys, monkeypatch):
+        # a reduced density matrix that fails its checks is a runtime fault,
+        # not a configuration the user can fix
+        monkeypatch.setattr(measurement, "TRACE_TOL", -1.0)
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "simulate"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("runtime error: density matrix")
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_stdout_clean_on_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"omega_peak_khz": -1})

@@ -4,9 +4,9 @@ Two dense full-space oracles run without any reduction: ``brute_force_evolve``
 applies the exact exponential of the midpoint Hamiltonian (the accuracy
 reference the split is pinned against), and ``dense_split_evolve`` applies the
 same Fock-number Strang split as ``evolve`` (the equivalence reference for
-the block and symmetric-basis reductions).  ``sequential_chunk`` applies a
-chunk's step unitaries one matrix-vector product at a time (the reference for
-the prefix-product scan).
+the block and symmetric-basis reductions).  ``sequential_chunk`` forms a
+chunk's step unitaries ``Q Q^T`` from their factors and applies them one
+matrix-vector product at a time (the reference for the chunk kernel).
 """
 
 import math
@@ -73,12 +73,23 @@ def dense_split_evolve(cfg, psi0, n_steps, duration):
     return psi
 
 
-def sequential_chunk(unitaries, psi):
+def sequential_chunk(q, psi, work=None):
     """Reference chunk kernel: the state after every step, one matvec per step."""
-    states = np.empty(unitaries.shape[:2], dtype=complex)
+    unitaries = q @ q.transpose(0, 2, 1)
+    states = np.empty(q.shape[:2], dtype=complex)
     for u, out in zip(unitaries, states):
         psi = np.dot(u, psi, out=out)
     return states
+
+
+def random_factors(rng, n_steps, m):
+    """Factor stacks ``Q = O diag(exp(i theta))``, O real orthogonal: ``Q Q^T`` is unitary."""
+    o = np.linalg.qr(rng.normal(size=(n_steps, m, m)))[0]
+    return o * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n_steps, 1, m)))
+
+
+def chunk_work(n_steps, m):
+    return np.empty((2, n_steps, m, m), dtype=complex)
 
 
 def scan_drive():
@@ -207,12 +218,12 @@ class TestUnitarityAndConvergence:
         assert res.norm_drift < 1e-9
 
     def test_non_unitary_step_raises(self, monkeypatch):
-        step_unitaries = propagator._FockSplit.step_unitaries
+        step_factors = propagator._FockSplit.step_factors
 
         def leaky(self, *args):
-            return step_unitaries(self, *args) * (1.0 + 1e-6)
+            return step_factors(self, *args) * (1.0 + 1e-6)
 
-        monkeypatch.setattr(propagator._FockSplit, "step_unitaries", leaky)
+        monkeypatch.setattr(propagator._FockSplit, "step_factors", leaky)
         cfg = rap_drive()
         with pytest.raises(NumericsError, match="norm drifted by"):
             evolve(cfg, embed(cfg.space, "dd", 1))
@@ -281,8 +292,8 @@ class TestAgainstBruteForce:
 class TestChunkMemory:
     def test_large_block_chunk_memory(self):
         # one 96-state block (four unequal ions, carrier on); 1024-step chunks
-        # of 96 x 96 step unitaries peaked at ~612 MB, shorter chunks for
-        # large blocks keep it near 22 MB
+        # of 96 x 96 step unitaries peaked at ~612 MB; shorter chunks for
+        # large blocks and one buffer per call keep it near 6 MB
         pulse = PulseShape(omega_peak=OMEGA_PEAK, sigma=5e-6,
                            chirp_start=-TWO_PI * 100e3, chirp_end=TWO_PI * 100e3)
         cfg = DriveConfig(space=build_space(4, 5), eta=ETA, omega_v=OMEGA_V,
@@ -309,17 +320,12 @@ class TestChunkScan:
            seed=st.integers(0, 2**32 - 1))
     def test_scan_matches_sequential(self, m, n_steps, seed):
         rng = np.random.default_rng(seed)
-        z = rng.normal(size=(n_steps, m, m)) + 1j * rng.normal(size=(n_steps, m, m))
-        unitaries = np.linalg.qr(z)[0]
+        q = random_factors(rng, n_steps, m)
         psi = rng.normal(size=m) + 1j * rng.normal(size=m)
         psi /= np.linalg.norm(psi)
-        ref = sequential_chunk(unitaries, psi)
-        states = propagator._run_chunk(unitaries.copy(), psi)
-        if m > propagator.SCAN_BLOCK:
-            # groups of one step: the same products in the same order
-            np.testing.assert_array_equal(states, ref)
-        else:
-            assert np.abs(states - ref).max() < 1e-12
+        ref = sequential_chunk(q, psi)
+        states = propagator._run_chunk(q.copy(), psi.copy(), chunk_work(n_steps, m))
+        assert np.abs(states - ref).max() < 1e-12
 
     @pytest.mark.parametrize("n_steps", [propagator.CHUNK_STEPS - 1,
                                          propagator.CHUNK_STEPS + 1,
@@ -369,29 +375,40 @@ class TestChunkScan:
             assert peak < 4e6
 
     def test_scan_works_in_place(self):
-        # the states of a small block are a view of its chunk's unitaries
-        rng = np.random.default_rng(3)
-        unitaries = np.linalg.qr(rng.normal(size=(500, 2, 2)) + 0j)[0]
-        states = propagator._run_chunk(unitaries, np.array([1.0, 0.0], dtype=complex))
+        # the states of a small block are a view of the buffer its chunk's
+        # unitaries are formed in
+        q = random_factors(np.random.default_rng(3), 500, 2)
+        work = chunk_work(500, 2)
+        states = propagator._run_chunk(q, np.array([1.0, 0.0], dtype=complex), work)
         assert states.shape == (500, 2)
-        assert np.shares_memory(states, unitaries)
+        assert np.shares_memory(states, work)
+        assert np.abs(states - sequential_chunk(q, np.array([1.0, 0.0]))).max() < 1e-12
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts the minor page faults getrusage reports on Linux")
-    def test_chunks_reuse_their_memory(self):
-        # every chunk writes its step unitaries into one buffer, so ten times
-        # the chunks fault in about as many pages (a buffer per chunk: ~250
-        # faults per chunk, as the allocator hands the memory back each time)
+    @pytest.mark.parametrize("block", [2, 18])
+    def test_chunks_reuse_their_memory(self, block):
+        # every chunk builds its stacks in one buffer, so ten times the chunks
+        # fault in about as many pages (stacks allocated per chunk: ~250
+        # faults per chunk of the 2-state scan block, ~1.6k per chunk of the
+        # 18-state carrier block, as the allocator hands the memory back)
         import resource
 
-        cfg = scan_drive()
-        psi0 = embed(cfg.space, "dd", 1)
+        if block == 2:
+            drive = scan_drive()
+            psi0 = embed(drive.space, "dd", 1)
+            dt = drive.pulse.duration / (20 * propagator.CHUNK_STEPS)
+        else:
+            cfg = ExperimentConfig(compensation=CompensationMode.none())
+            drive, psi0 = cfg.rap_drive(), prepare_fock1(cfg)
+            dt = cfg.dt_for(drive)
+        chunk = min(propagator.CHUNK_STEPS, propagator.CHUNK_ENTRIES // block**2)
         faults = []
         for n_chunks in (2, 20):
-            dt = cfg.pulse.duration / (n_chunks * propagator.CHUNK_STEPS)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            evolve(cfg, psi0, dt=dt)
+            res = evolve(drive, psi0, dt=dt, duration=n_chunks * chunk * dt)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert res.block_sizes == (block,)
         assert faults[1] - faults[0] < 18 * 25
 
 
