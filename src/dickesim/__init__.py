@@ -26,7 +26,7 @@ from .experiment import (ExperimentConfig, PrepMode, RapResult, SweepResult,
 from .measurement import (InternalDensityMatrix, ParityFit, fit_parity,
                           parity, parity_curve, rotate_global,
                           simulate_histogram, trace_out_motion)
-from .propagator import EvolutionResult, evolve, propagate_sequence
+from .propagator import EvolutionResult, evolve
 from .spectral import (AdiabaticFrame, DiabaticBound, ReducedModel,
                        adiabatic_spectrum, diabatic_bound,
                        nonadiabatic_coupling, reduced_model,
@@ -43,7 +43,7 @@ __all__ = [
     "detuning", "diabatic_bound", "dicke_fidelity", "embed", "envelope",
     "evolve", "fit_parity", "make_dicke", "nonadiabatic_coupling", "parity",
     "parity_curve", "potentials_report", "prepare_fock1",
-    "propagate_sequence", "reduced_model", "rotate_global", "run_rap",
+    "reduced_model", "rotate_global", "run_rap",
     "simulate_histogram", "spectrum_with_refinement", "sweep",
     "trace_out_motion", "truncation_overlap",
 ]

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -237,36 +237,19 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@dataclass
-class RunManifest:
-    command: str
-    seed: int
-    config: dict
-    outputs: dict
-    version: str = __version__
-    created_utc: str = ""
-
-    def to_json(self) -> str:
-        body = {
-            "command": self.command,
-            "config": self.config,
-            "created_utc": self.created_utc or datetime.now(timezone.utc).isoformat(),
-            "outputs": self.outputs,
-            "seed": self.seed,
-            "tool": "dickesim",
-            "version": self.version,
-        }
-        return json.dumps(body, sort_keys=True, indent=2)
-
-
 def write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig,
                    files) -> Path:
-    manifest = RunManifest(
-        command=command, seed=cfg.seed, config=resolved_snapshot(cfg),
-        outputs={f.name: _sha256(f) for f in files},
-    )
+    body = {
+        "command": command,
+        "config": resolved_snapshot(cfg),
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "outputs": {f.name: _sha256(f) for f in files},
+        "seed": cfg.seed,
+        "tool": "dickesim",
+        "version": __version__,
+    }
     path = out_dir / "manifest.json"
-    path.write_text(manifest.to_json() + "\n")
+    path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
     return path
 
 
@@ -359,9 +342,7 @@ def _cmd_histogram(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _cmd_sweep(cfg: ExperimentConfig, out_dir: Path, axis: str, points: int):
-    center = 2.0 * cfg.sigma if axis == "width" else cfg.omega_peak
-    values = default_sweep_values(center, points)
-    result = sweep(cfg, axis, values)
+    result = sweep(cfg, axis, default_sweep_values(cfg, axis, points))
     rows = []
     for k, value in enumerate(result.values):
         axis_value = value if axis == "width" else value / TWO_PI

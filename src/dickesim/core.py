@@ -16,7 +16,7 @@ the ordering is spin-major with the Fock index ascending fastest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, sqrt
@@ -198,13 +198,11 @@ def build_space(n_qubits: int, n_max: int, dim_cap: int = DEFAULT_DIM_CAP) -> Hi
 class StateVector:
     """Complex amplitudes over a :class:`HilbertSpace`.
 
-    States are unit-normalized; scratch states that are deliberately
-    unnormalized must be flagged with ``unnormalized=True``.
+    States are unit-normalized; construction rejects any other norm.
     """
 
     space: HilbertSpace
     amplitudes: np.ndarray
-    unnormalized: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
@@ -212,7 +210,7 @@ class StateVector:
             raise ValueError(
                 f"amplitude vector has shape {self.amplitudes.shape}, expected ({self.space.dim},)"
             )
-        if not self.unnormalized and abs(self.norm_sq - 1.0) > NORM_TOL:
+        if abs(self.norm_sq - 1.0) > NORM_TOL:
             raise ValueError(
                 f"state norm^2 = {self.norm_sq:.12g} deviates from 1 by more than {NORM_TOL}"
             )
@@ -234,7 +232,7 @@ class StateVector:
         return abs(self.amplitudes[self.space.index(spins, fock_n)]) ** 2
 
     def copy(self) -> "StateVector":
-        return StateVector(self.space, self.amplitudes.copy(), self.unnormalized)
+        return StateVector(self.space, self.amplitudes.copy())
 
 
 def embed(space: HilbertSpace, spins, fock_n: int) -> StateVector:

@@ -28,9 +28,9 @@ from .errors import (ConfigError, ContinuityError, DegeneracyError, NumericsErro
                      ResourceGuardError)
 from .measurement import (InternalDensityMatrix, fidelity_decomposition,
                           trace_out_motion)
-from .propagator import EvolutionResult, evolve, max_frequency, propagate_sequence
-from .spectral import (DiabaticBound, adiabatic_spectrum, diabatic_bound,
-                       nonadiabatic_coupling, reduced_model,
+from .propagator import EvolutionResult, evolve
+from .spectral import (DEFAULT_GRID_POINTS, DiabaticBound, adiabatic_spectrum,
+                       diabatic_bound, nonadiabatic_coupling, reduced_model,
                        spectrum_with_refinement)
 
 DEFAULT_OMEGA_PEAK = TWO_PI * 145e3
@@ -39,10 +39,6 @@ DEFAULT_CHIRP = TWO_PI * 100e3
 DEFAULT_OMEGA_V = TWO_PI * 0.7e6
 DEFAULT_WAVELENGTH = 729e-9
 DEFAULT_MASS_AMU = 40.0
-
-#: experiment-layer integration step: fraction of the fastest period kept
-#: inside the propagator's 0.05 guard; see the convergence data in the tests.
-EXPERIMENT_DT_FACTOR = 0.04
 
 THERMAL_TAIL = 1e-4
 
@@ -104,11 +100,6 @@ class ExperimentConfig:
             ion_detuning_offsets=self.ion_detuning_offsets,
             sideband=Sideband.RED, compensation=self.compensation,
         )
-
-    def dt_for(self, drive: DriveConfig) -> float:
-        if self.dt is not None:
-            return self.dt
-        return EXPERIMENT_DT_FACTOR / max_frequency(drive)
 
     def thermal_components(self) -> list:
         """Fock-diagonal thermal weights ``[(n, p), ...]``, renormalized over the kept ones.
@@ -172,9 +163,10 @@ def _prepare_from(cfg: ExperimentConfig, start_n: int) -> StateVector:
     word = "d" * cfg.n_qubits
     if cfg.prep is PrepMode.IDEAL_FOCK:
         return embed(space, word, start_n + 1)
-    stages = _prep_stages(cfg)
-    dt = cfg.dt_for(stages[0][0])
-    return propagate_sequence(stages, embed(space, word, start_n), dt=dt).final_state
+    psi = embed(space, word, start_n)
+    for drive, duration in _prep_stages(cfg):
+        psi = evolve(drive, psi, dt=cfg.dt, duration=duration).final_state
+    return psi
 
 
 def prepare_fock1(cfg: ExperimentConfig) -> StateVector:
@@ -182,7 +174,8 @@ def prepare_fock1(cfg: ExperimentConfig) -> StateVector:
     return _prepare_from(cfg, 0)
 
 
-def _rap_frame(cfg: ExperimentConfig, n_points: int = 2001, times=None):
+def _rap_frame(cfg: ExperimentConfig, n_points: int = DEFAULT_GRID_POINTS,
+               times=None):
     """Adiabatic frame of the reduced model and the RAP branch pair ``(i, j)``.
 
     The pair are the branches whose t=0 eigenvectors follow the bare states
@@ -190,12 +183,11 @@ def _rap_frame(cfg: ExperimentConfig, n_points: int = 2001, times=None):
     ``n_points`` points, refined on branch-tracking failure.
     """
     model = reduced_model(cfg.rap_drive())
-    labels = list(model.labels)
     if times is None:
         frame = spectrum_with_refinement(model.h_at, 0.0, cfg.pulse().duration,
-                                         n_points, basis_labels=labels)
+                                         n_points)
     else:
-        frame = adiabatic_spectrum(model.h_at, times, basis_labels=labels)
+        frame = adiabatic_spectrum(model.h_at, times)
     picks = []
     for state in ((0, 1), (1, 0)):
         overlaps = np.abs(frame.vectors[0][model.states.index(state)])
@@ -203,8 +195,7 @@ def _rap_frame(cfg: ExperimentConfig, n_points: int = 2001, times=None):
     return frame, tuple(picks)
 
 
-def rap_diabatic_bound(cfg: ExperimentConfig,
-                       n_points: int = 2001) -> DiabaticBound | None:
+def rap_diabatic_bound(cfg: ExperimentConfig) -> DiabaticBound | None:
     """Upper bound on the diabatic-transition probability for this transfer.
 
     Returns ``None`` when the avoided crossing is too sharp to resolve (the
@@ -212,7 +203,7 @@ def rap_diabatic_bound(cfg: ExperimentConfig,
     stops being meaningful.
     """
     try:
-        frame, (i, j) = _rap_frame(cfg, n_points)
+        frame, (i, j) = _rap_frame(cfg)
         return diabatic_bound(frame, i, j)
     except (ContinuityError, DegeneracyError):
         return None
@@ -239,11 +230,10 @@ def run_rap(cfg: ExperimentConfig) -> RapResult:
     (n = 0) component's.
     """
     drive = cfg.rap_drive()
-    dt = cfg.dt_for(drive)
     space = cfg.space()
     finals = []
     for n, weight in cfg.thermal_components():
-        finals.append((weight, evolve(drive, _prepare_from(cfg, n), dt=dt)))
+        finals.append((weight, evolve(drive, _prepare_from(cfg, n), dt=cfg.dt)))
     rho = trace_out_motion([(weight, res.final_state) for weight, res in finals])
     populations = {space.basis_state(s * space.n_fock).spins: float(p)
                    for s, p in enumerate(rho.populations())}
@@ -265,17 +255,16 @@ class SweepResult:
     partial: bool
 
 
-def default_sweep_values(center: float, points: int = 15) -> np.ndarray:
-    """Log-spaced grid over one decade centered on the operating point."""
+def default_sweep_values(cfg: ExperimentConfig, axis: str, points: int = 15) -> np.ndarray:
+    """Log-spaced decade centered on the config's full width 2 sigma or peak Rabi frequency."""
+    center = 2.0 * cfg.sigma if axis == "width" else cfg.omega_peak
     return np.geomspace(center / math.sqrt(10.0), center * math.sqrt(10.0), points)
 
 
 def _config_at(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
     if axis == "width":
         return replace(cfg, sigma=value / 2.0)   # axis is the full width 2 sigma
-    if axis == "peak":
-        return replace(cfg, omega_peak=value)
-    raise ValueError(f"unknown sweep axis {axis!r}; expected 'width' or 'peak'")
+    return replace(cfg, omega_peak=value)
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values=None) -> SweepResult:
@@ -286,8 +275,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None) -> SweepResult:
         raise ConfigError("the sweep's fidelity decomposition is defined for two ions; "
                           f"the config has n_qubits={cfg.n_qubits}")
     if values is None:
-        center = 2.0 * cfg.sigma if axis == "width" else cfg.omega_peak
-        values = default_sweep_values(center)
+        values = default_sweep_values(cfg, axis)
     values = np.asarray(sorted(float(v) for v in values))
     if values.size == 0 or np.any(values <= 0):
         raise ValueError("sweep values must be positive and nonempty")
@@ -317,9 +305,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None) -> SweepResult:
 
 @dataclass
 class PotentialsVariant:
-    name: str
     energies: np.ndarray           # (n_times, 5)
-    rap_pair: tuple
     gap: np.ndarray
     alpha_over_omega_sq: np.ndarray
 
@@ -330,29 +316,27 @@ class PotentialsReport:
     variants: dict
 
 
-def potentials_report(cfg: ExperimentConfig, n_points: int = 2001,
-                      times=None) -> PotentialsReport:
+def potentials_report(cfg: ExperimentConfig,
+                      n_points: int = DEFAULT_GRID_POINTS) -> PotentialsReport:
     """Adiabatic energies and |alpha/omega|^2 with and without carrier couplings.
 
     Both variants (raw Hamiltonian and carrier terms zeroed) are evaluated on
-    the same grid so their curves compare point by point; pass ``times`` to
-    pin the grid, otherwise a uniform ``n_points`` grid is used (refined
-    automatically on branch-tracking failure).
+    the same grid so their curves compare point by point: the first variant's
+    uniform ``n_points`` grid (refined automatically on branch-tracking
+    failure), which the second reuses.
     """
     if cfg.n_qubits != 2:
         raise ConfigError("the potentials report is defined for two ions; "
                           f"the config has n_qubits={cfg.n_qubits}")
     variants = {}
-    if times is not None:
-        times = np.asarray(times, dtype=float)
+    times = None
     for name, comp in (("none", CompensationMode.none()),
                        ("zero_carrier", CompensationMode.zero_carrier())):
         frame, (i, j) = _rap_frame(replace(cfg, compensation=comp), n_points, times)
         times = frame.times
         omega = frame.energies[:, j] - frame.energies[:, i]
         ratio = np.abs(nonadiabatic_coupling(frame, i, j) / omega) ** 2
-        variants[name] = PotentialsVariant(name=name, energies=frame.energies,
-                                           rap_pair=(i, j), gap=np.abs(omega),
+        variants[name] = PotentialsVariant(energies=frame.energies, gap=np.abs(omega),
                                            alpha_over_omega_sq=ratio)
     return PotentialsReport(times=times, variants=variants)
 
@@ -370,8 +354,8 @@ def truncation_overlap(cfg: ExperimentConfig, extra: int = 2) -> float:
     n_fock, big_space = cfg.space().n_fock, big.space()
     worst = math.inf
     for n, _ in cfg.thermal_components():
-        small = evolve(small_drive, _prepare_from(cfg, n), dt=cfg.dt_for(small_drive))
-        large = evolve(big_drive, _prepare_from(big, n), dt=big.dt_for(big_drive))
+        small = evolve(small_drive, _prepare_from(cfg, n), dt=cfg.dt)
+        large = evolve(big_drive, _prepare_from(big, n), dt=big.dt)
         padded = np.zeros((2**cfg.n_qubits, big_space.n_fock), dtype=complex)
         padded[:, :n_fock] = small.final_state.amplitudes.reshape(-1, n_fock)
         lifted = StateVector(big_space, padded.reshape(-1))

@@ -11,7 +11,10 @@ into
 * ``Omega(t) R``, the sideband couplings of S2 that change the Fock number.
   R does not depend on time and is diagonalised once per block.
 
-A step of length dt at midpoint t is ``U = A B A`` with
+The step defaults to ``0.04 / max_frequency`` (:func:`default_dt`), where
+``max_frequency`` is the largest of the total peak Rabi frequency, the trap
+frequency and the chirp endpoints; a guard rejects any step above
+``0.05 / max_frequency``.  A step of length dt at midpoint t is ``U = A B A`` with
 ``A = exp(-i H_F(t) dt / 2)`` and ``B = exp(-i Omega(t) R dt)``.  Every
 factor is an exact exponential, so each step is unitary to machine
 precision and the global error is second order in dt.  ``A`` is complex
@@ -86,29 +89,23 @@ class EvolutionResult:
     basis.  ``norm_drift`` is the largest deviation of the norm squared from
     1 within a chunk, before the per-chunk rescale.  ``peak_leak`` is the
     largest population at ``fock_n = n_max`` after any step and
-    ``peak_leak_time`` when it happened.  For a
-    multi-stage sequence ``steps`` is the total, the peak leak is the
-    sequence's and its time counts from the sequence start, while ``dt``,
-    ``block_sizes`` and ``symmetric_basis`` are None: each stage has its own.
+    ``peak_leak_time`` when it happened.
     """
 
     final_state: StateVector
     norm_drift: float
     steps: int
-    dt: float | None
-    block_sizes: tuple | None
-    symmetric_basis: bool | None
+    dt: float
+    block_sizes: tuple
+    symmetric_basis: bool
     peak_leak: float
     peak_leak_time: float
     trajectory: list | None = None  # [(t, StateVector), ...] when sampled
 
 
 def default_dt(cfg: DriveConfig) -> float:
-    """Step resolving both the total drive strength and the trap frequency."""
-    rates = [cfg.omega_v]
-    if cfg.total_peak_rabi > 0:
-        rates.append(cfg.total_peak_rabi)
-    return 0.01 / max(rates)
+    """The integration step: 0.04 of the fastest period, inside the 0.05 guard."""
+    return 0.04 / max_frequency(cfg)
 
 
 def max_frequency(cfg: DriveConfig) -> float:
@@ -379,8 +376,7 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
     largest = max(len(split.idx) for split in splits)
     chunk = max(1, min(CHUNK_STEPS, CHUNK_ENTRIES // largest**2))
     # every block builds its chunk's stacks (Q, and U with a scratch product
-    # for the scanned blocks) in this one buffer: stacks allocated per chunk
-    # were handed back to the system by the C allocator and faulted in again
+    # for the scanned blocks) in this one buffer, so no chunk allocates a stack
     work = np.empty(3 * chunk * largest**2, dtype=complex)
     norm_drift = 0.0
     peak_leak, peak_leak_time = 0.0, 0.0
@@ -446,25 +442,3 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
         block_sizes=tuple(sorted((len(split.idx) for split in splits), reverse=True)),
         symmetric_basis=t_full is not None, peak_leak=peak_leak,
         peak_leak_time=peak_leak_time, trajectory=trajectory)
-
-
-def propagate_sequence(stages, psi0: StateVector, dt: float | None = None) -> EvolutionResult:
-    """Apply ``stages = [(DriveConfig, duration), ...]`` coherently in order."""
-    if not stages:
-        raise ValueError("stage list is empty")
-    psi = psi0
-    drift = 0.0
-    n_steps = 0
-    peak_leak, peak_leak_time = 0.0, 0.0
-    t_offset = 0.0
-    for cfg, duration in stages:
-        res = evolve(cfg, psi, dt=dt, duration=duration)
-        psi = res.final_state
-        drift = max(drift, res.norm_drift)
-        n_steps += res.steps
-        if res.peak_leak > peak_leak:
-            peak_leak, peak_leak_time = res.peak_leak, t_offset + res.peak_leak_time
-        t_offset += duration
-    return EvolutionResult(final_state=psi, norm_drift=drift, steps=n_steps, dt=None,
-                           block_sizes=None, symmetric_basis=None, peak_leak=peak_leak,
-                           peak_leak_time=peak_leak_time)

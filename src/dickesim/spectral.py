@@ -59,16 +59,11 @@ class AdiabaticFrame:
     times: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray
-    subspace_labels: list
     refinements: int = 0
 
-    @property
-    def n_branches(self) -> int:
-        return self.energies.shape[1]
 
-
-def adiabatic_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray], times,
-                       basis_labels=None) -> AdiabaticFrame:
+def adiabatic_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray],
+                       times) -> AdiabaticFrame:
     """Diagonalize H(t) over a grid with branch matching and gauge fixing.
 
     ``h_of_t`` takes a 1-d array of K times and returns the stacked
@@ -151,24 +146,17 @@ def adiabatic_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray], times,
                                              * gauges[:, None, :])
         prev, perm, gauge = v[-1], perms[-1], gauges[-1]
 
-    labels = []
-    for i in range(dim):
-        j = int(np.argmax(np.abs(vectors[0][:, i])))
-        labels.append(basis_labels[j] if basis_labels is not None else f"e{j}")
-    return AdiabaticFrame(times=times, energies=energies, vectors=vectors,
-                          subspace_labels=labels)
+    return AdiabaticFrame(times=times, energies=energies, vectors=vectors)
 
 
 def spectrum_with_refinement(h_of_t, t_start: float, t_end: float,
-                             n_points: int = DEFAULT_GRID_POINTS,
-                             basis_labels=None,
-                             max_refinements: int = MAX_REFINEMENTS) -> AdiabaticFrame:
-    """adiabatic_spectrum on a uniform grid, doubling density on continuity failure."""
+                             n_points: int = DEFAULT_GRID_POINTS) -> AdiabaticFrame:
+    """adiabatic_spectrum on a uniform grid, doubling it up to MAX_REFINEMENTS times."""
     last = None
-    for doublings in range(max_refinements + 1):
+    for doublings in range(MAX_REFINEMENTS + 1):
         times = np.linspace(t_start, t_end, n_points)
         try:
-            frame = adiabatic_spectrum(h_of_t, times, basis_labels=basis_labels)
+            frame = adiabatic_spectrum(h_of_t, times)
         except ContinuityError as exc:
             last = exc
             n_points = 2 * (n_points - 1) + 1
@@ -237,7 +225,6 @@ class ReducedModel:
 
     drive: DriveConfig
     states: tuple
-    labels: tuple
     terms: np.ndarray
 
     def h_at(self, t) -> np.ndarray:
@@ -267,6 +254,4 @@ def reduced_model(drive: DriveConfig) -> ReducedModel:
     fock = np.eye(space.n_fock)
     proj = np.column_stack([np.kron(uniform[:, m], fock[n]) for m, n in states])
     terms = np.stack([proj.T @ s @ proj for s in drive_terms(drive)])
-    words = {0: "d" * n_qubits, 1: "D", n_qubits: "u" * n_qubits}
-    labels = tuple(f"|{words.get(m, f'D{m}')},{n}>" for m, n in states)
-    return ReducedModel(drive=drive, states=states, labels=labels, terms=terms)
+    return ReducedModel(drive=drive, states=states, terms=terms)

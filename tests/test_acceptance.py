@@ -125,7 +125,7 @@ def test_conservation_and_structure_suite():
     t0 = time.perf_counter()
     drive = OPERATING_POINT.rap_drive()
     psi0 = embed(drive.space, "dd", 1)
-    res = evolve(drive, psi0, dt=OPERATING_POINT.dt_for(drive), sample_every=2000)
+    res = evolve(drive, psi0, sample_every=2000)
     assert res.norm_drift < 1e-9
 
     n_e = excitation_number(drive.space)

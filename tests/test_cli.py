@@ -251,6 +251,10 @@ class TestManifest:
         manifest_text = capsys.readouterr().out
         body = json.loads(manifest_text)
         assert body["tool"] == "dickesim"
+        # sorted keys, two-space indentation
+        assert list(body) == ["command", "config", "created_utc", "outputs", "seed",
+                              "tool", "version"]
+        assert manifest_text.startswith('{\n  "command": "parity",\n  "config": {\n    "')
         assert set(body["outputs"]) == {"parity.csv", "parity_fit.json"}
         assert verify_manifest(out / "manifest.json")
 

@@ -139,8 +139,6 @@ class TestInvariants:
         space = build_space(1, 0)
         with pytest.raises(ValueError):
             StateVector(space, np.array([1.0, 1.0]))
-        scratch = StateVector(space, np.array([1.0, 1.0]), unnormalized=True)
-        assert scratch.norm_sq == pytest.approx(2.0)
 
     def test_operator_builders_are_hermitian(self):
         space = build_space(2, 3)

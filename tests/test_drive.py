@@ -224,8 +224,7 @@ class TestStructuralInvariants:
         for name, mode in (("eff", comp), ("zc", CompensationMode.zero_carrier())):
             model = reduced_model(operating_drive(mode))
             frame = spectrum_with_refinement(model.h_at, 0.0,
-                                             model.drive.pulse.duration, 1001,
-                                             basis_labels=list(model.labels))
+                                             model.drive.pulse.duration, 1001)
             v0 = frame.vectors[0]
             b_dd1 = int(np.argmax(np.abs(v0[1])))
             b_d0 = int(np.argmax(np.abs(v0[2])))

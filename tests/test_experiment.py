@@ -87,8 +87,7 @@ class TestRunRap:
             cfg_n = zc_config()
             space = cfg_n.space()
             from dickesim import embed, evolve
-            res_n = evolve(cfg_n.rap_drive(), embed(space, "dd", n + 1),
-                           dt=cfg_n.dt_for(cfg_n.rap_drive()))
+            res_n = evolve(cfg_n.rap_drive(), embed(space, "dd", n + 1))
             manual += (w / total) * psi_dicke_fidelity(res_n.final_state)
         assert warm.fidelity == pytest.approx(manual, abs=1e-9)
 
@@ -151,7 +150,7 @@ class TestSweep:
         assert np.array_equal(both.fidelity, again.fidelity)
 
     def test_decomposition_identity_each_point(self):
-        result = sweep(zc_config(), "peak", default_sweep_values(TWO_PI * 145e3, 5))
+        result = sweep(zc_config(), "peak", default_sweep_values(zc_config(), "peak", 5))
         for k in range(5):
             assert result.fidelity[k] == pytest.approx(
                 result.diag_sum[k] / 2 + result.offdiag[k] / 2, abs=1e-12)
@@ -168,7 +167,7 @@ class TestSweep:
         # the widest point, 2 sigma = 1.26 ms, runs ~380k steps; rounding
         # used to push its trace past the density matrix's tolerance
         cfg = zc_config(sigma=200e-6)
-        result = sweep(cfg, "width", default_sweep_values(2 * cfg.sigma, 5))
+        result = sweep(cfg, "width", default_sweep_values(cfg, "width", 5))
         assert result.values[-1] == pytest.approx(1.265e-3, rel=1e-3)
         assert not result.partial, result.errors
         assert np.all(result.fidelity >= 0.5)
@@ -249,8 +248,10 @@ class TestTruncationConvergence:
 
 
 class TestHelpers:
-    def test_default_sweep_values_span_one_decade(self):
-        values = default_sweep_values(100.0)
+    @pytest.mark.parametrize("axis", ["width", "peak"])
+    def test_default_sweep_values_span_one_decade(self, axis):
+        # both axes center on 100: the full width 2 sigma and the peak
+        values = default_sweep_values(zc_config(sigma=50.0, omega_peak=100.0), axis)
         assert len(values) == 15
         assert values[0] == pytest.approx(100 / math.sqrt(10))
         assert values[-1] == pytest.approx(100 * math.sqrt(10))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from dickesim import (CompensationMode, DriveConfig, ExperimentConfig, NumericsError,
                       PulseShape, Sideband, StateVector, StepSizeError,
                       TruncationLeakError, build_space, embed, evolve, make_dicke,
-                      prepare_fock1, propagate_sequence)
+                      prepare_fock1, run_rap)
 from dickesim import propagator
 from dickesim.drive import TWO_PI, drive_terms, hamiltonian_matrix
 from oracles import excitation_number
@@ -401,7 +401,7 @@ class TestChunkScan:
         else:
             cfg = ExperimentConfig(compensation=CompensationMode.none())
             drive, psi0 = cfg.rap_drive(), prepare_fock1(cfg)
-            dt = cfg.dt_for(drive)
+            dt = propagator.default_dt(drive)
         chunk = min(propagator.CHUNK_STEPS, propagator.CHUNK_ENTRIES // block**2)
         faults = []
         for n_chunks in (2, 20):
@@ -425,11 +425,29 @@ class TestDiagnostics:
         cfg = ExperimentConfig(**kwargs)
         drive = cfg.rap_drive()
         duration = 2e-6       # the blocks do not depend on how long the pulse runs
-        res = evolve(drive, prepare_fock1(cfg), dt=cfg.dt_for(drive), duration=duration)
+        res = evolve(drive, prepare_fock1(cfg), duration=duration)
         assert res.block_sizes == block_sizes
         assert res.symmetric_basis is symmetric
-        assert res.steps == math.ceil(duration / cfg.dt_for(drive))
+        assert res.steps == math.ceil(duration / propagator.default_dt(drive))
         assert res.dt == pytest.approx(duration / res.steps, rel=1e-15)
+
+    @pytest.mark.parametrize("compensation", [CompensationMode.zero_carrier(),
+                                              CompensationMode.none()])
+    def test_run_rap_steps_at_default_dt(self, compensation):
+        cfg = ExperimentConfig(compensation=compensation)
+        drive = cfg.rap_drive()
+        res = run_rap(cfg).evolution
+        assert propagator.default_dt(drive) == 0.04 / propagator.max_frequency(drive)
+        assert res.steps == math.ceil(drive.pulse.duration / propagator.default_dt(drive))
+
+    def test_run_rap_dt_override(self):
+        # dt_ns sets the step; the default at this point is 9.1 ns
+        cfg = ExperimentConfig(dt=1e-8)
+        duration = cfg.pulse().duration
+        res = run_rap(cfg).evolution
+        assert res.steps == math.ceil(duration / 1e-8)
+        assert res.dt == pytest.approx(duration / res.steps, rel=1e-15)
+        assert res.dt == pytest.approx(1e-8, rel=1e-4)
 
     def test_peak_leak_and_its_time(self, monkeypatch):
         # all population reaches n_max half way through the cycle
@@ -440,15 +458,6 @@ class TestDiagnostics:
         res = evolve(cfg, psi0, dt=dt, duration=t_cycle)
         assert res.peak_leak == pytest.approx(1.0, abs=1e-5)
         assert res.peak_leak_time == pytest.approx(t_cycle / 2, abs=dt)
-        # a sequence counts steps over its stages and times from its start
-        idle = DriveConfig(space=cfg.space, eta=cfg.eta, omega_v=cfg.omega_v,
-                           pulse=PulseShape(omega_peak=0.0, sigma=SIGMA),
-                           compensation=CompensationMode.none())
-        seq = propagate_sequence([(idle, 1e-6), (cfg, t_cycle)], psi0, dt=dt)
-        assert seq.steps == math.ceil(1e-6 / dt) + res.steps
-        assert seq.peak_leak == pytest.approx(res.peak_leak, abs=1e-12)
-        assert seq.peak_leak_time == pytest.approx(1e-6 + res.peak_leak_time, rel=1e-12)
-        assert seq.dt is None and seq.block_sizes is None and seq.symmetric_basis is None
 
 
 class TestRandomizedEquivalence:
@@ -547,13 +556,20 @@ class TestStructuralDynamics:
             assert dark.squared_overlap(s) == pytest.approx(1.0, abs=1e-8)
 
 
+def evolve_chain(stages, psi):
+    """Apply ``stages = [(DriveConfig, duration), ...]`` in order, each at its default step."""
+    for cfg, duration in stages:
+        psi = evolve(cfg, psi, duration=duration).final_state
+    return psi
+
+
 class TestSequence:
     def test_empty_drive_stage(self):
         cfg = DriveConfig(space=build_space(2, 3), eta=ETA, omega_v=OMEGA_V,
                           pulse=PulseShape(omega_peak=0.0, sigma=SIGMA),
                           compensation=CompensationMode.none())
         psi0 = embed(cfg.space, "du", 1)
-        res = propagate_sequence([(cfg, 50e-6)], psi0, dt=1e-8)
+        res = evolve(cfg, psi0, dt=1e-8, duration=50e-6)
         assert res.final_state.population("du", 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_fock_preparation_pulses(self):
@@ -568,11 +584,10 @@ class TestSequence:
         carrier = DriveConfig(space=space, eta=ETA, omega_v=OMEGA_V, pulse=flat,
                               ion_weights=weights, sideband=Sideband.CARRIER)
         stages = [(bsb, math.pi / (ETA * OMEGA_PEAK)), (carrier, math.pi / OMEGA_PEAK)]
-        psi0 = embed(space, "dd", 0)
-        mid = propagate_sequence(stages[:1], psi0)
-        assert mid.final_state.population("ud", 1) == pytest.approx(1.0, abs=1e-3)
-        res = propagate_sequence(stages, psi0)
-        assert res.final_state.population("dd", 1) == pytest.approx(1.0, abs=1e-3)
+        mid = evolve_chain(stages[:1], embed(space, "dd", 0))
+        assert mid.population("ud", 1) == pytest.approx(1.0, abs=1e-3)
+        assert evolve_chain(stages[1:], mid).population("dd", 1) == pytest.approx(
+            1.0, abs=1e-3)
 
     def test_prep_plus_rap_composition(self):
         space = build_space(2, 5)
@@ -587,10 +602,5 @@ class TestSequence:
         stages = [(bsb, math.pi / (ETA * OMEGA_PEAK)),
                   (carrier, math.pi / OMEGA_PEAK),
                   (rap, rap.pulse.duration)]
-        res = propagate_sequence(stages, embed(space, "dd", 0))
-        target = make_dicke(2, 1, space)
-        assert res.final_state.squared_overlap(target) >= 0.98
-
-    def test_empty_stage_list_rejected(self):
-        with pytest.raises(ValueError):
-            propagate_sequence([], embed(build_space(1, 1), "d", 0))
+        final = evolve_chain(stages, embed(space, "dd", 0))
+        assert final.squared_overlap(make_dicke(2, 1, space)) >= 0.98

@@ -434,8 +434,7 @@ class TestDiabaticBound:
                                    sigma=SIGMA * scale)
             model = reduced_model(cfg)
             frame = spectrum_with_refinement(model.h_at, 0.0,
-                                             cfg.pulse.duration, 2001,
-                                             basis_labels=list(model.labels))
+                                             cfg.pulse.duration, 2001)
             values.append(diabatic_bound(frame, 1, 2).value)
         assert values[0] > values[1] > values[2]
 
@@ -460,7 +459,7 @@ class TestDiabaticBound:
         energies[5, 1] = 1.0   # max |omega| dwarfs the minimum
         vectors = np.tile(np.eye(2)[None], (11, 1, 1))
         frame = AdiabaticFrame(times=times, energies=energies,
-                               vectors=vectors, subspace_labels=["a", "b"])
+                               vectors=vectors)
         with pytest.raises(DegeneracyError):
             diabatic_bound(frame, 0, 1)
 
@@ -553,7 +552,7 @@ class TestFiveStateModel:
     def test_matches_hand_written_five_state(self, compensation):
         cfg = five_state_drive(compensation)
         model = reduced_model(cfg)
-        assert model.labels == ("|dd,0>", "|dd,1>", "|D,0>", "|D,1>", "|uu,0>")
+        assert model.states == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0))
         rng = np.random.default_rng(7)
         times = rng.uniform(0.0, cfg.pulse.duration, 20)
         for t in times:
@@ -619,7 +618,7 @@ class TestCarrierShiftStructure:
         cfg = five_state_drive(compensation, omega_peak=omega_peak)
         model = reduced_model(cfg)
         frame = spectrum_with_refinement(model.h_at, 0.0, cfg.pulse.duration,
-                                         2001, basis_labels=list(model.labels))
+                                         2001)
         v0 = frame.vectors[0]
         i = int(np.argmax(np.abs(v0[1])))
         j = int(np.argmax(np.abs(v0[2])))
