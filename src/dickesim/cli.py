@@ -1,7 +1,12 @@
 """Command-line front end: JSON config in, CSV/JSON data out.
 
 Config files use explicit unit suffixes (``omega_peak_khz``, ``sigma_us``);
-unknown keys are rejected.  Frequencies in emitted data are ordinary Hz,
+unknown keys are rejected.  One table, ``_SCHEMA``, gives each plain key its
+:class:`ExperimentConfig` field, unit and rule; :func:`parse_config` and
+:func:`resolved_snapshot` both read it.  A key missing from the file is not
+passed on, so the library's dataclasses hold every default, and a config is
+accepted only if every object a run builds from it can be built.
+Frequencies in emitted data are ordinary Hz,
 times are seconds.  Stdout carries data only (the result JSON for
 ``simulate``, the run manifest for the file-emitting subcommands);
 diagnostics go to stderr.  Exit codes: 0 success, 2 configuration error
@@ -24,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .core import make_dicke
-from .drive import CompensationMode, TWO_PI
+from .drive import CompensationKind, CompensationMode, TWO_PI
 from .errors import ConfigError, NumericsError, ResourceGuardError
 from .experiment import (ExperimentConfig, PrepMode, default_sweep_values,
                          potentials_report, run_rap, sweep)
@@ -32,55 +37,65 @@ from .measurement import (fidelity_decomposition, fit_parity, parity_curve,
                           rotate_global, simulate_histogram, trace_out_motion)
 
 _KHZ = TWO_PI * 1e3   # config kHz -> rad/s
-
-_REQUIRED_KEYS = ("n_qubits", "n_max", "omega_peak_khz", "sigma_us",
-                  "chirp_khz", "compensation")
-_OPTIONAL_KEYS = {
-    "duration_factor": 2.36,
-    "omega_v_khz": 700.0,
-    "eta": None,
-    "wavelength_nm": 729.0,
-    "mass_amu": 40.0,
-    "beam_angle_rad": 0.0,
-    "power_ratio": 0.60,
-    "comp_detuning_khz": 400.0,
-    "ion_weights": None,
-    "ion_offsets_khz": None,
-    "prep": "ideal_fock",
-    "prep_weights": None,
-    "prep_offsets_khz": None,
-    "phases": 20,
-    "shots": 1000,
-    "seed": 12345,
-    "nbar": 0.0,
-    "dt_ns": None,
-}
-_ALL_KEYS = set(_REQUIRED_KEYS) | set(_OPTIONAL_KEYS)
-
-
-def _fail_key(key: str) -> ConfigError:
-    hints = [k for k in _ALL_KEYS if k.startswith(key + "_")]
-    hint = f"; did you mean {hints[0]!r} (unit suffix required)" if hints else ""
-    return ConfigError(f"unknown config key {key!r}{hint}")
+_US = 1e-6            # config us -> s
+_NM = _NS = 1e-9      # config nm -> m, config ns -> s
 
 
 def _is_number(value) -> bool:
-    # JSON true/false load as bool, which is an int subclass
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # JSON true/false load as bool, which is an int subclass; Python's json
+    # also reads NaN and Infinity, which no run can use
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
-def _number(raw: dict, key: str) -> float:
-    value = raw[key]
-    if not _is_number(value):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return float(value)
+#: Checks of config values, keyed by what the error message says is expected.
+_RULES = {
+    "a number": _is_number,
+    "a positive number": lambda v: _is_number(v) and v > 0,
+    "a nonnegative number": lambda v: _is_number(v) and v >= 0,
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+}
+
+#: The plain config keys: key, ExperimentConfig field, SI value of the key's
+#: unit (None: no conversion), and rule: an int k for an integer >= k, or a
+#: ``_RULES`` entry, where "... or null" lets null stand for a missing key.
+#: A missing key is not passed on, so ExperimentConfig holds every default.
+_SCHEMA = (
+    ("n_qubits",         "n_qubits",              None, 1),
+    ("n_max",            "n_max",                 None, 0),
+    ("omega_peak_khz",   "omega_peak",            _KHZ, "a positive number"),
+    ("sigma_us",         "sigma",                 _US,  "a positive number"),
+    ("duration_factor",  "duration_factor",       None, "a positive number"),
+    ("omega_v_khz",      "omega_v",               _KHZ, "a positive number"),
+    ("eta",              "eta",                   None, "a positive number or null"),
+    ("wavelength_nm",    "wavelength",            _NM,  "a positive number"),
+    ("mass_amu",         "mass_amu",              None, "a positive number"),
+    ("beam_angle_rad",   "beam_angle",            None, "a number"),
+    ("ion_weights",      "ion_weights",           None, "a list of numbers or null"),
+    ("ion_offsets_khz",  "ion_detuning_offsets",  _KHZ, "a list of numbers or null"),
+    ("prep_weights",     "prep_weights",          None, "a list of numbers or null"),
+    ("prep_offsets_khz", "prep_detuning_offsets", _KHZ, "a list of numbers or null"),
+    ("phases",           "n_phases",              None, 3),
+    ("shots",            "shots",                 None, 1),
+    ("seed",             "seed",                  None, 0),
+    ("nbar",             "nbar",                  None, "a nonnegative number"),
+    ("dt_ns",            "dt",                    _NS,  "a positive number or null"),
+)
+#: CompensationMode's numbers, read in every mode and used in ``effective``
+_COMPENSATION = (
+    ("power_ratio",       "power_ratio",   None, "a number"),
+    ("comp_detuning_khz", "comp_detuning", _KHZ, "a number"),
+)
+_REQUIRED_KEYS = ("n_qubits", "n_max", "omega_peak_khz", "sigma_us",
+                  "chirp_khz", "compensation")
+_KEYS = frozenset(row[0] for row in _SCHEMA + _COMPENSATION) | {
+    "chirp_khz", "compensation", "prep"}
 
 
-def _positive(raw: dict, key: str) -> float:
-    value = raw[key]
-    if not _is_number(value) or not value > 0:
-        raise ConfigError(f"{key}: expected a positive number, got {value!r}")
-    return float(value)
+def _fail_key(key: str) -> ConfigError:
+    hints = [k for k in _KEYS if k.startswith(key + "_")]
+    hint = f"; did you mean {hints[0]!r} (unit suffix required)" if hints else ""
+    return ConfigError(f"unknown config key {key!r}{hint}")
 
 
 def _count(name: str, value, minimum: int) -> int:
@@ -89,17 +104,48 @@ def _count(name: str, value, minimum: int) -> int:
     return value
 
 
-def _tuple_or_none(raw, key, scale=1.0):
-    value = raw.get(key)
-    if value is None:
-        return ()
-    if not isinstance(value, list) or not all(_is_number(v) for v in value):
-        raise ConfigError(f"{key}: expected a list of numbers, got {value!r}")
-    return tuple(float(v) * scale for v in value)
+def _fields(raw: dict, rows) -> dict:
+    """Checked field values, in SI units, of the ``rows`` keys present in ``raw``."""
+    fields = {}
+    for key, name, unit, rule in rows:
+        if key not in raw:
+            continue
+        value = raw[key]
+        if isinstance(rule, int):
+            fields[name] = _count(key, value, rule)
+            continue
+        if value is None and rule.endswith(" or null"):
+            continue
+        if not _RULES[rule.removesuffix(" or null")](value):
+            raise ConfigError(f"{key}: expected {rule}, got {value!r}")
+        scale = 1.0 if unit is None else unit
+        fields[name] = (tuple(float(v) * scale for v in value) if isinstance(value, list)
+                        else float(value) * scale)
+    return fields
+
+
+def _member(raw: dict, key: str, enum):
+    """The ``enum`` member whose value the config gives for ``key``."""
+    try:
+        return enum(raw[key])
+    except ValueError:
+        values = "|".join(member.value for member in enum)
+        raise ConfigError(f"{key}: expected {values}, got {raw[key]!r}") from None
+
+
+def _in_units(value, unit):
+    """A field value (number, tuple or None) back in its config unit."""
+    if isinstance(value, tuple):
+        return [_in_units(v, unit) for v in value]
+    return value if value is None or unit is None else value / unit
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Load and strictly validate a JSON config file."""
+    """Load and strictly validate a JSON config file.
+
+    The config is accepted only if every object a run builds from it can be
+    built: the drives, the Hilbert space and the thermal components.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -111,79 +157,26 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("config root must be a JSON object")
 
     for key in raw:
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise _fail_key(key)
     for key in _REQUIRED_KEYS:
         if key not in raw:
             raise ConfigError(f"missing required config key {key!r}")
-    merged = dict(_OPTIONAL_KEYS)
-    merged.update(raw)
 
-    n_qubits = _count("n_qubits", merged["n_qubits"], 1)
-    n_max = _count("n_max", merged["n_max"], 0)
-
-    comp_name = merged["compensation"]
-    if comp_name == "none":
-        compensation = CompensationMode.none()
-    elif comp_name == "zero_carrier":
-        compensation = CompensationMode.zero_carrier()
-    elif comp_name == "effective":
-        compensation = CompensationMode.effective(
-            power_ratio=_number(merged, "power_ratio"),
-            comp_detuning=_number(merged, "comp_detuning_khz") * _KHZ)
-    else:
-        raise ConfigError(
-            f"compensation: expected none|zero_carrier|effective, got {comp_name!r}")
-
-    prep_name = merged["prep"]
+    fields = _fields(raw, _SCHEMA)
+    chirp = _fields(raw, [("chirp_khz", "chirp", _KHZ, "a positive number")])["chirp"]
+    fields.update(chirp_start=-chirp, chirp_end=+chirp)
+    kind = _member(raw, "compensation", CompensationKind)
+    compensation = _fields(raw, _COMPENSATION)
+    if "prep" in raw:
+        fields["prep"] = _member(raw, "prep", PrepMode)
     try:
-        prep = PrepMode(prep_name)
-    except ValueError:
-        raise ConfigError(
-            f"prep: expected ideal_fock|simulated_pulses, got {prep_name!r}") from None
-
-    eta = merged["eta"]
-    if eta is not None and not (_is_number(eta) and 0 < eta < 0.3):
-        raise ConfigError(f"eta: expected a number in (0, 0.3) or null, got {eta!r}")
-
-    chirp = _positive(merged, "chirp_khz") * _KHZ
-    dt_ns = merged["dt_ns"]
-    if dt_ns is not None and not (_is_number(dt_ns) and dt_ns > 0):
-        raise ConfigError(f"dt_ns: expected a positive number or null, got {dt_ns!r}")
-    nbar = merged["nbar"]
-    if not _is_number(nbar) or nbar < 0:
-        raise ConfigError(f"nbar: expected a nonnegative number, got {nbar!r}")
-    for key, minimum in (("phases", 3), ("shots", 1), ("seed", 0)):
-        _count(key, merged[key], minimum)
-
-    cfg = ExperimentConfig(
-        n_qubits=n_qubits,
-        n_max=n_max,
-        omega_peak=_positive(merged, "omega_peak_khz") * _KHZ,
-        sigma=_positive(merged, "sigma_us") * 1e-6,
-        duration_factor=_positive(merged, "duration_factor"),
-        chirp_start=-chirp,
-        chirp_end=+chirp,
-        omega_v=_positive(merged, "omega_v_khz") * _KHZ,
-        eta=None if eta is None else float(eta),
-        wavelength=_positive(merged, "wavelength_nm") * 1e-9,
-        mass_amu=_positive(merged, "mass_amu"),
-        beam_angle=_number(merged, "beam_angle_rad"),
-        compensation=compensation,
-        ion_weights=_tuple_or_none(merged, "ion_weights"),
-        ion_detuning_offsets=_tuple_or_none(merged, "ion_offsets_khz", _KHZ),
-        prep=prep,
-        prep_weights=_tuple_or_none(merged, "prep_weights"),
-        prep_detuning_offsets=_tuple_or_none(merged, "prep_offsets_khz", _KHZ),
-        n_phases=merged["phases"],
-        shots=merged["shots"],
-        seed=merged["seed"],
-        nbar=float(nbar),
-        dt=None if dt_ns is None else float(dt_ns) * 1e-9,
-    )
-    try:
+        fields["compensation"] = CompensationMode(
+            kind, **(compensation if kind is CompensationKind.EFFECTIVE else {}))
+        cfg = ExperimentConfig(**fields)
         cfg.space()          # dimension cap
         cfg.rap_drive()      # eta window, weight lengths, ...
+        cfg.prep_stages()    # prep weight lengths and range
         cfg.thermal_components()   # nbar > 0 needs room below the guard level
     except (ValueError, ResourceGuardError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
@@ -192,32 +185,20 @@ def parse_config(path) -> ExperimentConfig:
 
 def resolved_snapshot(cfg: ExperimentConfig) -> dict:
     """Config with every default materialized, in config-file units."""
-    return {
-        "n_qubits": cfg.n_qubits,
-        "n_max": cfg.n_max,
-        "omega_peak_khz": cfg.omega_peak / _KHZ,
-        "sigma_us": cfg.sigma * 1e6,
-        "duration_factor": cfg.duration_factor,
-        "chirp_khz": cfg.chirp_end / _KHZ,
-        "omega_v_khz": cfg.omega_v / _KHZ,
-        "eta": cfg.resolved_eta(),
-        "wavelength_nm": cfg.wavelength * 1e9,
-        "mass_amu": cfg.mass_amu,
-        "beam_angle_rad": cfg.beam_angle,
-        "compensation": cfg.compensation.kind.value,
-        "power_ratio": cfg.compensation.power_ratio,
-        "comp_detuning_khz": cfg.compensation.comp_detuning / _KHZ,
-        "ion_weights": list(cfg.rap_drive().ion_weights),
-        "ion_offsets_khz": [o / _KHZ for o in cfg.rap_drive().ion_detuning_offsets],
-        "prep": cfg.prep.value,
-        "prep_weights": list(cfg.prep_weights),
-        "prep_offsets_khz": [o / _KHZ for o in cfg.prep_detuning_offsets],
-        "phases": cfg.n_phases,
-        "shots": cfg.shots,
-        "seed": cfg.seed,
-        "nbar": cfg.nbar,
-        "dt_ns": None if cfg.dt is None else cfg.dt * 1e9,
-    }
+    snapshot = {key: _in_units(getattr(cfg, name), unit)
+                for key, name, unit, _ in _SCHEMA}
+    snapshot.update({key: _in_units(getattr(cfg.compensation, name), unit)
+                     for key, name, unit, _ in _COMPENSATION})
+    drive = cfg.rap_drive()
+    snapshot.update(
+        eta=drive.eta,
+        ion_weights=list(drive.ion_weights),
+        ion_offsets_khz=_in_units(drive.ion_detuning_offsets, _KHZ),
+        chirp_khz=cfg.chirp_end / _KHZ,
+        compensation=cfg.compensation.kind.value,
+        prep=cfg.prep.value,
+    )
+    return snapshot
 
 
 def _fmt(x) -> str:
@@ -251,14 +232,6 @@ def write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig,
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
     return path
-
-
-def verify_manifest(path) -> bool:
-    """Re-hash the files a manifest references and compare checksums."""
-    path = Path(path)
-    body = json.loads(path.read_text())
-    return all(_sha256(path.parent / name) == digest
-               for name, digest in body["outputs"].items())
 
 
 def _phi_grid(cfg: ExperimentConfig) -> np.ndarray:

@@ -28,22 +28,17 @@ from .errors import ResourceGuardError
 SPIN_DOWN = "d"
 SPIN_UP = "u"
 
-#: Unicode arrows accepted as input aliases for spin labels.
-_SPIN_ALIASES = {"↓": SPIN_DOWN, "↑": SPIN_UP, "d": SPIN_DOWN, "u": SPIN_UP}
-
 DEFAULT_DIM_CAP = 4096
 
 NORM_TOL = 1e-9
 
 
 def normalize_spins(spins) -> str:
-    """Coerce a spin word (string or sequence, arrows allowed) to 'd'/'u' form."""
-    out = []
+    """Check a spin word (string or sequence of 'd'/'u') and return it as a string."""
     for s in spins:
-        if s not in _SPIN_ALIASES:
-            raise ValueError(f"invalid spin label {s!r}; expected 'd'/'u' or arrows")
-        out.append(_SPIN_ALIASES[s])
-    return "".join(out)
+        if s not in (SPIN_DOWN, SPIN_UP):
+            raise ValueError(f"invalid spin label {s!r}; expected 'd' or 'u'")
+    return "".join(spins)
 
 
 @dataclass(frozen=True)
@@ -61,10 +56,6 @@ class BasisState:
     @property
     def n_up(self) -> int:
         return self.spins.count(SPIN_UP)
-
-    def __str__(self) -> str:
-        arrows = self.spins.replace("d", "↓").replace("u", "↑")
-        return f"|{arrows},{self.fock_n}>"
 
 
 @dataclass(frozen=True)

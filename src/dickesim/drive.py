@@ -91,9 +91,9 @@ class CompensationMode:
         return cls(CompensationKind.ZERO_CARRIER)
 
     @classmethod
-    def effective(cls, power_ratio: float = 0.60,
-                  comp_detuning: float = TWO_PI * 400e3) -> "CompensationMode":
-        return cls(CompensationKind.EFFECTIVE, power_ratio, comp_detuning)
+    def effective(cls, *args, **kwargs) -> "CompensationMode":
+        """``EFFECTIVE`` mode; ``power_ratio`` and ``comp_detuning`` as for the class."""
+        return cls(CompensationKind.EFFECTIVE, *args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -268,9 +268,15 @@ def drive_terms(cfg: DriveConfig):
     return terms
 
 
-def hamiltonian_matrix(cfg: DriveConfig, t: float) -> np.ndarray:
-    """Raw real-symmetric H(t) as an ndarray (rad/s)."""
-    s0, s1, s2, s3 = drive_terms(cfg)
+def coefficients(cfg: DriveConfig, t) -> np.ndarray:
+    """Weights ``(1, -delta_c(t), Omega(t), Omega(t)^2)`` of the :func:`drive_terms`.
+
+    One row of four at a scalar time, ``(K, 4)`` at a 1-d array of K times.
+    """
     om = envelope(cfg.pulse, t)
-    dc = cfg.carrier_detuning(t)
-    return s0 - dc * s1 + om * s2 + om * om * s3
+    rows = np.empty(np.shape(om) + (4,))
+    rows[..., 0] = 1.0
+    rows[..., 1] = -cfg.carrier_detuning(t)
+    rows[..., 2] = om
+    rows[..., 3] = om * om
+    return rows

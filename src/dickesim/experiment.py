@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (HilbertSpace, StateVector, build_space, embed, make_dicke)
-from .drive import (CompensationMode, DriveConfig, PulseShape, Sideband,
-                    TWO_PI, derive_eta)
+from .drive import (DEFAULT_DURATION_FACTOR, CompensationMode, DriveConfig,
+                    PulseShape, Sideband, TWO_PI, derive_eta)
 from .errors import (ConfigError, ContinuityError, DegeneracyError, NumericsError,
                      ResourceGuardError)
 from .measurement import (InternalDensityMatrix, fidelity_decomposition,
@@ -59,7 +59,7 @@ class ExperimentConfig:
     n_max: int = 5
     omega_peak: float = DEFAULT_OMEGA_PEAK
     sigma: float = DEFAULT_SIGMA
-    duration_factor: float = 2.36
+    duration_factor: float = DEFAULT_DURATION_FACTOR
     chirp_start: float = -DEFAULT_CHIRP
     chirp_end: float = +DEFAULT_CHIRP
     omega_v: float = DEFAULT_OMEGA_V
@@ -101,6 +101,32 @@ class ExperimentConfig:
             sideband=Sideband.RED, compensation=self.compensation,
         )
 
+    def prep_stages(self) -> list:
+        """Addressed blue-sideband pi pulse then carrier pi pulse on ion 1.
+
+        Both stages use flat envelopes at the configured peak Rabi frequency so
+        the analytic pi durations are exact: ``pi/(eta Omega)`` on the sideband
+        (the n=0 -> 1 element) and ``pi/Omega`` on the carrier.  The sideband
+        stage drops its carrier coupling (compensated shifts); crosstalk enters
+        through the prep weights and offsets.
+        """
+        space = self.space()
+        eta = self.resolved_eta()
+        weights = self.prep_weights or (1.0,) + (0.0,) * (self.n_qubits - 1)
+        offsets = self.prep_detuning_offsets or (0.0,) * self.n_qubits
+        flat = PulseShape.flat(self.omega_peak)
+        bsb = DriveConfig(space=space, eta=eta, omega_v=self.omega_v, pulse=flat,
+                          ion_weights=weights, ion_detuning_offsets=offsets,
+                          sideband=Sideband.BLUE,
+                          compensation=CompensationMode.zero_carrier())
+        carrier = DriveConfig(space=space, eta=eta, omega_v=self.omega_v, pulse=flat,
+                              ion_weights=weights, ion_detuning_offsets=offsets,
+                              sideband=Sideband.CARRIER,
+                              compensation=CompensationMode.none())
+        t_bsb = math.pi / (eta * self.omega_peak)
+        t_carrier = math.pi / self.omega_peak
+        return [(bsb, t_bsb), (carrier, t_carrier)]
+
     def thermal_components(self) -> list:
         """Fock-diagonal thermal weights ``[(n, p), ...]``, renormalized over the kept ones.
 
@@ -131,40 +157,13 @@ def dicke_fidelity(rho: InternalDensityMatrix, m: int = 1) -> float:
     return float(np.real(d.conj() @ rho.matrix @ d))
 
 
-def _prep_stages(cfg: ExperimentConfig):
-    """Addressed blue-sideband pi pulse then carrier pi pulse on ion 1.
-
-    Both stages use flat envelopes at the configured peak Rabi frequency so
-    the analytic pi durations are exact: ``pi/(eta Omega)`` on the sideband
-    (the n=0 -> 1 element) and ``pi/Omega`` on the carrier.  The sideband
-    stage drops its carrier coupling (compensated shifts); crosstalk enters
-    through the prep weights and offsets.
-    """
-    space = cfg.space()
-    eta = cfg.resolved_eta()
-    weights = cfg.prep_weights or (1.0,) + (0.0,) * (cfg.n_qubits - 1)
-    offsets = cfg.prep_detuning_offsets or (0.0,) * cfg.n_qubits
-    flat = PulseShape.flat(cfg.omega_peak)
-    bsb = DriveConfig(space=space, eta=eta, omega_v=cfg.omega_v, pulse=flat,
-                      ion_weights=weights, ion_detuning_offsets=offsets,
-                      sideband=Sideband.BLUE,
-                      compensation=CompensationMode.zero_carrier())
-    carrier = DriveConfig(space=space, eta=eta, omega_v=cfg.omega_v, pulse=flat,
-                          ion_weights=weights, ion_detuning_offsets=offsets,
-                          sideband=Sideband.CARRIER,
-                          compensation=CompensationMode.none())
-    t_bsb = math.pi / (eta * cfg.omega_peak)
-    t_carrier = math.pi / cfg.omega_peak
-    return [(bsb, t_bsb), (carrier, t_carrier)]
-
-
 def _prepare_from(cfg: ExperimentConfig, start_n: int) -> StateVector:
     space = cfg.space()
     word = "d" * cfg.n_qubits
     if cfg.prep is PrepMode.IDEAL_FOCK:
         return embed(space, word, start_n + 1)
     psi = embed(space, word, start_n)
-    for drive, duration in _prep_stages(cfg):
+    for drive, duration in cfg.prep_stages():
         psi = evolve(drive, psi, dt=cfg.dt, duration=duration).final_state
     return psi
 

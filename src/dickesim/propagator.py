@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import StateVector, symmetric_transform
-from .drive import DriveConfig, drive_terms, envelope
+from .drive import DriveConfig, coefficients, drive_terms
 from .errors import NumericsError, StepSizeError, TruncationLeakError
 
 #: steps per chunk; blocks above 4 states get proportionally fewer, so one
@@ -384,9 +384,7 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
     for start in range(0, n_steps, chunk):
         steps = np.arange(start + 1, min(start + chunk, n_steps) + 1)
         midpoints = (steps - 0.5) * dt_eff
-        om = np.asarray(envelope(cfg.pulse, midpoints), dtype=float)
-        dc = np.asarray(cfg.carrier_detuning(midpoints), dtype=float)
-        coefs = np.column_stack([np.ones_like(om), -dc, om, om * om])
+        coefs = coefficients(cfg, midpoints)
         picks = (np.flatnonzero(steps % sample_every == 0) if sample_every > 0
                  else np.array([], dtype=int))
 

@@ -2,12 +2,14 @@
 
 Each helper is a direct, unoptimised formula: amplitude-based readouts of a
 pure state, the two-ion three-class readout model, threshold classification
-of a histogram, and small operators and curve statistics that only tests need.
+of a histogram, the dense Hamiltonian, and small operators and curve
+statistics that only tests need.
 """
 
 import numpy as np
 
 from dickesim import InternalDensityMatrix, make_dicke
+from dickesim.drive import DriveConfig, drive_terms, envelope
 
 
 def psi_dicke_fidelity(psi, m=1):
@@ -48,6 +50,14 @@ def threshold_estimate(histogram, thresholds=(35, 105)):
     n_uu = int(histogram[values <= low].sum())
     n_mid = int(histogram[(values > low) & (values <= high)].sum())
     return np.array([total - n_uu - n_mid, n_mid, n_uu], dtype=float) / total
+
+
+def hamiltonian_matrix(cfg: DriveConfig, t: float) -> np.ndarray:
+    """Raw real-symmetric H(t) as an ndarray (rad/s)."""
+    s0, s1, s2, s3 = drive_terms(cfg)
+    om = envelope(cfg.pulse, t)
+    dc = cfg.carrier_detuning(t)
+    return s0 - dc * s1 + om * s2 + om * om * s3
 
 
 def random_density_matrix(rng, dim=4):

@@ -1,14 +1,20 @@
 """Config parsing, subcommand outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dickesim import ConfigError, measurement, propagator
-from dickesim.cli import main, parse_config, resolved_snapshot, verify_manifest
-from dickesim.drive import TWO_PI
+from dickesim import ConfigError, ExperimentConfig, cli, measurement, propagator
+from dickesim.cli import main, parse_config, resolved_snapshot
+from dickesim.drive import TWO_PI, CompensationMode
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = {
     "n_qubits": 2,
@@ -29,6 +35,13 @@ def write_config(tmp_path, overrides=None, name="config.json"):
     return path
 
 
+def verify_manifest(path) -> bool:
+    """Re-hash the files a manifest references and compare checksums."""
+    body = json.loads(path.read_text())
+    return all(hashlib.sha256((path.parent / name).read_bytes()).hexdigest() == digest
+               for name, digest in body["outputs"].items())
+
+
 class TestParseConfig:
     def test_minimal_resolves_defaults(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -38,6 +51,17 @@ class TestParseConfig:
         assert cfg.sigma == pytest.approx(122e-6)
         assert cfg.chirp_start == pytest.approx(-TWO_PI * 100e3)
         assert cfg.resolved_eta() == pytest.approx(0.082, abs=5e-4)
+
+    def test_missing_keys_take_the_library_defaults(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path))
+        default = ExperimentConfig()
+        from_required = {"n_qubits", "n_max", "omega_peak", "sigma", "chirp_start",
+                         "chirp_end", "compensation"}
+        for field in fields(ExperimentConfig):
+            if field.name not in from_required:
+                assert getattr(cfg, field.name) == getattr(default, field.name), field.name
+        effective = parse_config(write_config(tmp_path, {"compensation": "effective"}))
+        assert effective.compensation == CompensationMode.effective()
 
     def test_negative_frequency_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -363,7 +387,52 @@ class TestExitCodes:
         assert captured.err.startswith("runtime error: density matrix")
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("overrides", [
+        {"compensation": "effective", "comp_detuning_khz": 0},
+        {"compensation": "effective", "power_ratio": 1.5},
+        {"compensation": "none", "power_ratio": "abc"},
+        {"prep": "simulated_pulses", "prep_weights": [1.0]},
+        {"prep": "simulated_pulses", "prep_weights": [1.5, 0.0]},
+        {"prep_weights": [1.0]},
+        {"omega_peak_khz": math.inf},
+        {"compensation": "effective", "comp_detuning_khz": math.nan},
+    ])
+    def test_values_a_run_refuses_are_rejected_before_any_work(self, tmp_path, capsys,
+                                                               overrides):
+        # these used to fail with exit 3 once the run had started, or (a text
+        # power_ratio under compensation none) to be replaced by the default;
+        # JSON NaN and Infinity load as floats
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_stdout_clean_on_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"omega_peak_khz": -1})
         main(["--config", str(cfg), "simulate"])
         assert capsys.readouterr().out == ""
+
+
+class TestReadme:
+    @staticmethod
+    def cli_section():
+        text = README.read_text()
+        start = text.index("\n## CLI\n")
+        return text[start:text.index("\n## ", start + 1)]
+
+    def test_minimal_config_parses(self, tmp_path):
+        block = self.cli_section().split("Minimal config", 1)[1]
+        block = block.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "minimal.json"
+        path.write_text(block)
+        assert set(json.loads(block)) == set(cli._REQUIRED_KEYS)
+        parse_config(path)
+
+    def test_key_table_names_the_schema_keys(self):
+        named = re.findall(r"^\| `([a-z_]+)` \|", self.cli_section(), re.MULTILINE)
+        assert len(named) == len(set(named))
+        assert set(named) == cli._KEYS

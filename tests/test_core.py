@@ -53,9 +53,10 @@ class TestBuildSpace:
         assert space.index("ud", 0) == 12
         assert space.index("uu", 5) == 23
 
-    def test_arrow_aliases(self):
+    def test_arrow_labels_rejected(self):
         space = build_space(2, 5)
-        assert space.index("↓↑", 3) == space.index("du", 3)
+        with pytest.raises(ValueError, match="expected 'd' or 'u'"):
+            space.index("↓↑", 3)
 
 
 class TestMakeDicke:

@@ -7,9 +7,9 @@ import pytest
 
 from dickesim import (CompensationMode, DriveConfig, PulseShape, Sideband,
                       build_space, derive_eta, detuning, envelope, make_dicke)
-from dickesim.drive import TWO_PI, hamiltonian_matrix
+from dickesim.drive import TWO_PI, coefficients, drive_terms
 from dickesim.spectral import reduced_model, spectrum_with_refinement
-from oracles import excitation_number, swap_operator
+from oracles import excitation_number, hamiltonian_matrix, swap_operator
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
@@ -191,6 +191,20 @@ class TestStructuralInvariants:
             h = hamiltonian_matrix(cfg, t)
             scale = max(1.0, np.max(np.abs(h)))
             assert np.max(np.abs(h - h.conj().T)) <= 1e-12 * scale
+
+    def test_coefficients_weight_the_drive_terms(self):
+        # the time dependence the propagator and the reduced model share,
+        # against the dense oracle, which evaluates envelope and chirp itself
+        cfg = operating_drive(CompensationMode.effective(0.6, TWO_PI * 400e3))
+        times = np.linspace(-0.1, 1.1, 13) * cfg.pulse.duration
+        terms = np.stack(drive_terms(cfg))
+        rows = coefficients(cfg, times)
+        assert rows.shape == (13, 4)
+        for t, row in zip(times, rows):
+            assert np.array_equal(coefficients(cfg, t), row)
+            h = hamiltonian_matrix(cfg, t)
+            assert np.allclose(np.tensordot(row, terms, axes=1), h,
+                               rtol=1e-13, atol=1e-9 * np.max(np.abs(h)))
 
     def test_excitation_number_conserved_zero_carrier(self):
         cfg = operating_drive(CompensationMode.zero_carrier())

@@ -23,8 +23,8 @@ from dickesim import (CompensationMode, DriveConfig, ExperimentConfig, NumericsE
                       TruncationLeakError, build_space, embed, evolve, make_dicke,
                       prepare_fock1, run_rap)
 from dickesim import propagator
-from dickesim.drive import TWO_PI, drive_terms, hamiltonian_matrix
-from oracles import excitation_number
+from dickesim.drive import TWO_PI, drive_terms
+from oracles import excitation_number, hamiltonian_matrix
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6

@@ -21,9 +21,9 @@ from dickesim import (CompensationMode, ContinuityError, DegeneracyError,
                       build_space, diabatic_bound, nonadiabatic_coupling,
                       reduced_model, spectrum_with_refinement)
 from dickesim.core import symmetric_transform
-from dickesim.drive import (TWO_PI, CompensationKind, envelope,
-                            hamiltonian_matrix)
+from dickesim.drive import TWO_PI, CompensationKind, envelope
 from dickesim.spectral import CHUNK_POINTS, CONTINUITY_MIN, DEGENERACY_REL, AdiabaticFrame
+from oracles import hamiltonian_matrix
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
