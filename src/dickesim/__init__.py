@@ -23,9 +23,9 @@ from .errors import (ConfigError, ContinuityError, DegeneracyError,
 from .experiment import (ExperimentConfig, PrepMode, RapResult, SweepResult,
                          dicke_fidelity, potentials_report, prepare_fock1,
                          run_rap, sweep, truncation_overlap)
-from .measurement import (InternalDensityMatrix, ParityFit, fit_parity,
-                          parity, parity_curve, rotate_global,
-                          simulate_histogram, trace_out_motion)
+from .measurement import (InternalDensityMatrix, ParityCurve, ParityFit,
+                          fit_parity, parity_curve, simulate_histogram,
+                          trace_out_motion)
 from .propagator import EvolutionResult, evolve
 from .spectral import (AdiabaticFrame, DiabaticBound, ReducedModel,
                        adiabatic_spectrum, diabatic_bound,
@@ -36,14 +36,13 @@ __all__ = [
     "AdiabaticFrame", "BasisState", "CompensationKind", "CompensationMode",
     "ConfigError", "ContinuityError", "DegeneracyError", "DiabaticBound",
     "DriveConfig", "EvolutionResult", "ExperimentConfig", "HilbertSpace",
-    "InternalDensityMatrix", "NumericsError", "ParityFit", "PrepMode",
-    "PulseShape", "RapResult", "ReducedModel", "ResourceGuardError",
-    "Sideband", "StateVector", "StepSizeError", "SweepResult",
-    "TruncationLeakError", "adiabatic_spectrum", "build_space", "derive_eta",
-    "detuning", "diabatic_bound", "dicke_fidelity", "embed", "envelope",
-    "evolve", "fit_parity", "make_dicke", "nonadiabatic_coupling", "parity",
-    "parity_curve", "potentials_report", "prepare_fock1",
-    "reduced_model", "rotate_global", "run_rap",
-    "simulate_histogram", "spectrum_with_refinement", "sweep",
+    "InternalDensityMatrix", "NumericsError", "ParityCurve", "ParityFit",
+    "PrepMode", "PulseShape", "RapResult", "ReducedModel",
+    "ResourceGuardError", "Sideband", "StateVector", "StepSizeError",
+    "SweepResult", "TruncationLeakError", "adiabatic_spectrum", "build_space",
+    "derive_eta", "detuning", "diabatic_bound", "dicke_fidelity", "embed",
+    "envelope", "evolve", "fit_parity", "make_dicke", "nonadiabatic_coupling",
+    "parity_curve", "potentials_report", "prepare_fock1", "reduced_model",
+    "run_rap", "simulate_histogram", "spectrum_with_refinement", "sweep",
     "trace_out_motion", "truncation_overlap",
 ]

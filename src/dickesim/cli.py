@@ -34,7 +34,7 @@ from .errors import ConfigError, NumericsError, ResourceGuardError
 from .experiment import (ExperimentConfig, PrepMode, default_sweep_values,
                          potentials_report, run_rap, sweep)
 from .measurement import (fidelity_decomposition, fit_parity, parity_curve,
-                          rotate_global, simulate_histogram, trace_out_motion)
+                          simulate_histogram, trace_out_motion)
 
 _KHZ = TWO_PI * 1e3   # config kHz -> rad/s
 _US = 1e-6            # config us -> s
@@ -62,7 +62,7 @@ _RULES = {
 #: A missing key is not passed on, so ExperimentConfig holds every default.
 _SCHEMA = (
     ("n_qubits",         "n_qubits",              None, 1),
-    ("n_max",            "n_max",                 None, 0),
+    ("n_max",            "n_max",                 None, 2),
     ("omega_peak_khz",   "omega_peak",            _KHZ, "a positive number"),
     ("sigma_us",         "sigma",                 _US,  "a positive number"),
     ("duration_factor",  "duration_factor",       None, "a positive number"),
@@ -234,10 +234,6 @@ def write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig,
     return path
 
 
-def _phi_grid(cfg: ExperimentConfig) -> np.ndarray:
-    return np.linspace(0.0, math.pi, cfg.n_phases, endpoint=False)
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -280,19 +276,15 @@ def _cmd_parity(cfg: ExperimentConfig, out_dir: Path, ideal: bool):
         raise ConfigError(
             f"parity is defined for two ions; the config has n_qubits={cfg.n_qubits}")
     rho = trace_out_motion(make_dicke(2, 1)) if ideal else run_rap(cfg).rho
-    grid = _phi_grid(cfg)
-    exact = parity_curve(rho, grid)
-    rng = np.random.default_rng(cfg.seed)
-    rows = []
-    for phi, value in exact:
-        pops = rotate_global(rho, phi).populations()
-        pops = np.clip(pops, 0.0, None)
-        counts = rng.multinomial(cfg.shots, pops / pops.sum())
-        sampled = float((counts[0] + counts[3] - counts[1] - counts[2]) / cfg.shots)
-        rows.append((float(phi), float(value), sampled))
+    curve = parity_curve(rho, np.linspace(0.0, math.pi, cfg.n_phases, endpoint=False))
+    pops = np.clip(curve.populations, 0.0, None)
+    counts = np.random.default_rng(cfg.seed).multinomial(
+        cfg.shots, pops / pops.sum(axis=1, keepdims=True))
+    sampled = (counts[:, 0] + counts[:, 3] - counts[:, 1] - counts[:, 2]) / cfg.shots
     path = out_dir / "parity.csv"
-    _write_csv(path, ["phi_rad", "parity_exact", "parity_sampled"], rows)
-    fit = fit_parity([(phi, v) for phi, v, _ in rows])
+    _write_csv(path, ["phi_rad", "parity_exact", "parity_sampled"],
+               zip(curve.phi.tolist(), curve.values.tolist(), sampled.tolist()))
+    fit = fit_parity(zip(curve.phi, curve.values))
     fit_path = out_dir / "parity_fit.json"
     fit_path.write_text(json.dumps({
         "cos_amp": fit.cos_amp, "offset": fit.offset,

@@ -114,6 +114,12 @@ class ExperimentConfig:
         eta = self.resolved_eta()
         weights = self.prep_weights or (1.0,) + (0.0,) * (self.n_qubits - 1)
         offsets = self.prep_detuning_offsets or (0.0,) * self.n_qubits
+        # checked here so the message names the config keys, not the drive's
+        for key, values in (("prep_weights", weights), ("prep_offsets_khz", offsets)):
+            if len(values) != self.n_qubits:
+                raise ValueError(f"{key} has {len(values)} entries for {self.n_qubits} ions")
+        if any(not 0.0 <= w <= 1.0 for w in weights):
+            raise ValueError(f"prep_weights must lie in [0, 1], got {weights}")
         flat = PulseShape.flat(self.omega_peak)
         bsb = DriveConfig(space=space, eta=eta, omega_v=self.omega_v, pulse=flat,
                           ion_weights=weights, ion_detuning_offsets=offsets,

@@ -3,7 +3,9 @@
 Each helper is a direct, unoptimised formula: amplitude-based readouts of a
 pure state, the two-ion three-class readout model, threshold classification
 of a histogram, the dense Hamiltonian, and small operators and curve
-statistics that only tests need.
+statistics that only tests need, and the per-phase analysis pulse
+(``rotation_matrix``, ``rotate_global``, ``parity``) that the batched
+``parity_curve`` is checked against.
 """
 
 import numpy as np
@@ -91,3 +93,30 @@ def swap_operator(space):
     for i, word in enumerate(["dd", "du", "ud", "uu"]):
         perm[space.index(word[::-1], 0) // space.n_fock, i] = 1.0
     return np.kron(perm, np.eye(space.n_fock))
+
+
+_PARITY_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _sigma_phi(phi: float) -> np.ndarray:
+    # (d, u) ordering: sigma_x = |u><d| + |d><u|, sigma_y = i|u><d| - i|d><u|
+    return np.array([[0.0, np.cos(phi) - 1j * np.sin(phi)],
+                     [np.cos(phi) + 1j * np.sin(phi), 0.0]])
+
+
+def rotation_matrix(phi: float) -> np.ndarray:
+    """Global pi/2 analysis rotation on both ions."""
+    s = _sigma_phi(phi)
+    r1 = (np.eye(2) - 1j * s) / np.sqrt(2.0)
+    return np.kron(r1, r1)
+
+
+def rotate_global(rho: InternalDensityMatrix, phi: float) -> InternalDensityMatrix:
+    """State after the analysis pulse: ``rho -> R(phi)' rho R(phi)``."""
+    r = rotation_matrix(phi)
+    return InternalDensityMatrix(r.conj().T @ rho.matrix @ r)
+
+
+def parity(rho: InternalDensityMatrix) -> float:
+    """``<Pi>`` with ``Pi = P_dd + P_uu - P_du - P_ud``."""
+    return float(np.real(np.sum(_PARITY_DIAG * np.diag(rho.matrix))))

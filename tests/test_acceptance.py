@@ -14,13 +14,14 @@ import pytest
 from dickesim import (CompensationMode, ExperimentConfig, InternalDensityMatrix,
                       StateVector, adiabatic_spectrum, build_space,
                       dicke_fidelity, embed, evolve, make_dicke,
-                      nonadiabatic_coupling, parity, potentials_report,
-                      reduced_model, rotate_global, run_rap,
-                      simulate_histogram, sweep, trace_out_motion)
+                      nonadiabatic_coupling, potentials_report,
+                      reduced_model, run_rap, simulate_histogram, sweep,
+                      trace_out_motion)
 from dickesim.drive import TWO_PI
 from dickesim.measurement import parity_closed_form
 from oracles import (count_local_maxima, count_local_minima, excitation_number,
-                     random_density_matrix, threshold_estimate)
+                     parity, random_density_matrix, rotate_global,
+                     threshold_estimate)
 
 OPERATING_POINT = ExperimentConfig()          # 145 kHz, 2 sigma = 244 us, +-100 kHz
 UNCOMPENSATED = ExperimentConfig(compensation=CompensationMode.none())

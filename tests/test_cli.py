@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dickesim import ConfigError, ExperimentConfig, cli, measurement, propagator
+from dickesim import (ConfigError, ExperimentConfig, cli, make_dicke, measurement,
+                      propagator, trace_out_motion)
 from dickesim.cli import main, parse_config, resolved_snapshot
 from dickesim.drive import TWO_PI, CompensationMode
+from oracles import parity, rotate_global
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -216,6 +218,27 @@ class TestParityCommand:
         assert (tmp_path / "x" / "parity.csv").read_bytes() == \
             (tmp_path / "y" / "parity.csv").read_bytes()
 
+    def test_sampled_column_equals_per_phase_oracle_draws(self, tmp_path, capsys):
+        # one multinomial call on the (K, 4) populations draws what K calls
+        # on the per-phase oracle's populations draw, in phase order
+        cfg = write_config(tmp_path, {"phases": 300, "shots": 500, "seed": 2718})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "parity", "--ideal"]) == 0
+        capsys.readouterr()
+        rows = [line.split(",") for line in
+                (out / "parity.csv").read_text().strip().splitlines()[1:]]
+        rho = trace_out_motion(make_dicke(2, 1))
+        rng = np.random.default_rng(2718)
+        expected = []
+        for phi in np.linspace(0.0, math.pi, 300, endpoint=False):
+            rotated = rotate_global(rho, float(phi))
+            pops = np.clip(rotated.populations(), 0.0, None)
+            counts = rng.multinomial(500, pops / pops.sum())
+            sampled = float((counts[0] + counts[3] - counts[1] - counts[2]) / 500)
+            expected.append([f"{phi:.12g}", f"{parity(rotated):.12g}", f"{sampled:.12g}"])
+        assert rows == expected
+
 
 class TestHistogramCommand:
     def test_frequencies_sum_to_shots(self, tmp_path, capsys):
@@ -344,15 +367,31 @@ class TestExitCodes:
     @pytest.mark.parametrize("n_qubits", [2, 3])
     def test_thermal_needs_room_below_the_guard_level(self, tmp_path, capsys, n_qubits):
         # nbar > 0 at n_max = 1 keeps no thermal component: it used to end
-        # in an AttributeError (3 ions) or a misleading trace error (2 ions)
+        # in an AttributeError (3 ions) or a misleading trace error (2 ions);
+        # the n_max rule now refuses it first (the library's thermal message
+        # is tested in test_experiment.py)
         cfg = write_config(tmp_path, {"n_qubits": n_qubits, "n_max": 1, "nbar": 0.5})
         out = tmp_path / "o"
         assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error: ")
-        assert "nbar" in captured.err and "n_max" in captured.err
+        assert "n_max: expected an integer >= 2, got 1" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"prep_weights": [1.0]}, "prep_weights has 1 entries for 2 ions"),
+        ({"prep": "simulated_pulses", "prep_weights": [1.5, 0.0]},
+         "prep_weights must lie in [0, 1]"),
+        ({"prep_offsets_khz": [0.0, 0.0, 0.0]}, "prep_offsets_khz has 3 entries for 2 ions"),
+    ])
+    def test_prep_refusals_name_the_config_key(self, tmp_path, capsys, overrides, key):
+        # these were reported as the drive's ion_weights/ion_detuning_offsets
+        cfg = write_config(tmp_path, overrides)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: invalid configuration: ")
+        assert key in captured.err
 
     @pytest.mark.parametrize("command", ["simulate", "histogram"])
     def test_negative_seed_rejected_before_any_work(self, tmp_path, capsys, command):
@@ -396,12 +435,15 @@ class TestExitCodes:
         {"prep_weights": [1.0]},
         {"omega_peak_khz": math.inf},
         {"compensation": "effective", "comp_detuning_khz": math.nan},
+        {"n_max": 0},
+        {"n_max": 1},
     ])
     def test_values_a_run_refuses_are_rejected_before_any_work(self, tmp_path, capsys,
                                                                overrides):
         # these used to fail with exit 3 once the run had started, or (a text
         # power_ratio under compensation none) to be replaced by the default;
-        # JSON NaN and Infinity load as floats
+        # JSON NaN and Infinity load as floats; n_max 0 cannot hold the
+        # prepared quantum, and at n_max 1 it sits on the truncation guard level
         cfg = write_config(tmp_path, overrides)
         out = tmp_path / "o"
         assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 2

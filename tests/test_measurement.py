@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickesim import (InternalDensityMatrix, StateVector, build_space,
-                      dicke_fidelity, embed, fit_parity, make_dicke, parity,
-                      parity_curve, rotate_global, simulate_histogram,
-                      trace_out_motion)
-from dickesim.measurement import (fidelity_decomposition, parity_closed_form,
-                                  rotation_matrix)
-from oracles import (psi_dicke_fidelity, psi_internal_populations,
-                     random_density_matrix, three_class_histogram,
-                     threshold_estimate)
+                      dicke_fidelity, embed, fit_parity, make_dicke, measurement,
+                      parity_curve, simulate_histogram, trace_out_motion)
+from dickesim.measurement import fidelity_decomposition, parity_closed_form
+from oracles import (parity, psi_dicke_fidelity, psi_internal_populations,
+                     random_density_matrix, rotate_global, rotation_matrix,
+                     three_class_histogram, threshold_estimate)
 
 DICKE_VEC = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
 DICKE_RHO = InternalDensityMatrix(np.outer(DICKE_VEC, DICKE_VEC))
@@ -183,11 +181,10 @@ class TestParityCurve:
         m[0, 3] = m[3, 0] = 0.5
         rho = InternalDensityMatrix(m)
         grid = np.linspace(0, math.pi, 9, endpoint=False)
-        values = np.array([v for _, v in parity_curve(rho, grid)])
-        assert np.allclose(values, -np.cos(2 * grid), atol=1e-12)
+        assert np.allclose(parity_curve(rho, grid).values, -np.cos(2 * grid), atol=1e-12)
 
     def test_dicke_constant_unity(self):
-        for _, v in parity_curve(DICKE_RHO, np.linspace(0, math.pi, 13)):
+        for v in parity_curve(DICKE_RHO, np.linspace(0, math.pi, 13)).values:
             assert v == pytest.approx(1.0, abs=1e-12)
 
     def test_operator_equals_closed_form_random(self):
@@ -201,6 +198,55 @@ class TestParityCurve:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             parity_curve(DICKE_RHO, [])
+
+    def test_other_ion_numbers_rejected(self):
+        for n_qubits in (1, 3):
+            rho = trace_out_motion(make_dicke(n_qubits, 1))
+            with pytest.raises(ValueError, match="parity is defined for two ions, got "
+                               f"{n_qubits}"):
+                parity_curve(rho, [0.0, 1.0])
+
+    def test_closed_form_mismatch_names_the_first_failing_phase(self, monkeypatch):
+        closed_form = measurement.parity_closed_form
+
+        def skewed(rho, phi):
+            return closed_form(rho, phi) + np.where(phi > 1.0, 1e-6, 0.0)
+
+        monkeypatch.setattr(measurement, "parity_closed_form", skewed)
+        grid = np.linspace(0, math.pi, 10, endpoint=False)
+        with pytest.raises(RuntimeError, match=rf"^parity mismatch at phi={grid[4]:.6f}: "
+                           r"operator 1 vs closed form 1\.000001$"):
+            parity_curve(DICKE_RHO, grid)
+
+
+class TestBatchedAgainstPerPhase:
+    """The batched analysis pulse against the per-phase oracle, phase by phase.
+
+    On numpy 2.4 (x86-64, OpenBLAS) populations and parity are bit-identical
+    to the per-phase arithmetic, so the comparison is exact.
+    """
+
+    @staticmethod
+    def assert_matches_oracle(rho, grid):
+        curve = parity_curve(rho, grid)
+        rotated = [rotate_global(rho, float(phi)) for phi in grid]
+        assert np.array_equal(curve.phi, grid)
+        assert np.array_equal(curve.populations, [r.populations() for r in rotated])
+        assert np.array_equal(curve.values, [parity(r) for r in rotated])
+
+    def test_random_states(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            rho = random_density_matrix(rng)
+            grid = rng.uniform(-2 * math.pi, 4 * math.pi, size=int(rng.integers(1, 40)))
+            self.assert_matches_oracle(rho, grid)
+
+    def test_dicke_state(self):
+        # the du/ud populations are rounding residue (~1e-32) here; whether
+        # each residue is positive decides the draws of the sampled column
+        self.assert_matches_oracle(DICKE_RHO, np.linspace(0, math.pi, 2200, endpoint=False))
+        self.assert_matches_oracle(trace_out_motion(make_dicke(2, 1)),
+                                   np.linspace(0, math.pi, 997, endpoint=False))
 
 
 class TestBellTransfer:
