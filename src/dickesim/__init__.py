@@ -21,8 +21,7 @@ from .errors import (ConfigError, ContinuityError, DegeneracyError,
                      NumericsError, ResourceGuardError, StepSizeError,
                      TruncationLeakError)
 from .experiment import (ExperimentConfig, PrepMode, RapResult, SweepResult,
-                         dicke_fidelity, potentials_report, prepare_fock1,
-                         run_rap, sweep, truncation_overlap)
+                         dicke_fidelity, potentials_report, run_rap, sweep)
 from .measurement import (InternalDensityMatrix, ParityCurve, ParityFit,
                           fit_parity, parity_curve, simulate_histogram,
                           trace_out_motion)
@@ -42,7 +41,7 @@ __all__ = [
     "SweepResult", "TruncationLeakError", "adiabatic_spectrum", "build_space",
     "derive_eta", "detuning", "diabatic_bound", "dicke_fidelity", "embed",
     "envelope", "evolve", "fit_parity", "make_dicke", "nonadiabatic_coupling",
-    "parity_curve", "potentials_report", "prepare_fock1", "reduced_model",
-    "run_rap", "simulate_histogram", "spectrum_with_refinement", "sweep",
-    "trace_out_motion", "truncation_overlap",
+    "parity_curve", "potentials_report", "reduced_model", "run_rap",
+    "simulate_histogram", "spectrum_with_refinement", "sweep",
+    "trace_out_motion",
 ]

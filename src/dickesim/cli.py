@@ -170,6 +170,9 @@ def parse_config(path) -> ExperimentConfig:
     compensation = _fields(raw, _COMPENSATION)
     if "prep" in raw:
         fields["prep"] = _member(raw, "prep", PrepMode)
+    if kind is CompensationKind.EFFECTIVE and compensation.get("comp_detuning") == 0.0:
+        raise ConfigError("invalid configuration: comp_detuning_khz must be nonzero "
+                          "under compensation effective")
     try:
         fields["compensation"] = CompensationMode(
             kind, **(compensation if kind is CompensationKind.EFFECTIVE else {}))

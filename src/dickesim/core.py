@@ -17,7 +17,7 @@ the ordering is spin-major with the Fock index ascending fastest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import comb, sqrt
 
@@ -62,9 +62,9 @@ class BasisState:
 class HilbertSpace:
     """N qubits times a Fock space truncated at ``n_max`` quanta.
 
-    Operators are built dense (the spaces used here stay below a few
-    thousand dimensions) and cached on first use.  Instances are immutable
-    and safe to share.
+    Only dimensions and the basis ordering live here; the drive builds its
+    operators as spin (x) Fock factors (:class:`dickesim.drive.DriveTerms`).
+    Instances are immutable and safe to share.
     """
 
     n_qubits: int
@@ -98,46 +98,6 @@ class HilbertSpace:
         word = format(spin_index, f"0{self.n_qubits}b")
         spins = word.replace("0", SPIN_DOWN).replace("1", SPIN_UP)
         return BasisState(spins, fock_n)
-
-    # ------------------------------------------------------------------
-    # dense operator building blocks (plain ndarrays, cached)
-    # ------------------------------------------------------------------
-
-    @cached_property
-    def annihilation(self) -> np.ndarray:
-        """COM-mode annihilation operator ``a`` on the full space."""
-        a = np.diag(np.sqrt(np.arange(1, self.n_fock)), 1)
-        return np.kron(np.eye(2**self.n_qubits), a)
-
-    @cached_property
-    def fock_number(self) -> np.ndarray:
-        """Motional number operator ``a'a``."""
-        n = np.diag(np.arange(self.n_fock, dtype=float))
-        return np.kron(np.eye(2**self.n_qubits), n)
-
-    def _qubit_op(self, ion: int, op2: np.ndarray) -> np.ndarray:
-        """Lift a 2x2 single-qubit operator acting on ``ion`` (0-based)."""
-        if not 0 <= ion < self.n_qubits:
-            raise ValueError(f"ion index {ion} outside [0, {self.n_qubits})")
-        mat = np.eye(1)
-        for j in range(self.n_qubits):
-            mat = np.kron(mat, op2 if j == ion else np.eye(2))
-        return np.kron(mat, np.eye(self.n_fock))
-
-    def sigma_plus(self, ion: int) -> np.ndarray:
-        """``|u><d|`` on one ion."""
-        return self._qubit_op(ion, np.array([[0.0, 0.0], [1.0, 0.0]]))
-
-    def sigma_x(self, ion: int) -> np.ndarray:
-        return self._qubit_op(ion, np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-    def up_projector(self, ion: int) -> np.ndarray:
-        return self._qubit_op(ion, np.array([[0.0, 0.0], [0.0, 1.0]]))
-
-    @cached_property
-    def atom_number(self) -> np.ndarray:
-        """Number of ions in the up state, summed over ions."""
-        return sum(self.up_projector(j) for j in range(self.n_qubits))
 
 
 @lru_cache(maxsize=16)

@@ -33,6 +33,9 @@ during sideband pulses; compensation modes modify it:
 
 Compensation applies to sideband drives only; it never modifies a CARRIER
 drive, whose sigma_x coupling is the intended interaction.
+
+:func:`drive_terms` is the one place that builds H, as spin (x) Fock factors
+(:class:`DriveTerms`); nothing builds it on the full space.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import HilbertSpace
+from .core import HilbertSpace, symmetric_transform
 
 TWO_PI = 2.0 * math.pi
 
@@ -199,7 +202,7 @@ class DriveConfig:
         if len(offsets) != n:
             raise ValueError(f"ion_detuning_offsets has {len(offsets)} entries for {n} ions")
         if any(not 0.0 <= w <= 1.0 for w in weights):
-            raise ValueError(f"ion weights must lie in [0, 1], got {weights}")
+            raise ValueError(f"ion_weights must lie in [0, 1], got {weights}")
         object.__setattr__(self, "ion_weights", weights)
         object.__setattr__(self, "ion_detuning_offsets", offsets)
 
@@ -220,25 +223,75 @@ class DriveConfig:
         return self.pulse.omega_peak * sum(self.ion_weights)
 
 
-@lru_cache(maxsize=64)
-def drive_terms(cfg: DriveConfig):
-    """Coefficient decomposition ``H(t) = S0 - delta_c(t) S1 + Omega(t) S2 + Omega(t)^2 S3``.
+@dataclass(frozen=True, eq=False)
+class DriveTerms:
+    """The drive Hamiltonian as spin (x) Fock factors::
 
-    All four matrices are real symmetric and time independent; the propagator
-    assembles many time slices from them at once.  S1 is the up-state number
-    operator; S3 is zero except in EFFECTIVE compensation.  The returned
-    arrays are cached and marked read-only.
+        H(t) = omega_v 1(x)n + sum_k c_k(t) H_k(x)1 + Omega(t) (J(x)L + J^T(x)L^T)
+
+    with ``c(t) = (1, -delta_c(t), Omega(t), Omega(t)^2)`` (:func:`coefficients`).
+    ``internal`` stacks H_0..H_3 (2**N x 2**N each): the static offsets, the
+    up-state number, the carrier couplings and the EFFECTIVE counter-shift.
+    ``sideband`` is ``J = (eta/2) sum_j w_j sigma+_j`` (zero for a carrier
+    drive) and ``ladder`` its Fock factor L: ``a`` (RED) or ``a'`` (BLUE).
+    The dense terms of ``H = S0 - delta_c S1 + Omega S2 + Omega^2 S3`` are
+    ``S0 = omega_v 1(x)n + H_0(x)1``, ``S2 = H_2(x)1 + J(x)L + J^T(x)L^T`` and
+    ``S_k = H_k(x)1`` otherwise.  Only the sideband coupling changes the
+    Fock number, and every Fock level n carries ``H_int(t) + omega_v n``:
+    the record has no slot for a term that would break this.  The arrays are
+    read-only.
     """
-    space = cfg.space
-    dim = space.dim
-    s0 = cfg.omega_v * space.fock_number
+
+    internal: np.ndarray
+    sideband: np.ndarray
+    ladder: np.ndarray
+    omega_v: float
+
+    def __post_init__(self):
+        for factor in (self.internal, self.sideband, self.ladder):
+            factor.setflags(write=False)
+
+    def rotated(self, transform: np.ndarray) -> "DriveTerms":
+        """The same H with the spin factors in the basis of ``transform``'s columns."""
+        return DriveTerms(transform.T @ self.internal @ transform,
+                          transform.T @ self.sideband @ transform, self.ladder, self.omega_v)
+
+    def assemble(self, spins, levels, coupling_only: bool = False) -> np.ndarray:
+        """Dense (4, k, k) terms S0..S3 on the basis states ``(spins[i], levels[i])``.
+
+        With ``coupling_only`` only the Fock-changing part of S2,
+        ``R = J(x)L + J^T(x)L^T``, as one (k, k) matrix.
+        """
+        spins, levels = np.asarray(spins), np.asarray(levels)
+        coupling = self.sideband[np.ix_(spins, spins)] * self.ladder[np.ix_(levels, levels)]
+        coupling = coupling + coupling.T
+        if coupling_only:
+            return coupling
+        same = levels[:, None] == levels[None, :]
+        terms = np.where(same, self.internal[:, spins[:, None], spins], 0.0)
+        terms[0] += np.diag(self.omega_v * levels)
+        terms[2] += coupling
+        return terms
+
+
+@lru_cache(maxsize=64)
+def drive_terms(cfg: DriveConfig) -> DriveTerms:
+    """The factors of ``H(t) = S0 - delta_c(t) S1 + Omega(t) S2 + Omega(t)^2 S3``.
+
+    See :class:`DriveTerms`; every factor is real and time independent, and
+    the record is cached.
+    """
+    n, n_fock = cfg.space.n_qubits, cfg.space.n_fock
+    states = np.arange(2**n)
+    # up[s, j]: ion j is up in spin state s (ion 1 is the leading bit)
+    up = (states[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+    h0 = np.zeros(2**n)
     for j, off in enumerate(cfg.ion_detuning_offsets):
-        if off != 0.0:
-            s0 = s0 - off * space.up_projector(j)
+        h0 -= off * up[:, j]
 
-    s1 = space.atom_number.copy()
-
-    s2 = np.zeros((dim, dim))
+    h2 = np.zeros((2**n, 2**n))
+    sideband = np.zeros((2**n, 2**n))
     keep_carrier = (
         cfg.sideband is Sideband.CARRIER
         or cfg.compensation.kind is not CompensationKind.ZERO_CARRIER
@@ -246,26 +299,35 @@ def drive_terms(cfg: DriveConfig):
     for j, w in enumerate(cfg.ion_weights):
         if w == 0.0:
             continue
+        down = states[up[:, j] == 0]
+        flipped = down | (1 << (n - 1 - j))
         if keep_carrier:
-            s2 += (w / 2.0) * space.sigma_x(j)
-        if cfg.sideband is Sideband.RED:
-            half = space.sigma_plus(j) @ space.annihilation
-            s2 += (w * cfg.eta / 2.0) * (half + half.T)
-        elif cfg.sideband is Sideband.BLUE:
-            half = space.sigma_plus(j) @ space.annihilation.T
-            s2 += (w * cfg.eta / 2.0) * (half + half.T)
+            h2[flipped, down] = h2[down, flipped] = w / 2.0
+        if cfg.sideband is not Sideband.CARRIER:
+            sideband[flipped, down] = w * cfg.eta / 2.0
 
-    s3 = np.zeros((dim, dim))
+    h3 = np.zeros(2**n)
     if (cfg.compensation.kind is CompensationKind.EFFECTIVE
             and cfg.sideband is not Sideband.CARRIER):
         comp = cfg.compensation
         for j, w in enumerate(cfg.ion_weights):
-            s3 -= (comp.power_ratio * w * w / (4.0 * comp.comp_detuning)) * space.up_projector(j)
+            h3 -= (comp.power_ratio * w * w / (4.0 * comp.comp_detuning)) * up[:, j]
 
-    terms = (np.ascontiguousarray(s0), s1, s2, s3)
-    for m in terms:
-        m.setflags(write=False)
-    return terms
+    internal = np.stack([np.diag(h0), np.diag(up.sum(axis=1).astype(float)), h2, np.diag(h3)])
+    lower = np.diag(np.sqrt(np.arange(1, n_fock)), 1)
+    ladder = lower.T if cfg.sideband is Sideband.BLUE else lower
+    return DriveTerms(internal, sideband, ladder, cfg.omega_v)
+
+
+@lru_cache(maxsize=64)
+def symmetric_terms(cfg: DriveConfig) -> DriveTerms:
+    """:func:`drive_terms` in the permutation-symmetric internal basis.
+
+    The one symmetric-basis change of the drive (:func:`symmetric_transform`),
+    cached like :func:`drive_terms`; the propagator and the reduced model
+    both read it.
+    """
+    return drive_terms(cfg).rotated(symmetric_transform(cfg.space.n_qubits))
 
 
 def coefficients(cfg: DriveConfig, t) -> np.ndarray:

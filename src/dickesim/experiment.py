@@ -93,11 +93,23 @@ class ExperimentConfig:
                           duration_factor=self.duration_factor,
                           chirp_start=self.chirp_start, chirp_end=self.chirp_end)
 
+    def _per_ion(self, weights_key, weights, offsets_key, offsets) -> tuple:
+        """Per-ion weights and offsets, checked here so that a refusal names
+        the config keys, not the drive's fields."""
+        for key, values in ((weights_key, weights), (offsets_key, offsets)):
+            if len(values) != self.n_qubits:
+                raise ValueError(f"{key} has {len(values)} entries for {self.n_qubits} ions")
+        if any(not 0.0 <= w <= 1.0 for w in weights):
+            raise ValueError(f"{weights_key} must lie in [0, 1], got {weights}")
+        return weights, offsets
+
     def rap_drive(self) -> DriveConfig:
+        weights, offsets = self._per_ion(
+            "ion_weights", self.ion_weights or (1.0,) * self.n_qubits,
+            "ion_offsets_khz", self.ion_detuning_offsets or (0.0,) * self.n_qubits)
         return DriveConfig(
             space=self.space(), eta=self.resolved_eta(), omega_v=self.omega_v,
-            pulse=self.pulse(), ion_weights=self.ion_weights,
-            ion_detuning_offsets=self.ion_detuning_offsets,
+            pulse=self.pulse(), ion_weights=weights, ion_detuning_offsets=offsets,
             sideband=Sideband.RED, compensation=self.compensation,
         )
 
@@ -112,14 +124,9 @@ class ExperimentConfig:
         """
         space = self.space()
         eta = self.resolved_eta()
-        weights = self.prep_weights or (1.0,) + (0.0,) * (self.n_qubits - 1)
-        offsets = self.prep_detuning_offsets or (0.0,) * self.n_qubits
-        # checked here so the message names the config keys, not the drive's
-        for key, values in (("prep_weights", weights), ("prep_offsets_khz", offsets)):
-            if len(values) != self.n_qubits:
-                raise ValueError(f"{key} has {len(values)} entries for {self.n_qubits} ions")
-        if any(not 0.0 <= w <= 1.0 for w in weights):
-            raise ValueError(f"prep_weights must lie in [0, 1], got {weights}")
+        weights, offsets = self._per_ion(
+            "prep_weights", self.prep_weights or (1.0,) + (0.0,) * (self.n_qubits - 1),
+            "prep_offsets_khz", self.prep_detuning_offsets or (0.0,) * self.n_qubits)
         flat = PulseShape.flat(self.omega_peak)
         bsb = DriveConfig(space=space, eta=eta, omega_v=self.omega_v, pulse=flat,
                           ion_weights=weights, ion_detuning_offsets=offsets,
@@ -172,11 +179,6 @@ def _prepare_from(cfg: ExperimentConfig, start_n: int) -> StateVector:
     for drive, duration in cfg.prep_stages():
         psi = evolve(drive, psi, dt=cfg.dt, duration=duration).final_state
     return psi
-
-
-def prepare_fock1(cfg: ExperimentConfig) -> StateVector:
-    """State handed to the entangling pulse (nominally ``|d...d, 1>``)."""
-    return _prepare_from(cfg, 0)
 
 
 def _rap_frame(cfg: ExperimentConfig, n_points: int = DEFAULT_GRID_POINTS,
@@ -344,25 +346,3 @@ def potentials_report(cfg: ExperimentConfig,
         variants[name] = PotentialsVariant(energies=frame.energies, gap=np.abs(omega),
                                            alpha_over_omega_sq=ratio)
     return PotentialsReport(times=times, variants=variants)
-
-
-def truncation_overlap(cfg: ExperimentConfig, extra: int = 2) -> float:
-    """Smallest squared overlap of a final state with a rerun at ``n_max + extra``.
-
-    The Fock-truncation convergence check, taken over every thermal
-    component :func:`run_rap` keeps (only n = 0 when ``nbar = 0``): each is
-    prepared and propagated at both cutoffs.  Values below ``1 - 1e-6`` mean
-    the configured ``n_max`` is too small.
-    """
-    big = replace(cfg, n_max=cfg.n_max + extra)
-    small_drive, big_drive = cfg.rap_drive(), big.rap_drive()
-    n_fock, big_space = cfg.space().n_fock, big.space()
-    worst = math.inf
-    for n, _ in cfg.thermal_components():
-        small = evolve(small_drive, _prepare_from(cfg, n), dt=cfg.dt)
-        large = evolve(big_drive, _prepare_from(big, n), dt=big.dt)
-        padded = np.zeros((2**cfg.n_qubits, big_space.n_fock), dtype=complex)
-        padded[:, :n_fock] = small.final_state.amplitudes.reshape(-1, n_fock)
-        lifted = StateVector(big_space, padded.reshape(-1))
-        worst = min(worst, lifted.squared_overlap(large.final_state))
-    return worst

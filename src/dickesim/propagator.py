@@ -1,15 +1,17 @@
 """Unitarity-preserving integration of the time-dependent Schrodinger equation.
 
 Each step is a Strang split along the motional (Fock) number.  The drive
-Hamiltonian ``H(t) = S0 - delta_c(t) S1 + Omega(t) S2 + Omega(t)^2 S3`` is cut
-into
+Hamiltonian comes from :func:`dickesim.drive.drive_terms` as spin (x) Fock
+factors, ``H(t) = omega_v 1(x)n + sum_k c_k(t) H_k(x)1 + Omega(t) R`` with
+``R = J(x)L + J^T(x)L^T``, and is cut into
 
-* ``H_F(t)``, every Fock-number-preserving entry (the diagonal terms and the
-  carrier couplings of S2).  It equals ``omega_v n (x) 1 + 1 (x) H_int(t)``,
-  so its exponential needs only an eigendecomposition of the small internal
-  matrix ``H_int(t)`` (2**N states, or N + 1 in the symmetric basis);
-* ``Omega(t) R``, the sideband couplings of S2 that change the Fock number.
-  R does not depend on time and is diagonalised once per block.
+* ``H_F(t) = omega_v 1(x)n + H_int(t)(x)1``, every Fock-number-preserving
+  entry (the diagonal terms and the carrier couplings).  Its exponential
+  needs only an eigendecomposition of the small internal matrix ``H_int(t)``
+  on the block's spin states, read from the record's ``internal`` stack;
+* ``Omega(t) R``, the sideband couplings that change the Fock number.  R
+  does not depend on time; it is assembled on the block's states and
+  diagonalised once per block.
 
 The step defaults to ``0.04 / max_frequency`` (:func:`default_dt`), where
 ``max_frequency`` is the largest of the total peak Rabi frequency, the trap
@@ -39,17 +41,20 @@ deviation within a chunk, before rescaling: it still measures unitarity.
 
 Two structural reductions keep the cost down without changing the result:
 
-* the coupling pattern of H is decomposed into connected components and only
-  the components overlapping the initial state are evolved (amplitudes
-  outside them are exactly zero for all time);
-* when all ions are driven identically, H is first conjugated by the
-  permutation-symmetric basis change (the same idea as the bright/dark
-  reduction of degenerate coupled systems), which splits the symmetric
-  sector from the dark ones and shrinks the components further.
+* the coupling pattern of H, built from the boolean patterns of its small
+  factors, is decomposed into connected components and only the components
+  overlapping the initial state are evolved (amplitudes outside them are
+  exactly zero for all time);
+* when all ions are driven identically, the spin factors are first rotated
+  into the permutation-symmetric basis (:func:`dickesim.drive.symmetric_terms`,
+  the same idea as the bright/dark reduction of degenerate coupled systems),
+  which splits the symmetric sector from the dark ones and shrinks the
+  components further; the state moves in and out of that basis as
+  ``T^T psi`` on its (2**N, n_fock) reshape.
 
 Both are exact basis-level statements about H, not approximations; entries
 of a drive term below 1e-12 of that term's largest entry are treated as
-structural zeros.
+structural zeros.  No operator on the full space is formed.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import StateVector, symmetric_transform
-from .drive import DriveConfig, coefficients, drive_terms
+from .drive import DriveConfig, DriveTerms, coefficients, drive_terms, symmetric_terms
 from .errors import NumericsError, StepSizeError, TruncationLeakError
 
 #: steps per chunk; blocks above 4 states get proportionally fewer, so one
@@ -138,39 +143,32 @@ def _connected_components(pattern: np.ndarray):
     return components
 
 
-def _transformed_terms(cfg: DriveConfig):
-    """Drive terms in the cheapest exact representation: (terms, T_full or None)."""
-    terms = drive_terms(cfg)
-    candidates = [(terms, None)]
-    weights = cfg.ion_weights
-    offsets = cfg.ion_detuning_offsets
-    if (cfg.space.n_qubits > 1 and len(set(weights)) == 1 and len(set(offsets)) == 1
-            and cfg.space.n_qubits <= 8):
-        t_int = symmetric_transform(cfg.space.n_qubits)
-        t_full = np.kron(t_int, np.eye(cfg.space.n_fock))
-        transformed = tuple(t_full.T @ s @ t_full for s in terms)
-        candidates.append((transformed, t_full))
-    return candidates
+def _pattern(terms: DriveTerms) -> np.ndarray:
+    """Off-diagonal coupling pattern of H, from the boolean patterns of its factors.
 
-
-def _structural_cut(terms) -> np.ndarray:
-    """Per-term threshold below which an entry is a structural zero.
-
-    Each term is cut against its own largest entry, so a weak coupling in S2
-    is not lost next to the large ``omega_v n`` diagonal of S0.
+    An entry of a term is a structural zero below 1e-12 of that term's
+    largest entry, so a weak coupling in S2 is not lost next to the large
+    ``omega_v n`` diagonal of S0.  A sideband entry ``J_ss' L_nn'`` is kept
+    when ``|J_ss'|`` times the largest entry of L clears its cut.
     """
-    return STRUCTURAL_ZERO * np.array([np.abs(s).max() for s in terms])
-
-
-def _pattern(terms) -> np.ndarray:
-    pat = np.zeros(terms[0].shape, dtype=bool)
-    for s, cut in zip(terms, _structural_cut(terms)):
-        pat |= np.abs(s) > cut
+    n_fock = len(terms.ladder)
+    largest = np.abs(terms.internal).max(axis=(1, 2))
+    levels = np.diagonal(terms.internal[0])[:, None] + terms.omega_v * np.arange(n_fock)
+    largest[0] = max(largest[0], np.abs(levels).max())
+    ladder_max = np.abs(terms.ladder).max(initial=0.0)
+    largest[2] = max(largest[2], np.abs(terms.sideband).max() * ladder_max)
+    cut = STRUCTURAL_ZERO * largest
+    internal = np.any(np.abs(terms.internal) > cut[:, None, None], axis=0)
+    internal |= internal.T
+    sideband = np.abs(terms.sideband) * ladder_max > cut[2]
+    pat = (np.kron(internal, np.eye(n_fock, dtype=bool))
+           | np.kron(sideband, terms.ladder != 0)
+           | np.kron(sideband.T, terms.ladder.T != 0))
     np.fill_diagonal(pat, False)
     return pat
 
 
-def _active_blocks(terms, psi: np.ndarray):
+def _active_blocks(terms: DriveTerms, psi: np.ndarray):
     """Index arrays of the connected components carrying weight of psi."""
     blocks = _connected_components(_pattern(terms))
     active = []
@@ -179,12 +177,6 @@ def _active_blocks(terms, psi: np.ndarray):
         if w > BLOCK_WEIGHT_FLOOR:
             active.append(idx)
     return active
-
-
-def _internal_terms(terms, n_fock: int) -> np.ndarray:
-    """Coefficient matrices of H_int: every term restricted to Fock level 0."""
-    ref = np.arange(0, terms[0].shape[0], n_fock)
-    return np.stack([s[np.ix_(ref, ref)] for s in terms])
 
 
 @dataclass
@@ -225,44 +217,22 @@ class _FockSplit:
         return q
 
 
-def _fock_split(terms, internal: np.ndarray, idx: np.ndarray, n_fock: int,
-                omega_v: float) -> _FockSplit:
-    """Split one block along the Fock number, checking that the split is exact.
-
-    Raises :class:`NumericsError` when a term other than S2 changes the Fock
-    number, or when a Fock level's block differs from ``H_int`` shifted by
-    ``omega_v n``.
-    """
+def _fock_split(terms: DriveTerms, idx: np.ndarray, n_fock: int) -> _FockSplit:
+    """Split one block along the Fock number: H_int by groups, R in its eigenbasis."""
     fock, states = idx % n_fock, idx // n_fock
     by_states: dict = {}
     for n in np.unique(fock):
         by_states.setdefault(tuple(states[fock == n]), []).append(n)
-    layout = [(np.array(members), np.array(levels)) for members, levels in by_states.items()]
-    idx = np.concatenate([(members[:, None] * n_fock + levels).ravel()
-                          for members, levels in layout])
-
-    sub = np.stack([s[np.ix_(idx, idx)] for s in terms])
-    tol = _structural_cut(sub)
-    same = (idx % n_fock)[:, None] == (idx % n_fock)[None, :]
-    cross = np.abs(np.where(same, 0.0, sub)).max(axis=(1, 2))
-    if np.any(np.delete(cross > tol, 2)):
-        raise NumericsError("a term other than S2 changes the Fock number; "
-                            "the Fock split does not apply")
-
-    groups, first = [], 0
-    for members, levels in layout:
-        stack = internal[:, members[:, None], members]
-        for k, n in enumerate(levels):
-            rows = first + k + len(levels) * np.arange(len(members))
-            level = sub[:, rows[:, None], rows]
-            level[0] -= omega_v * n * np.eye(len(rows))
-            if np.any(np.abs(level - stack).max(axis=(1, 2)) > tol):
-                raise NumericsError(
-                    f"Fock level {n} is not H_int + omega_v * {n}; "
-                    "the Fock split does not apply")
-        groups.append((stack, first, levels.astype(float)))
+    groups, first, order = [], 0, []
+    for members, levels in by_states.items():
+        members, levels = np.array(members), np.array(levels)
+        groups.append((terms.internal[:, members[:, None], members], first,
+                       levels.astype(float)))
         first += len(members) * len(levels)
-    r_values, r_vectors = np.linalg.eigh(np.where(same, 0.0, sub[2]))
+        order.append((members[:, None] * n_fock + levels).ravel())
+    idx = np.concatenate(order)
+    coupling = terms.assemble(idx // n_fock, idx % n_fock, coupling_only=True)
+    r_values, r_vectors = np.linalg.eigh(coupling)
     return _FockSplit(idx, groups, r_values, r_vectors)
 
 
@@ -358,18 +328,22 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
         )
 
     # pick the representation with the smallest active sub-problem
+    n_fock = cfg.space.n_fock
+    candidates = [(drive_terms(cfg), None)]
+    if (cfg.space.n_qubits > 1 and len(set(cfg.ion_weights)) == 1
+            and len(set(cfg.ion_detuning_offsets)) == 1):
+        candidates.append((symmetric_terms(cfg), symmetric_transform(cfg.space.n_qubits)))
     best = None
-    for terms, t_full in _transformed_terms(cfg):
-        psi_rep = psi0.amplitudes if t_full is None else t_full.T @ psi0.amplitudes
+    for terms, transform in candidates:
+        psi_rep = (psi0.amplitudes if transform is None
+                   else (transform.T @ psi0.amplitudes.reshape(-1, n_fock)).ravel())
         blocks = _active_blocks(terms, psi_rep)
         cost = sum(len(b) ** 3 for b in blocks)
         if best is None or cost < best[0]:
-            best = (cost, terms, t_full, psi_rep, blocks)
-    _, terms, t_full, psi_rep, blocks = best
+            best = (cost, terms, transform, psi_rep, blocks)
+    _, terms, transform, psi_rep, blocks = best
 
-    n_fock = cfg.space.n_fock
-    internal = _internal_terms(terms, n_fock)
-    splits = [_fock_split(terms, internal, idx, n_fock, cfg.omega_v) for idx in blocks]
+    splits = [_fock_split(terms, idx, n_fock) for idx in blocks]
     psis = [psi_rep[split.idx].astype(complex) for split in splits]
     leak_masks = [(split.idx % n_fock) == cfg.space.n_max for split in splits]
 
@@ -423,7 +397,7 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
         samples.extend(zip(steps[picks], picked))
 
     def back(vec):
-        return vec if t_full is None else t_full @ vec
+        return vec if transform is None else (transform @ vec.reshape(-1, n_fock)).ravel()
 
     trajectory = None
     if sample_every > 0:
@@ -438,5 +412,5 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
     return EvolutionResult(
         final_state=final, norm_drift=norm_drift, steps=n_steps, dt=dt_eff,
         block_sizes=tuple(sorted((len(split.idx) for split in splits), reverse=True)),
-        symmetric_basis=t_full is not None, peak_leak=peak_leak,
+        symmetric_basis=transform is not None, peak_leak=peak_leak,
         peak_leak_time=peak_leak_time, trajectory=trajectory)

@@ -26,8 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import symmetric_transform
-from .drive import DriveConfig, Sideband, coefficients, drive_terms
+from .drive import DriveConfig, Sideband, coefficients, symmetric_terms
 from .errors import ContinuityError, DegeneracyError
 
 CONTINUITY_MIN = 0.9
@@ -212,12 +211,14 @@ def diabatic_bound(frame: AdiabaticFrame, i: int, j: int) -> DiabaticBound:
 
 @dataclass
 class ReducedModel:
-    """``drive_terms`` projected onto symmetric states of a red-sideband drive.
+    """The drive terms of a red-sideband drive on its symmetric low-excitation states.
 
     ``states[k] = (m, n)`` is the uniform superposition of all spin words
     with m ions up (the Dicke state) times ``|n>``, for n <= 1, m + n <= 2
     and m <= N; for two ions these are ``|dd,0>, |dd,1>, |D,0>, |D,1>,
-    |uu,0>``.  ``terms`` holds the projected coefficient matrices, so
+    |uu,0>``.  ``terms`` holds the coefficient matrices on these states,
+    assembled from :func:`dickesim.drive.symmetric_terms` (the uniform
+    states are basis states there), so
     ``h_at(t) = P0 - delta_c(t) P1 + Omega(t) P2 + Omega(t)^2 P3`` like the
     full Hamiltonian.  The projection is exact for symmetric illumination;
     with unequal weights or offsets it keeps their means.
@@ -236,7 +237,7 @@ class ReducedModel:
 
 
 def reduced_model(drive: DriveConfig) -> ReducedModel:
-    """Project the drive's Hamiltonian onto the symmetric low-excitation states.
+    """The drive's Hamiltonian on the symmetric low-excitation states.
 
     Requires a red-sideband drive and ``n_max >= 1``.
     """
@@ -250,8 +251,6 @@ def reduced_model(drive: DriveConfig) -> ReducedModel:
                    for n in range(2) if m + n <= 2)
     # column of the uniform vector of each up count in symmetric_transform
     first = np.cumsum([0] + [comb(n_qubits, m) for m in range(n_qubits)])
-    uniform = symmetric_transform(n_qubits)[:, first]
-    fock = np.eye(space.n_fock)
-    proj = np.column_stack([np.kron(uniform[:, m], fock[n]) for m, n in states])
-    terms = np.stack([proj.T @ s @ proj for s in drive_terms(drive)])
+    terms = symmetric_terms(drive).assemble([first[m] for m, _ in states],
+                                            [n for _, n in states])
     return ReducedModel(drive=drive, states=states, terms=terms)

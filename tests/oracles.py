@@ -2,16 +2,27 @@
 
 Each helper is a direct, unoptimised formula: amplitude-based readouts of a
 pure state, the two-ion three-class readout model, threshold classification
-of a histogram, the dense Hamiltonian, and small operators and curve
-statistics that only tests need, and the per-phase analysis pulse
+of a histogram, dense full-space operators (``annihilation``,
+``fock_number``, ``sigma_plus``, ``sigma_x``, ``up_projector``,
+``atom_number``) and the dense Hamiltonian built from them by the formula in
+the ``drive`` module docstring (``dense_terms``, ``hamiltonian_matrix``; it
+never calls ``drive_terms``, so the dense propagators in the tests check the
+factored record rather than repeat it), small operators and curve
+statistics that only tests need, the per-phase analysis pulse
 (``rotation_matrix``, ``rotate_global``, ``parity``) that the batched
-``parity_curve`` is checked against.
+``parity_curve`` is checked against, and two run helpers only tests use
+(``prepare_fock1``, ``truncation_overlap``).
 """
+
+import math
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
-from dickesim import InternalDensityMatrix, make_dicke
-from dickesim.drive import DriveConfig, drive_terms, envelope
+from dickesim import InternalDensityMatrix, StateVector, evolve, make_dicke
+from dickesim.drive import CompensationKind, DriveConfig, Sideband, envelope
+from dickesim.experiment import ExperimentConfig, _prepare_from
 
 
 def psi_dicke_fidelity(psi, m=1):
@@ -54,9 +65,80 @@ def threshold_estimate(histogram, thresholds=(35, 105)):
     return np.array([total - n_uu - n_mid, n_mid, n_uu], dtype=float) / total
 
 
+def annihilation(space):
+    """COM-mode annihilation operator ``a`` on the full space."""
+    a = np.diag(np.sqrt(np.arange(1, space.n_fock)), 1)
+    return np.kron(np.eye(2**space.n_qubits), a)
+
+
+def fock_number(space):
+    """Motional number operator ``a'a`` on the full space."""
+    return np.kron(np.eye(2**space.n_qubits), np.diag(np.arange(space.n_fock, dtype=float)))
+
+
+def qubit_op(space, ion, op2):
+    """Lift a 2x2 single-qubit operator acting on ``ion`` (0-based) to the full space."""
+    if not 0 <= ion < space.n_qubits:
+        raise ValueError(f"ion index {ion} outside [0, {space.n_qubits})")
+    mat = np.eye(1)
+    for j in range(space.n_qubits):
+        mat = np.kron(mat, op2 if j == ion else np.eye(2))
+    return np.kron(mat, np.eye(space.n_fock))
+
+
+def sigma_plus(space, ion):
+    """``|u><d|`` on one ion."""
+    return qubit_op(space, ion, np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+def sigma_x(space, ion):
+    return qubit_op(space, ion, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def up_projector(space, ion):
+    return qubit_op(space, ion, np.array([[0.0, 0.0], [0.0, 1.0]]))
+
+
+def atom_number(space):
+    """Number of ions in the up state, summed over ions."""
+    return sum(up_projector(space, j) for j in range(space.n_qubits))
+
+
+@lru_cache(maxsize=64)
+def dense_terms(cfg: DriveConfig):
+    """``S0..S3`` of ``H = S0 - delta_c S1 + Omega S2 + Omega^2 S3`` on the full space.
+
+    Built operator by operator from the formula in the ``drive`` module
+    docstring, without :func:`dickesim.drive.drive_terms`; cached (read-only
+    arrays) because the dense propagators ask for it at every step.
+    """
+    space = cfg.space
+    s0 = cfg.omega_v * fock_number(space)
+    s1 = atom_number(space)
+    s2 = np.zeros((space.dim, space.dim))
+    s3 = np.zeros((space.dim, space.dim))
+    a = annihilation(space)
+    ladder = {Sideband.RED: a, Sideband.BLUE: a.T}.get(cfg.sideband)
+    sideband_drive = cfg.sideband is not Sideband.CARRIER
+    comp = cfg.compensation
+    for j, (w, off) in enumerate(zip(cfg.ion_weights, cfg.ion_detuning_offsets)):
+        s0 -= off * up_projector(space, j)
+        if not (sideband_drive and comp.kind is CompensationKind.ZERO_CARRIER):
+            s2 += (w / 2.0) * sigma_x(space, j)
+        if ladder is not None:
+            half = sigma_plus(space, j) @ ladder
+            s2 += (w * cfg.eta / 2.0) * (half + half.T)
+        if sideband_drive and comp.kind is CompensationKind.EFFECTIVE:
+            s3 -= comp.power_ratio * w * w / (4.0 * comp.comp_detuning) * up_projector(space, j)
+    terms = (s0, s1, s2, s3)
+    for m in terms:
+        m.setflags(write=False)
+    return terms
+
+
 def hamiltonian_matrix(cfg: DriveConfig, t: float) -> np.ndarray:
-    """Raw real-symmetric H(t) as an ndarray (rad/s)."""
-    s0, s1, s2, s3 = drive_terms(cfg)
+    """Raw real-symmetric H(t) as an ndarray (rad/s), from :func:`dense_terms`."""
+    s0, s1, s2, s3 = dense_terms(cfg)
     om = envelope(cfg.pulse, t)
     dc = cfg.carrier_detuning(t)
     return s0 - dc * s1 + om * s2 + om * om * s3
@@ -84,7 +166,7 @@ def count_local_maxima(y, smooth=5):
 
 def excitation_number(space):
     """Total excitation number: up-state ions plus motional quanta."""
-    return space.atom_number + space.fock_number
+    return atom_number(space) + fock_number(space)
 
 
 def swap_operator(space):
@@ -120,3 +202,30 @@ def rotate_global(rho: InternalDensityMatrix, phi: float) -> InternalDensityMatr
 def parity(rho: InternalDensityMatrix) -> float:
     """``<Pi>`` with ``Pi = P_dd + P_uu - P_du - P_ud``."""
     return float(np.real(np.sum(_PARITY_DIAG * np.diag(rho.matrix))))
+
+
+def prepare_fock1(cfg: ExperimentConfig) -> StateVector:
+    """State handed to the entangling pulse (nominally ``|d...d, 1>``)."""
+    return _prepare_from(cfg, 0)
+
+
+def truncation_overlap(cfg: ExperimentConfig, extra: int = 2) -> float:
+    """Smallest squared overlap of a final state with a rerun at ``n_max + extra``.
+
+    The Fock-truncation convergence check, taken over every thermal
+    component ``run_rap`` keeps (only n = 0 when ``nbar = 0``): each is
+    prepared and propagated at both cutoffs.  Values below ``1 - 1e-6`` mean
+    the configured ``n_max`` is too small.
+    """
+    big = replace(cfg, n_max=cfg.n_max + extra)
+    small_drive, big_drive = cfg.rap_drive(), big.rap_drive()
+    n_fock, big_space = cfg.space().n_fock, big.space()
+    worst = math.inf
+    for n, _ in cfg.thermal_components():
+        small = evolve(small_drive, _prepare_from(cfg, n), dt=cfg.dt)
+        large = evolve(big_drive, _prepare_from(big, n), dt=big.dt)
+        padded = np.zeros((2**cfg.n_qubits, big_space.n_fock), dtype=complex)
+        padded[:, :n_fock] = small.final_state.amplitudes.reshape(-1, n_fock)
+        lifted = StateVector(big_space, padded.reshape(-1))
+        worst = min(worst, lifted.squared_overlap(large.final_state))
+    return worst

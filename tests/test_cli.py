@@ -393,6 +393,25 @@ class TestExitCodes:
         assert captured.err.startswith("config error: invalid configuration: ")
         assert key in captured.err
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"ion_offsets_khz": [0, 0, 0]}, "ion_offsets_khz has 3 entries for 2 ions"),
+        ({"ion_weights": [1.0]}, "ion_weights has 1 entries for 2 ions"),
+        ({"ion_weights": [1.0, 1.5]}, "ion_weights must lie in [0, 1]"),
+        ({"compensation": "effective", "comp_detuning_khz": 0},
+         "comp_detuning_khz must be nonzero"),
+    ])
+    def test_drive_refusals_name_the_config_key(self, tmp_path, capsys, overrides, message):
+        # these were reported as the drive's ion_detuning_offsets, "ion weights"
+        # and comp_detuning
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: invalid configuration: ")
+        assert message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "histogram"])
     def test_negative_seed_rejected_before_any_work(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path)

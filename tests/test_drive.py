@@ -4,12 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickesim import (CompensationMode, DriveConfig, PulseShape, Sideband,
                       build_space, derive_eta, detuning, envelope, make_dicke)
-from dickesim.drive import TWO_PI, coefficients, drive_terms
+from dickesim.core import symmetric_transform
+from dickesim.drive import TWO_PI, coefficients, drive_terms, symmetric_terms
 from dickesim.spectral import reduced_model, spectrum_with_refinement
-from oracles import excitation_number, hamiltonian_matrix, swap_operator
+from oracles import dense_terms, excitation_number, hamiltonian_matrix, swap_operator
+
+
+def assembled_terms(cfg):
+    """The record's dense S0..S3 on every basis state, in the basis ordering."""
+    idx = np.arange(cfg.space.dim)
+    return drive_terms(cfg).assemble(idx // cfg.space.n_fock, idx % cfg.space.n_fock)
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
@@ -197,7 +206,7 @@ class TestStructuralInvariants:
         # against the dense oracle, which evaluates envelope and chirp itself
         cfg = operating_drive(CompensationMode.effective(0.6, TWO_PI * 400e3))
         times = np.linspace(-0.1, 1.1, 13) * cfg.pulse.duration
-        terms = np.stack(drive_terms(cfg))
+        terms = assembled_terms(cfg)
         rows = coefficients(cfg, times)
         assert rows.shape == (13, 4)
         for t, row in zip(times, rows):
@@ -268,3 +277,75 @@ class TestValidation:
             CompensationMode.effective(power_ratio=0.0)
         with pytest.raises(ValueError):
             CompensationMode.effective(comp_detuning=0.0)
+
+
+def random_drive(n_qubits, n_max, weights, offsets_khz, comp, sideband, eta):
+    """A drive on ``n_qubits`` ions from per-ion lists of at least that length."""
+    pulse = PulseShape(omega_peak=OMEGA_PEAK, sigma=SIGMA,
+                       chirp_start=-TWO_PI * 100e3, chirp_end=TWO_PI * 100e3)
+    return DriveConfig(space=build_space(n_qubits, n_max), eta=eta, omega_v=OMEGA_V,
+                       pulse=pulse, ion_weights=tuple(weights[:n_qubits]),
+                       ion_detuning_offsets=tuple(o * TWO_PI * 1e3
+                                                  for o in offsets_khz[:n_qubits]),
+                       sideband=sideband, compensation=comp)
+
+
+random_drives = st.builds(
+    random_drive,
+    n_qubits=st.integers(1, 4),
+    n_max=st.integers(0, 3),
+    weights=st.one_of(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=4, max_size=4),
+        st.floats(0.0, 1.0).map(lambda w: [w] * 4)),
+    offsets_khz=st.one_of(
+        st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4),
+        st.floats(-50.0, 50.0).map(lambda o: [o] * 4)),
+    comp=st.sampled_from([CompensationMode.none(), CompensationMode.zero_carrier(),
+                          CompensationMode.effective(0.6, TWO_PI * 400e3)]),
+    sideband=st.sampled_from(list(Sideband)),
+    eta=st.floats(0.01, 0.29))
+
+
+class TestFactoredTerms:
+    """The spin (x) Fock record against the dense operators built in the oracle."""
+
+    @staticmethod
+    def assert_terms_close(terms, expected, rel):
+        for term, ref in zip(terms, expected):
+            assert np.abs(term - ref).max() <= rel * np.abs(ref).max()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg=random_drives)
+    def test_assembled_record_is_the_dense_hamiltonian(self, cfg):
+        self.assert_terms_close(assembled_terms(cfg), dense_terms(cfg), 1e-14)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(cfg=random_drives)
+    def test_rotation_is_the_dense_basis_change(self, cfg):
+        # T (x) 1 conjugating the dense terms, against the record rotated by T alone
+        t_full = np.kron(symmetric_transform(cfg.space.n_qubits), np.eye(cfg.space.n_fock))
+        idx = np.arange(cfg.space.dim)
+        rotated = symmetric_terms(cfg).assemble(idx // cfg.space.n_fock,
+                                                idx % cfg.space.n_fock)
+        expected = [t_full.T @ s @ t_full for s in dense_terms(cfg)]
+        self.assert_terms_close(rotated, expected, 1e-13)
+
+    def test_coupling_is_the_fock_changing_part_of_s2(self):
+        cfg = random_drive(3, 3, [1.0, 0.7, 0.0], [0.0, 5.0, -5.0],
+                           CompensationMode.none(), Sideband.BLUE, ETA)
+        rng = np.random.default_rng(3)
+        idx = rng.permutation(cfg.space.dim)[:17]
+        spins, levels = idx // cfg.space.n_fock, idx % cfg.space.n_fock
+        s2 = dense_terms(cfg)[2][np.ix_(idx, idx)]
+        expected = np.where(levels[:, None] == levels[None, :], 0.0, s2)
+        coupling = drive_terms(cfg).assemble(spins, levels, coupling_only=True)
+        assert np.array_equal(coupling, expected)
+        assert np.array_equal(drive_terms(cfg).assemble(spins, levels)[2],
+                              s2)
+
+    def test_record_is_read_only_and_cached(self):
+        terms = drive_terms(operating_drive(CompensationMode.none()))
+        assert terms is drive_terms(operating_drive(CompensationMode.none()))
+        for factor in (terms.internal, terms.sideband, terms.ladder):
+            with pytest.raises(ValueError):
+                factor[0, 0] = 1.0

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from dickesim import (CompensationMode, ExperimentConfig, NumericsError,
-                      PrepMode, make_dicke, potentials_report, prepare_fock1,
-                      run_rap, sweep, truncation_overlap)
+                      PrepMode, make_dicke, potentials_report, run_rap, sweep)
 from dickesim import experiment, measurement
 from dickesim.drive import TWO_PI
 from dickesim.experiment import default_sweep_values
-from oracles import count_local_minima, psi_dicke_fidelity, psi_internal_populations
+from oracles import (count_local_minima, prepare_fock1, psi_dicke_fidelity,
+                     psi_internal_populations, truncation_overlap)
 
 
 def zc_config(**kwargs):

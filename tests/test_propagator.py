@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 from dickesim import (CompensationMode, DriveConfig, ExperimentConfig, NumericsError,
                       PulseShape, Sideband, StateVector, StepSizeError,
                       TruncationLeakError, build_space, embed, evolve, make_dicke,
-                      prepare_fock1, run_rap)
+                      run_rap)
 from dickesim import propagator
-from dickesim.drive import TWO_PI, drive_terms
-from oracles import excitation_number, hamiltonian_matrix
+from dickesim.core import symmetric_transform
+from dickesim.drive import TWO_PI, drive_terms, symmetric_terms
+from oracles import dense_terms, excitation_number, hamiltonian_matrix, prepare_fock1
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
@@ -177,22 +178,6 @@ class TestGuards:
         assert math.ceil(t_cycle / dt) <= propagator.CHUNK_STEPS
         with pytest.raises(TruncationLeakError, match="at t = "):
             evolve(cfg, embed(space, "d", 1), dt=dt, duration=t_cycle)
-
-    @pytest.mark.parametrize("term,a,b,match", [
-        (0, ("dd", 0), ("dd", 1), "changes the Fock number"),
-        (1, ("uu", 2), ("uu", 2), "Fock level 2"),
-    ])
-    def test_split_checks_factorisation(self, monkeypatch, term, a, b, match):
-        # an S0 entry between Fock levels, or an S1 that depends on the Fock
-        # level, breaks H_F = omega_v n + H_int(t); the split must refuse it
-        cfg = rap_drive(CompensationMode.none(), n_max=3)
-        terms = [s.copy() for s in drive_terms(cfg)]
-        i, j = cfg.space.index(*a), cfg.space.index(*b)
-        terms[term][i, j] += 0.5
-        terms[term][j, i] = terms[term][i, j]
-        monkeypatch.setattr(propagator, "drive_terms", lambda _: tuple(terms))
-        with pytest.raises(NumericsError, match=match):
-            evolve(cfg, embed(cfg.space, "dd", 1))
 
     def test_flat_pulse_needs_duration(self):
         space = build_space(1, 2)
@@ -458,6 +443,64 @@ class TestDiagnostics:
         res = evolve(cfg, psi0, dt=dt, duration=t_cycle)
         assert res.peak_leak == pytest.approx(1.0, abs=1e-5)
         assert res.peak_leak_time == pytest.approx(t_cycle / 2, abs=dt)
+
+
+class TestManyIons:
+    """With eta ~ 1/sqrt(N) the bright pair ``{|d..d,1>, |D,0>}`` evolves the
+    same for every ion number, and the symmetric basis keeps it a 2-state block."""
+
+    @pytest.fixture(scope="class")
+    def two_ions(self):
+        return run_rap(ExperimentConfig(n_max=3))
+
+    @pytest.mark.parametrize("n_qubits", [3, 9])
+    def test_symmetric_two_state_block(self, two_ions, n_qubits):
+        res = run_rap(ExperimentConfig(n_qubits=n_qubits, n_max=3))
+        assert res.evolution.symmetric_basis
+        assert res.evolution.block_sizes == (2,)
+        assert res.fidelity == pytest.approx(two_ions.fidelity, abs=1e-8)
+        assert res.bound.value == pytest.approx(two_ions.bound.value, rel=1e-9)
+
+
+class TestCouplingPattern:
+    """The block search's pattern, from the factors, against the dense oracle's
+    per-term structural-zero rule, in the product and the symmetric basis."""
+
+    @staticmethod
+    def dense_pattern(terms):
+        pattern = np.zeros(terms[0].shape, dtype=bool)
+        for s in terms:
+            pattern |= np.abs(s) > propagator.STRUCTURAL_ZERO * np.abs(s).max()
+        np.fill_diagonal(pattern, False)
+        return pattern
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_qubits=st.integers(1, 4), n_max=st.integers(0, 3),
+           weights=st.lists(st.one_of(st.just(0.0), st.just(1e-4), st.floats(0.0, 1.0)),
+                            min_size=4, max_size=4),
+           offsets_khz=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
+           uniform=st.booleans(),
+           comp=st.sampled_from([CompensationMode.none(), CompensationMode.zero_carrier(),
+                                 CompensationMode.effective(0.6, TWO_PI * 40e3)]),
+           sideband=st.sampled_from(list(Sideband)))
+    def test_pattern_matches_dense_terms(self, n_qubits, n_max, weights, offsets_khz,
+                                         uniform, comp, sideband):
+        if uniform:
+            weights, offsets_khz = [weights[0]] * 4, [offsets_khz[0]] * 4
+        cfg = DriveConfig(space=build_space(n_qubits, n_max), eta=ETA, omega_v=OMEGA_V,
+                          pulse=PulseShape(omega_peak=OMEGA_PEAK, sigma=SIGMA),
+                          ion_weights=tuple(weights[:n_qubits]),
+                          ion_detuning_offsets=tuple(o * TWO_PI * 1e3
+                                                     for o in offsets_khz[:n_qubits]),
+                          sideband=sideband, compensation=comp)
+        dense = dense_terms(cfg)
+        assert np.array_equal(propagator._pattern(drive_terms(cfg)),
+                              self.dense_pattern(dense))
+        if uniform:
+            # rounding leaves ~1e-17 entries in both rotations; the cut drops them
+            t_full = np.kron(symmetric_transform(n_qubits), np.eye(cfg.space.n_fock))
+            assert np.array_equal(propagator._pattern(symmetric_terms(cfg)),
+                                  self.dense_pattern([t_full.T @ s @ t_full for s in dense]))
 
 
 class TestRandomizedEquivalence:

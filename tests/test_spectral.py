@@ -23,7 +23,7 @@ from dickesim import (CompensationMode, ContinuityError, DegeneracyError,
 from dickesim.core import symmetric_transform
 from dickesim.drive import TWO_PI, CompensationKind, envelope
 from dickesim.spectral import CHUNK_POINTS, CONTINUITY_MIN, DEGENERACY_REL, AdiabaticFrame
-from oracles import hamiltonian_matrix
+from oracles import dense_terms, hamiltonian_matrix
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
@@ -603,6 +603,44 @@ class TestReducedModelEigenvalues:
         full = np.linalg.eigvalsh(h)
         for value in reduced:
             assert np.min(np.abs(full - value)) <= 1e-12 * np.abs(h).max()
+
+
+def projected_terms(cfg, states):
+    """The former dense projection ``P^T S P`` of the oracle's terms onto the
+    uniform states ``(m up, n quanta)``."""
+    n_qubits, n_fock = cfg.space.n_qubits, cfg.space.n_fock
+    first = np.cumsum([0] + [math.comb(n_qubits, m) for m in range(n_qubits)])
+    uniform = symmetric_transform(n_qubits)[:, first]
+    fock = np.eye(n_fock)
+    proj = np.column_stack([np.kron(uniform[:, m], fock[n]) for m, n in states])
+    return np.stack([proj.T @ s @ proj for s in dense_terms(cfg)])
+
+
+class TestReducedModelProjection:
+    """The reduced model, read off the rotated drive record, against the dense projection."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_qubits=st.integers(1, 4), n_max=st.integers(1, 3),
+           weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+           offsets_khz=st.lists(st.floats(-20.0, 20.0), min_size=4, max_size=4),
+           uniform=st.booleans(),
+           comp=st.sampled_from([CompensationMode.none(), CompensationMode.zero_carrier(),
+                                 CompensationMode.effective(0.6, TWO_PI * 400e3)]))
+    def test_terms_equal_dense_projection(self, n_qubits, n_max, weights, offsets_khz,
+                                          uniform, comp):
+        if uniform:
+            weights, offsets_khz = [weights[0]] * 4, [offsets_khz[0]] * 4
+        pulse = PulseShape(omega_peak=OMEGA_PEAK, sigma=SIGMA,
+                           chirp_start=-TWO_PI * 100e3, chirp_end=TWO_PI * 100e3)
+        cfg = DriveConfig(space=build_space(n_qubits, n_max), eta=ETA, omega_v=OMEGA_V,
+                          pulse=pulse, ion_weights=tuple(weights[:n_qubits]),
+                          ion_detuning_offsets=tuple(TWO_PI * 1e3 * o
+                                                     for o in offsets_khz[:n_qubits]),
+                          compensation=comp)
+        model = reduced_model(cfg)
+        expected = projected_terms(cfg, model.states)
+        for term, ref in zip(model.terms, expected):
+            assert np.abs(term - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestCarrierShiftStructure:
