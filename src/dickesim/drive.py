@@ -222,6 +222,12 @@ class DriveConfig:
     def total_peak_rabi(self) -> float:
         return self.pulse.omega_peak * sum(self.ion_weights)
 
+    @property
+    def carrier_coupled(self) -> bool:
+        """Whether H keeps the sigma_x carrier couplings: all but ZERO_CARRIER sideband drives."""
+        return (self.sideband is Sideband.CARRIER
+                or self.compensation.kind is not CompensationKind.ZERO_CARRIER)
+
 
 @dataclass(frozen=True, eq=False)
 class DriveTerms:
@@ -292,16 +298,12 @@ def drive_terms(cfg: DriveConfig) -> DriveTerms:
 
     h2 = np.zeros((2**n, 2**n))
     sideband = np.zeros((2**n, 2**n))
-    keep_carrier = (
-        cfg.sideband is Sideband.CARRIER
-        or cfg.compensation.kind is not CompensationKind.ZERO_CARRIER
-    )
     for j, w in enumerate(cfg.ion_weights):
         if w == 0.0:
             continue
         down = states[up[:, j] == 0]
         flipped = down | (1 << (n - 1 - j))
-        if keep_carrier:
+        if cfg.carrier_coupled:
             h2[flipped, down] = h2[down, flipped] = w / 2.0
         if cfg.sideband is not Sideband.CARRIER:
             sideband[flipped, down] = w * cfg.eta / 2.0

@@ -13,10 +13,17 @@ factors, ``H(t) = omega_v 1(x)n + sum_k c_k(t) H_k(x)1 + Omega(t) R`` with
   does not depend on time; it is assembled on the block's states and
   diagonalised once per block.
 
-The step defaults to ``0.04 / max_frequency`` (:func:`default_dt`), where
-``max_frequency`` is the largest of the total peak Rabi frequency, the trap
-frequency and the chirp endpoints; a guard rejects any step above
-``0.05 / max_frequency``.  A step of length dt at midpoint t is ``U = A B A`` with
+The step defaults to ``0.04 / max_frequency`` (:func:`default_dt`) and a
+guard rejects any step above ``0.05 / max_frequency``.  ``max_frequency``
+holds only what the split integrates approximately (:func:`max_frequency`):
+the peak coupling, the chirp endpoints, the ion offsets, the envelope rate
+``1/sigma``, and the trap frequency only where carrier and sideband couplings
+coexist.  Without both, an excitation number (``n + up`` red, ``n - up``
+blue, ``n`` carrier) is conserved on every block, so ``omega_v`` times it is
+a multiple of the identity there: a phase every factor takes exactly and
+that commutes with all of them, so it adds nothing to the error, which comes
+from the commutators of the split's pieces (McLachlan & Quispel, Acta
+Numerica 11, 341 (2002)).  A step of length dt at midpoint t is ``U = A B A`` with
 ``A = exp(-i H_F(t) dt / 2)`` and ``B = exp(-i Omega(t) R dt)``.  Every
 factor is an exact exponential, so each step is unitary to machine
 precision and the global error is second order in dt.  ``A`` is complex
@@ -65,7 +72,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import StateVector, symmetric_transform
-from .drive import DriveConfig, DriveTerms, coefficients, drive_terms, symmetric_terms
+from .drive import (DriveConfig, DriveTerms, Sideband, coefficients, drive_terms,
+                    symmetric_terms)
 from .errors import NumericsError, StepSizeError, TruncationLeakError
 
 #: steps per chunk; blocks above 4 states get proportionally fewer, so one
@@ -109,17 +117,45 @@ class EvolutionResult:
 
 
 def default_dt(cfg: DriveConfig) -> float:
-    """The integration step: 0.04 of the fastest period, inside the 0.05 guard."""
-    return 0.04 / max_frequency(cfg)
+    """The integration step: 0.04 / :func:`max_frequency`, inside the 0.05 guard.
+
+    A drive with no frequency the split approximates (no coupling, chirp,
+    offset or envelope) is integrated exactly by one step: ``math.inf``.
+    """
+    frequency = max_frequency(cfg)
+    return 0.04 / frequency if frequency > 0 else math.inf
 
 
 def max_frequency(cfg: DriveConfig) -> float:
-    return max(
-        cfg.total_peak_rabi,
-        cfg.omega_v,
-        abs(cfg.pulse.chirp_start),
-        abs(cfg.pulse.chirp_end),
-    )
+    """The fastest frequency the split integrates approximately (rad/s).
+
+    The largest of :func:`_step_frequencies`.
+    """
+    return max(_step_frequencies(cfg).values())
+
+
+def _step_frequencies(cfg: DriveConfig) -> dict:
+    """The frequencies that bound the step, by what sets them (rad/s).
+
+    The coupling is the total peak Rabi frequency when the drive keeps its
+    carrier couplings and ``eta sqrt(n_max)`` times it for a sideband-only
+    drive.  ``omega_v`` enters only when carrier and sideband couplings
+    coexist: otherwise ``omega_v`` multiplies a conserved excitation number
+    (see the module docstring).  O(N) in the ion number.
+    """
+    pulse = cfg.pulse
+    coupling = cfg.total_peak_rabi
+    if not cfg.carrier_coupled:
+        coupling *= cfg.eta * math.sqrt(cfg.space.n_max)
+    frequencies = {
+        "the peak coupling": coupling,
+        "a chirp endpoint": max(abs(pulse.chirp_start), abs(pulse.chirp_end)),
+        "an ion detuning offset": max(map(abs, cfg.ion_detuning_offsets)),
+        "the envelope rate 1/sigma": 1.0 / pulse.sigma,
+    }
+    if cfg.carrier_coupled and cfg.sideband is not Sideband.CARRIER:
+        frequencies["the trap frequency omega_v"] = cfg.omega_v
+    return frequencies
 
 
 def _connected_components(pattern: np.ndarray):
@@ -321,10 +357,13 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
         raise ValueError(f"dt must be positive, got {dt}")
     n_steps = max(1, math.ceil(duration / dt))
     dt_eff = duration / n_steps
-    if dt_eff * max_frequency(cfg) > 0.05:
+    frequencies = _step_frequencies(cfg)
+    bound = max(frequencies, key=frequencies.get)
+    if dt_eff * frequencies[bound] > 0.05:
         raise StepSizeError(
             f"dt={dt_eff:.3e} s too coarse: dt * max_frequency = "
-            f"{dt_eff * max_frequency(cfg):.3f} > 0.05"
+            f"{dt_eff * frequencies[bound]:.3f} > 0.05, where max_frequency = "
+            f"{frequencies[bound]:.4g} rad/s is {bound}"
         )
 
     # pick the representation with the smallest active sub-problem

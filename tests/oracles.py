@@ -10,8 +10,8 @@ never calls ``drive_terms``, so the dense propagators in the tests check the
 factored record rather than repeat it), small operators and curve
 statistics that only tests need, the per-phase analysis pulse
 (``rotation_matrix``, ``rotate_global``, ``parity``) that the batched
-``parity_curve`` is checked against, and two run helpers only tests use
-(``prepare_fock1``, ``truncation_overlap``).
+``parity_curve`` is checked against, and three run helpers only tests use
+(``prepare_fock1``, ``truncation_overlap``, ``sample_stride``).
 """
 
 import math
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from dickesim import InternalDensityMatrix, StateVector, evolve, make_dicke
+from dickesim import InternalDensityMatrix, StateVector, evolve, make_dicke, propagator
 from dickesim.drive import CompensationKind, DriveConfig, Sideband, envelope
 from dickesim.experiment import ExperimentConfig, _prepare_from
 
@@ -229,3 +229,9 @@ def truncation_overlap(cfg: ExperimentConfig, extra: int = 2) -> float:
         lifted = StateVector(big_space, padded.reshape(-1))
         worst = min(worst, lifted.squared_overlap(large.final_state))
     return worst
+
+
+def sample_stride(cfg: DriveConfig, samples: int = 30) -> int:
+    """``sample_every`` for which a default-step ``evolve`` records ``samples`` states or more."""
+    steps = math.ceil(cfg.pulse.duration / propagator.default_dt(cfg))
+    return max(1, steps // samples)

@@ -20,7 +20,7 @@ from dickesim import (CompensationMode, ExperimentConfig, InternalDensityMatrix,
 from dickesim.drive import TWO_PI
 from dickesim.measurement import parity_closed_form
 from oracles import (count_local_maxima, count_local_minima, excitation_number,
-                     parity, random_density_matrix, rotate_global,
+                     parity, random_density_matrix, rotate_global, sample_stride,
                      threshold_estimate)
 
 OPERATING_POINT = ExperimentConfig()          # 145 kHz, 2 sigma = 244 us, +-100 kHz
@@ -126,8 +126,8 @@ def test_conservation_and_structure_suite():
     t0 = time.perf_counter()
     drive = OPERATING_POINT.rap_drive()
     psi0 = embed(drive.space, "dd", 1)
-    res = evolve(drive, psi0, sample_every=2000)
-    assert res.norm_drift < 1e-9
+    res = evolve(drive, psi0, sample_every=sample_stride(drive))
+    assert res.norm_drift < 1e-9 and len(res.trajectory) > 30
 
     n_e = excitation_number(drive.space)
     excitation = [np.vdot(s.amplitudes, n_e @ s.amplitudes).real
@@ -140,7 +140,9 @@ def test_conservation_and_structure_suite():
     amp[space.index("du", 0)] = 1 / math.sqrt(2)
     amp[space.index("ud", 0)] = -1 / math.sqrt(2)
     dark = StateVector(space, amp)
-    res_dark = evolve(UNCOMPENSATED.rap_drive(), dark, sample_every=5000)
+    dark_drive = UNCOMPENSATED.rap_drive()
+    res_dark = evolve(dark_drive, dark, sample_every=sample_stride(dark_drive))
+    assert len(res_dark.trajectory) > 30
     dark_dev = max(abs(1.0 - dark.squared_overlap(s)) for _, s in res_dark.trajectory)
     assert dark_dev < 1e-8
 

@@ -337,6 +337,16 @@ class TestExitCodes:
                      "simulate"]) == 3
         assert "numerical guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("compensation,bound", [("zero_carrier", "a chirp endpoint"),
+                                                    ("none", "the trap frequency omega_v")])
+    def test_step_refusal_names_its_bound(self, tmp_path, capsys, compensation, bound):
+        cfg = write_config(tmp_path, {"dt_ns": 1e6, "compensation": compensation})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "simulate"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical guard: dt=")
+        assert f"rad/s is {bound}\n" in err
+
     def test_non_unitary_step_is_3(self, tmp_path, capsys, monkeypatch):
         step_factors = propagator._FockSplit.step_factors
 

@@ -12,6 +12,7 @@ matrix-vector product at a time (the reference for the chunk kernel).
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from dickesim import (CompensationMode, DriveConfig, ExperimentConfig, NumericsE
                       run_rap)
 from dickesim import propagator
 from dickesim.core import symmetric_transform
-from dickesim.drive import TWO_PI, drive_terms, symmetric_terms
-from oracles import dense_terms, excitation_number, hamiltonian_matrix, prepare_fock1
+from dickesim.drive import CompensationKind, TWO_PI, drive_terms, symmetric_terms
+from oracles import (dense_terms, excitation_number, hamiltonian_matrix, prepare_fock1,
+                     psi_internal_populations, sample_stride)
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
@@ -34,13 +36,38 @@ ETA = 0.082
 
 
 def rap_drive(compensation=CompensationMode.zero_carrier(), chirp_sign=1,
-              omega_peak=OMEGA_PEAK, sigma=SIGMA, n_max=5):
+              omega_peak=OMEGA_PEAK, sigma=SIGMA, n_max=5, sideband=Sideband.RED):
     chirp = TWO_PI * 100e3 * chirp_sign
     pulse = PulseShape(omega_peak=omega_peak, sigma=sigma,
                        chirp_start=-chirp, chirp_end=+chirp)
     return DriveConfig(space=build_space(2, n_max), eta=ETA, omega_v=OMEGA_V,
-                       pulse=pulse, sideband=Sideband.RED,
+                       pulse=pulse, sideband=sideband,
                        compensation=compensation)
+
+
+COMPENSATIONS = [CompensationMode.none(), CompensationMode.zero_carrier(),
+                 CompensationMode.effective(0.6, TWO_PI * 400e3)]
+DRIVE_KINDS = [(sideband, comp) for sideband in Sideband for comp in COMPENSATIONS]
+
+
+def both_couplings(cfg):
+    """Carrier and sideband couplings coexist: a sideband drive that keeps its carrier."""
+    return (cfg.sideband is not Sideband.CARRIER
+            and cfg.compensation.kind is not CompensationKind.ZERO_CARRIER)
+
+
+def step_rule(cfg):
+    """The frequencies the Fock split integrates approximately, written out."""
+    pulse = cfg.pulse
+    carrier = (cfg.sideband is Sideband.CARRIER
+               or cfg.compensation.kind is not CompensationKind.ZERO_CARRIER)
+    rabi = pulse.omega_peak * sum(cfg.ion_weights)
+    coupling = rabi if carrier else cfg.eta * math.sqrt(cfg.space.n_max) * rabi
+    rates = [coupling, abs(pulse.chirp_start), abs(pulse.chirp_end),
+             max(abs(o) for o in cfg.ion_detuning_offsets), 1.0 / pulse.sigma]
+    if both_couplings(cfg):
+        rates.append(cfg.omega_v)
+    return max(rates)
 
 
 def brute_force_evolve(cfg, psi0, n_steps, duration):
@@ -185,6 +212,75 @@ class TestGuards:
                           pulse=PulseShape.flat(OMEGA_PEAK), sideband=Sideband.BLUE)
         with pytest.raises(ValueError):
             evolve(cfg, embed(space, "d", 0))
+
+
+class TestStepRule:
+    """``max_frequency`` holds only what the split integrates approximately:
+    ``omega_v`` multiplies a conserved excitation number unless carrier and
+    sideband couplings coexist, and is then an exact phase on every block."""
+
+    @pytest.mark.parametrize("sideband,comp", DRIVE_KINDS)
+    def test_trap_frequency_only_with_both_couplings(self, sideband, comp):
+        cfg = rap_drive(comp, sideband=sideband)
+        assert propagator.max_frequency(cfg) == step_rule(cfg)
+        # omega_v is the fastest rate of this drive whenever it counts
+        assert (propagator.max_frequency(cfg) == OMEGA_V) is both_couplings(cfg)
+
+    @pytest.mark.parametrize("sideband", [Sideband.RED, Sideband.BLUE])
+    @pytest.mark.parametrize("comp", [CompensationMode.none(),
+                                      CompensationMode.effective(0.6, TWO_PI * 400e3)])
+    def test_carrier_coupled_sideband_drives_keep_their_step(self, sideband, comp):
+        # the rule before the trap frequency was dropped where it is a phase
+        cfg = rap_drive(comp, sideband=sideband)
+        pulse = cfg.pulse
+        before = max(cfg.total_peak_rabi, cfg.omega_v,
+                     abs(pulse.chirp_start), abs(pulse.chirp_end))
+        assert propagator.max_frequency(cfg) == before
+        assert propagator.default_dt(cfg) == 0.04 / before
+        duration = 2e-6
+        res = evolve(cfg, embed(cfg.space, "dd", 1), duration=duration)
+        assert res.steps == math.ceil(duration / (0.04 / before))
+
+    @pytest.mark.parametrize("sideband,comp", DRIVE_KINDS)
+    def test_guard_at_its_bound(self, sideband, comp):
+        cfg = rap_drive(comp, sideband=sideband)
+        psi0 = embed(cfg.space, "dd", 1)
+        limit = 0.05 / propagator.max_frequency(cfg)
+        # duration = dt makes the effective step the requested one exactly
+        coarse = limit * (1 + 1e-9)
+        with pytest.raises(StepSizeError):
+            evolve(cfg, psi0, dt=coarse, duration=coarse)
+        fine = limit * (1 - 1e-9)
+        assert evolve(cfg, psi0, dt=fine, duration=fine).steps == 1
+
+    @pytest.mark.parametrize("sigma", [SIGMA, math.inf])
+    def test_undriven_zero_carrier_pulse(self, sigma):
+        # nothing but the envelope to resolve: 0.04 sigma for a Gaussian, one
+        # exact step for a flat pulse (default_dt is infinite)
+        pulse = PulseShape(omega_peak=0.0, sigma=sigma)
+        cfg = DriveConfig(space=build_space(2, 3), eta=ETA, omega_v=OMEGA_V, pulse=pulse,
+                          compensation=CompensationMode.zero_carrier())
+        duration = 50e-6 if math.isinf(sigma) else pulse.duration
+        dt = propagator.default_dt(cfg)
+        assert dt == (math.inf if math.isinf(sigma) else pytest.approx(0.04 * sigma))
+        res = evolve(cfg, embed(cfg.space, "dd", 1), duration=duration)
+        assert res.steps == max(1, math.ceil(duration / dt))
+        assert res.steps == (1 if math.isinf(sigma) else 118)
+        # |dd,1> has no up ion: only the phase of omega_v n
+        amplitude = res.final_state.amplitudes[cfg.space.index("dd", 1)]
+        assert amplitude == pytest.approx(np.exp(-1j * OMEGA_V * duration), abs=1e-12)
+
+    @pytest.mark.parametrize("kwargs,offsets,name", [
+        ({"compensation": CompensationMode.none()}, (), "the trap frequency omega_v"),
+        ({}, (), "a chirp endpoint"),
+        ({"omega_peak": TWO_PI * 1e6}, (), "the peak coupling"),
+        ({}, (TWO_PI * 300e3, 0.0), "an ion detuning offset"),
+        ({"sigma": 1e-6}, (), "the envelope rate 1/sigma"),
+    ])
+    def test_refusal_names_the_bound(self, kwargs, offsets, name):
+        cfg = replace(rap_drive(**kwargs), ion_detuning_offsets=offsets)
+        with pytest.raises(StepSizeError, match=f"rad/s is {name}$"):
+            evolve(cfg, embed(cfg.space, "dd", 1), dt=1e-3, duration=1e-3)
 
 
 class TestUnitarityAndConvergence:
@@ -426,7 +522,7 @@ class TestDiagnostics:
         assert res.steps == math.ceil(drive.pulse.duration / propagator.default_dt(drive))
 
     def test_run_rap_dt_override(self):
-        # dt_ns sets the step; the default at this point is 9.1 ns
+        # dt_ns sets the step; the default at this point is 64 ns
         cfg = ExperimentConfig(dt=1e-8)
         duration = cfg.pulse().duration
         res = run_rap(cfg).evolution
@@ -553,6 +649,46 @@ class TestRandomizedEquivalence:
             phi.overlap(psi), abs=1e-12)
 
 
+class TestDefaultStepConvergence:
+    """The default step against one eighth of it, on random short drives at
+    the real frequencies: every drive kind, random weights, offsets, chirp
+    endpoints and initial states."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n_qubits=st.integers(1, 3),
+           n_max=st.integers(1, 3),
+           weights=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+           offsets_khz=st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3),
+           kind=st.sampled_from(DRIVE_KINDS),
+           eta=st.floats(0.02, 0.25),
+           omega_peak_khz=st.floats(50.0, 300.0),
+           chirp_khz=st.lists(st.floats(-200.0, 200.0), min_size=2, max_size=2),
+           sigma_us=st.floats(4.0, 12.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_default_step_converged(self, n_qubits, n_max, weights, offsets_khz, kind,
+                                    eta, omega_peak_khz, chirp_khz, sigma_us, seed):
+        sideband, comp = kind
+        pulse = PulseShape(omega_peak=TWO_PI * 1e3 * omega_peak_khz, sigma=sigma_us * 1e-6,
+                           chirp_start=TWO_PI * 1e3 * chirp_khz[0],
+                           chirp_end=TWO_PI * 1e3 * chirp_khz[1])
+        cfg = DriveConfig(space=build_space(n_qubits, n_max), eta=eta, omega_v=OMEGA_V,
+                          pulse=pulse, ion_weights=tuple(weights[:n_qubits]),
+                          ion_detuning_offsets=tuple(o * TWO_PI * 1e3
+                                                     for o in offsets_khz[:n_qubits]),
+                          sideband=sideband, compensation=comp)
+        rng = np.random.default_rng(seed)
+        amp = rng.normal(size=cfg.space.dim) + 1j * rng.normal(size=cfg.space.dim)
+        psi0 = StateVector(cfg.space, amp / np.linalg.norm(amp))
+        # random states fill the top Fock level; the leak guard is not under test
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagator, "LEAK_LIMIT", math.inf)
+            coarse = evolve(cfg, psi0).final_state
+            fine = evolve(cfg, psi0, dt=propagator.default_dt(cfg) / 8).final_state
+        assert np.linalg.norm(coarse.amplitudes - fine.amplitudes) < 2e-4
+        pops, pops_fine = psi_internal_populations(coarse), psi_internal_populations(fine)
+        assert max(abs(pops[w] - pops_fine[w]) for w in pops) < 1e-5
+
+
 class TestRapOracle:
     def test_transfer_to_bright_state(self):
         # coherent-limit operating point; convergence confirmed at halved dt
@@ -579,7 +715,8 @@ class TestStructuralDynamics:
     def test_excitation_number_conserved(self):
         cfg = rap_drive()
         psi0 = embed(cfg.space, "dd", 1)
-        res = evolve(cfg, psi0, sample_every=2000)
+        res = evolve(cfg, psi0, sample_every=sample_stride(cfg))
+        assert len(res.trajectory) > 30
         n_e = excitation_number(cfg.space)
         values = [np.vdot(s.amplitudes, n_e @ s.amplitudes).real
                   for _, s in res.trajectory]
@@ -594,7 +731,8 @@ class TestStructuralDynamics:
         amp[space.index("du", 0)] = 1 / math.sqrt(2)
         amp[space.index("ud", 0)] = -1 / math.sqrt(2)
         dark = StateVector(space, amp)
-        res = evolve(cfg, dark, sample_every=5000)
+        res = evolve(cfg, dark, sample_every=sample_stride(cfg))
+        assert len(res.trajectory) > 30
         for _, s in res.trajectory:
             assert dark.squared_overlap(s) == pytest.approx(1.0, abs=1e-8)
 
