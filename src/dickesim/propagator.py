@@ -48,16 +48,16 @@ deviation within a chunk, before rescaling: it still measures unitarity.
 
 Two structural reductions keep the cost down without changing the result:
 
-* the coupling pattern of H, built from the boolean patterns of its small
-  factors, is decomposed into connected components and only the components
-  overlapping the initial state are evolved (amplitudes outside them are
-  exactly zero for all time);
-* when all ions are driven identically, the spin factors are first rotated
-  into the permutation-symmetric basis (:func:`dickesim.drive.symmetric_terms`,
+* only the connected components of H's coupling pattern that carry weight
+  of the initial state are evolved (amplitudes outside them are exactly
+  zero for all time); one search finds them, starting from the state's
+  support and stepping along the boolean patterns of H's small factors;
+* identical ions (equal weights and equal offsets, N > 1) always evolve in
+  the permutation-symmetric basis (:func:`dickesim.drive.symmetric_terms`,
   the same idea as the bright/dark reduction of degenerate coupled systems),
   which splits the symmetric sector from the dark ones and shrinks the
-  components further; the state moves in and out of that basis as
-  ``T^T psi`` on its (2**N, n_fock) reshape.
+  components; the state moves in and out of that basis as ``T^T psi`` on
+  its (2**N, n_fock) reshape.
 
 Both are exact basis-level statements about H, not approximations; entries
 of a drive term below 1e-12 of that term's largest entry are treated as
@@ -158,34 +158,17 @@ def _step_frequencies(cfg: DriveConfig) -> dict:
     return frequencies
 
 
-def _connected_components(pattern: np.ndarray):
-    """Components of the symmetric adjacency implied by a boolean matrix."""
-    dim = pattern.shape[0]
-    seen = np.zeros(dim, dtype=bool)
-    components = []
-    for start in range(dim):
-        if seen[start]:
-            continue
-        stack, members = [start], []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            members.append(i)
-            for j in np.flatnonzero(pattern[i]):
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        components.append(np.array(sorted(members)))
-    return components
+def _active_blocks(terms: DriveTerms, psi: np.ndarray):
+    """Sorted index arrays of H's coupling components that carry weight of psi.
 
-
-def _pattern(terms: DriveTerms) -> np.ndarray:
-    """Off-diagonal coupling pattern of H, from the boolean patterns of its factors.
-
-    An entry of a term is a structural zero below 1e-12 of that term's
-    largest entry, so a weak coupling in S2 is not lost next to the large
-    ``omega_v n`` diagonal of S0.  A sideband entry ``J_ss' L_nn'`` is kept
-    when ``|J_ss'|`` times the largest entry of L clears its cut.
+    A stack search from each nonzero entry of psi over the patterns of H's
+    small factors: ``(s, n)`` reaches ``(s', n)`` through the internal terms
+    and ``(s', n')`` through ``J(x)L`` and its transpose.  An entry of a term
+    is a structural zero below 1e-12 of that term's largest entry, so a weak
+    coupling in S2 is not lost next to the large ``omega_v n`` diagonal of
+    S0; a sideband entry ``J_ss' L_nn'`` is kept when ``|J_ss'|`` times the
+    largest entry of L clears its cut.  The blocks are ordered by their first
+    index.
     """
     n_fock = len(terms.ladder)
     largest = np.abs(terms.internal).max(axis=(1, 2))
@@ -197,22 +180,29 @@ def _pattern(terms: DriveTerms) -> np.ndarray:
     internal = np.any(np.abs(terms.internal) > cut[:, None, None], axis=0)
     internal |= internal.T
     sideband = np.abs(terms.sideband) * ladder_max > cut[2]
-    pat = (np.kron(internal, np.eye(n_fock, dtype=bool))
-           | np.kron(sideband, terms.ladder != 0)
-           | np.kron(sideband.T, terms.ladder.T != 0))
-    np.fill_diagonal(pat, False)
-    return pat
-
-
-def _active_blocks(terms: DriveTerms, psi: np.ndarray):
-    """Index arrays of the connected components carrying weight of psi."""
-    blocks = _connected_components(_pattern(terms))
-    active = []
-    for idx in blocks:
-        w = float(np.sum(np.abs(psi[idx]) ** 2))
-        if w > BLOCK_WEIGHT_FLOOR:
-            active.append(idx)
-    return active
+    couplings = ((sideband, terms.ladder != 0), (sideband.T, terms.ladder.T != 0))
+    seen = np.zeros(len(psi), dtype=bool)
+    blocks = []
+    for start in np.flatnonzero(psi):
+        if seen[start]:
+            continue
+        stack, members = [start], []
+        seen[start] = True
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            s, n = divmod(i, n_fock)
+            reached = [internal[s].nonzero()[0] * n_fock + n]
+            reached += [(spin[s].nonzero()[0][:, None] * n_fock
+                         + fock[n].nonzero()[0]).ravel() for spin, fock in couplings]
+            for j in np.concatenate(reached):
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        idx = np.array(sorted(members))
+        if float(np.sum(np.abs(psi[idx]) ** 2)) > BLOCK_WEIGHT_FLOOR:
+            blocks.append(idx)
+    return sorted(blocks, key=lambda idx: idx[0])
 
 
 @dataclass
@@ -366,23 +356,16 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
             f"{frequencies[bound]:.4g} rad/s is {bound}"
         )
 
-    # pick the representation with the smallest active sub-problem
+    # identical ions evolve in the permutation-symmetric basis, which splits the
+    # dark sectors off the symmetric one
     n_fock = cfg.space.n_fock
-    candidates = [(drive_terms(cfg), None)]
+    terms, transform, psi_rep = drive_terms(cfg), None, psi0.amplitudes
     if (cfg.space.n_qubits > 1 and len(set(cfg.ion_weights)) == 1
             and len(set(cfg.ion_detuning_offsets)) == 1):
-        candidates.append((symmetric_terms(cfg), symmetric_transform(cfg.space.n_qubits)))
-    best = None
-    for terms, transform in candidates:
-        psi_rep = (psi0.amplitudes if transform is None
-                   else (transform.T @ psi0.amplitudes.reshape(-1, n_fock)).ravel())
-        blocks = _active_blocks(terms, psi_rep)
-        cost = sum(len(b) ** 3 for b in blocks)
-        if best is None or cost < best[0]:
-            best = (cost, terms, transform, psi_rep, blocks)
-    _, terms, transform, psi_rep, blocks = best
+        terms, transform = symmetric_terms(cfg), symmetric_transform(cfg.space.n_qubits)
+        psi_rep = (transform.T @ psi_rep.reshape(-1, n_fock)).ravel()
 
-    splits = [_fock_split(terms, idx, n_fock) for idx in blocks]
+    splits = [_fock_split(terms, idx, n_fock) for idx in _active_blocks(terms, psi_rep)]
     psis = [psi_rep[split.idx].astype(complex) for split in splits]
     leak_masks = [(split.idx % n_fock) == cfg.space.n_max for split in splits]
 

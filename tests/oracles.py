@@ -10,8 +10,10 @@ never calls ``drive_terms``, so the dense propagators in the tests check the
 factored record rather than repeat it), small operators and curve
 statistics that only tests need, the per-phase analysis pulse
 (``rotation_matrix``, ``rotate_global``, ``parity``) that the batched
-``parity_curve`` is checked against, and three run helpers only tests use
-(``prepare_fock1``, ``truncation_overlap``, ``sample_stride``).
+``parity_curve`` is checked against, the components of a dense coupling
+pattern (``connected_components``) that the propagator's block search is
+checked against, and three run helpers only tests use (``prepare_fock1``,
+``truncation_overlap``, ``sample_stride``).
 """
 
 import math
@@ -142,6 +144,28 @@ def hamiltonian_matrix(cfg: DriveConfig, t: float) -> np.ndarray:
     om = envelope(cfg.pulse, t)
     dc = cfg.carrier_detuning(t)
     return s0 - dc * s1 + om * s2 + om * om * s3
+
+
+def connected_components(pattern: np.ndarray):
+    """Components of the symmetric adjacency implied by a boolean matrix,
+    each sorted and ordered by its first index."""
+    dim = pattern.shape[0]
+    seen = np.zeros(dim, dtype=bool)
+    components = []
+    for start in range(dim):
+        if seen[start]:
+            continue
+        stack, members = [start], []
+        seen[start] = True
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            for j in np.flatnonzero(pattern[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        components.append(np.array(sorted(members)))
+    return components
 
 
 def random_density_matrix(rng, dim=4):

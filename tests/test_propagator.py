@@ -26,8 +26,9 @@ from dickesim import (CompensationMode, DriveConfig, ExperimentConfig, NumericsE
 from dickesim import propagator
 from dickesim.core import symmetric_transform
 from dickesim.drive import CompensationKind, TWO_PI, drive_terms, symmetric_terms
-from oracles import (dense_terms, excitation_number, hamiltonian_matrix, prepare_fock1,
-                     psi_internal_populations, sample_stride)
+from oracles import (connected_components, dense_terms, excitation_number,
+                     hamiltonian_matrix, prepare_fock1, psi_internal_populations,
+                     sample_stride)
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
@@ -558,17 +559,36 @@ class TestManyIons:
         assert res.bound.value == pytest.approx(two_ions.bound.value, rel=1e-9)
 
 
-class TestCouplingPattern:
-    """The block search's pattern, from the factors, against the dense oracle's
-    per-term structural-zero rule, in the product and the symmetric basis."""
+def dense_pattern(terms):
+    """Off-diagonal coupling pattern of dense terms, each cut at 1e-12 of its largest entry."""
+    pattern = np.zeros(terms[0].shape, dtype=bool)
+    for s in terms:
+        pattern |= np.abs(s) > propagator.STRUCTURAL_ZERO * np.abs(s).max()
+    np.fill_diagonal(pattern, False)
+    return pattern
 
-    @staticmethod
-    def dense_pattern(terms):
-        pattern = np.zeros(terms[0].shape, dtype=bool)
-        for s in terms:
-            pattern |= np.abs(s) > propagator.STRUCTURAL_ZERO * np.abs(s).max()
-        np.fill_diagonal(pattern, False)
-        return pattern
+
+def weighted_components(terms, psi):
+    """The components of the dense pattern that carry weight of psi."""
+    return [c for c in connected_components(dense_pattern(terms))
+            if np.sum(np.abs(psi[c]) ** 2) > propagator.BLOCK_WEIGHT_FLOOR]
+
+
+def sparse_state(space, entries, seed, last=1.0):
+    """Random normalized amplitudes on ``entries`` random basis states, the
+    last of them scaled by ``last`` before normalizing."""
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(space.dim, size=min(entries, space.dim), replace=False)
+    amp = np.zeros(space.dim, dtype=complex)
+    amp[idx] = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+    amp[idx[-1]] *= last
+    return amp / np.linalg.norm(amp)
+
+
+class TestBlockSearch:
+    """The block search from the state's support on the factors, against the
+    components of the dense oracle's per-term structural-zero pattern that
+    carry weight of the state, in the product and the symmetric basis."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n_qubits=st.integers(1, 4), n_max=st.integers(0, 3),
@@ -578,9 +598,12 @@ class TestCouplingPattern:
            uniform=st.booleans(),
            comp=st.sampled_from([CompensationMode.none(), CompensationMode.zero_carrier(),
                                  CompensationMode.effective(0.6, TWO_PI * 40e3)]),
-           sideband=st.sampled_from(list(Sideband)))
-    def test_pattern_matches_dense_terms(self, n_qubits, n_max, weights, offsets_khz,
-                                         uniform, comp, sideband):
+           sideband=st.sampled_from(list(Sideband)),
+           entries=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           last=st.sampled_from([1.0, 1e-11]))
+    def test_blocks_are_the_weighted_dense_components(self, n_qubits, n_max, weights,
+                                                      offsets_khz, uniform, comp, sideband,
+                                                      entries, seed, last):
         if uniform:
             weights, offsets_khz = [weights[0]] * 4, [offsets_khz[0]] * 4
         cfg = DriveConfig(space=build_space(n_qubits, n_max), eta=ETA, omega_v=OMEGA_V,
@@ -589,14 +612,51 @@ class TestCouplingPattern:
                           ion_detuning_offsets=tuple(o * TWO_PI * 1e3
                                                      for o in offsets_khz[:n_qubits]),
                           sideband=sideband, compensation=comp)
+        # an entry of weight ~1e-22 alone in its component falls under the floor
+        psi = sparse_state(cfg.space, entries, seed, last)
         dense = dense_terms(cfg)
-        assert np.array_equal(propagator._pattern(drive_terms(cfg)),
-                              self.dense_pattern(dense))
+        blocks = propagator._active_blocks(drive_terms(cfg), psi)
+        assert [b.tolist() for b in blocks] == [c.tolist()
+                                                for c in weighted_components(dense, psi)]
         if uniform:
             # rounding leaves ~1e-17 entries in both rotations; the cut drops them
             t_full = np.kron(symmetric_transform(n_qubits), np.eye(cfg.space.n_fock))
-            assert np.array_equal(propagator._pattern(symmetric_terms(cfg)),
-                                  self.dense_pattern([t_full.T @ s @ t_full for s in dense]))
+            psi_sym = t_full.T @ psi
+            blocks = propagator._active_blocks(symmetric_terms(cfg), psi_sym)
+            rotated = [t_full.T @ s @ t_full for s in dense]
+            assert [b.tolist() for b in blocks] == [
+                c.tolist() for c in weighted_components(rotated, psi_sym)]
+
+
+class TestBasisRule:
+    """Identical ions always evolve in the symmetric basis, and on every drive
+    that couples its blocks cost no more (sum of cubed sizes) than the weighted
+    components of the product basis: choosing the basis by the ions alone never
+    picks the costlier one."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_qubits=st.integers(2, 4), n_max=st.integers(1, 3),
+           weight=st.one_of(st.just(1e-4), st.floats(0.05, 1.0)),
+           offset_khz=st.floats(-5.0, 5.0),
+           comp=st.sampled_from([CompensationMode.none(), CompensationMode.zero_carrier(),
+                                 CompensationMode.effective(0.6, TWO_PI * 40e3)]),
+           sideband=st.sampled_from(list(Sideband)),
+           entries=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_symmetric_basis_never_costlier(self, n_qubits, n_max, weight, offset_khz,
+                                            comp, sideband, entries, seed):
+        cfg = DriveConfig(space=build_space(n_qubits, n_max), eta=ETA, omega_v=OMEGA_V,
+                          pulse=PulseShape(omega_peak=OMEGA_PEAK, sigma=SIGMA),
+                          ion_weights=(weight,) * n_qubits,
+                          ion_detuning_offsets=(offset_khz * TWO_PI * 1e3,) * n_qubits,
+                          sideband=sideband, compensation=comp)
+        psi = sparse_state(cfg.space, entries, seed)
+        # random states may sit at the top Fock level; the leak guard is not under test
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagator, "LEAK_LIMIT", math.inf)
+            res = evolve(cfg, StateVector(cfg.space, psi), duration=1e-9)
+        product = weighted_components(dense_terms(cfg), psi)
+        assert res.symmetric_basis
+        assert sum(m**3 for m in res.block_sizes) <= sum(len(c)**3 for c in product)
 
 
 class TestRandomizedEquivalence:
@@ -650,9 +710,24 @@ class TestRandomizedEquivalence:
 
 
 class TestDefaultStepConvergence:
-    """The default step against one eighth of it, on random short drives at
-    the real frequencies: every drive kind, random weights, offsets, chirp
-    endpoints and initial states."""
+    """The default step against one eighth of it, on random drives at the real
+    frequencies from random initial states: short drives of every kind with
+    random weights, offsets and chirp endpoints, and long sideband-only drives
+    whose coupling sets the step."""
+
+    @staticmethod
+    def assert_converged(cfg, seed):
+        rng = np.random.default_rng(seed)
+        amp = rng.normal(size=cfg.space.dim) + 1j * rng.normal(size=cfg.space.dim)
+        psi0 = StateVector(cfg.space, amp / np.linalg.norm(amp))
+        # random states fill the top Fock level; the leak guard is not under test
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagator, "LEAK_LIMIT", math.inf)
+            coarse = evolve(cfg, psi0).final_state
+            fine = evolve(cfg, psi0, dt=propagator.default_dt(cfg) / 8).final_state
+        assert np.linalg.norm(coarse.amplitudes - fine.amplitudes) < 2e-4
+        pops, pops_fine = psi_internal_populations(coarse), psi_internal_populations(fine)
+        assert max(abs(pops[w] - pops_fine[w]) for w in pops) < 1e-5
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(n_qubits=st.integers(1, 3),
@@ -676,17 +751,35 @@ class TestDefaultStepConvergence:
                           ion_detuning_offsets=tuple(o * TWO_PI * 1e3
                                                      for o in offsets_khz[:n_qubits]),
                           sideband=sideband, compensation=comp)
-        rng = np.random.default_rng(seed)
-        amp = rng.normal(size=cfg.space.dim) + 1j * rng.normal(size=cfg.space.dim)
-        psi0 = StateVector(cfg.space, amp / np.linalg.norm(amp))
-        # random states fill the top Fock level; the leak guard is not under test
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(propagator, "LEAK_LIMIT", math.inf)
-            coarse = evolve(cfg, psi0).final_state
-            fine = evolve(cfg, psi0, dt=propagator.default_dt(cfg) / 8).final_state
-        assert np.linalg.norm(coarse.amplitudes - fine.amplitudes) < 2e-4
-        pops, pops_fine = psi_internal_populations(coarse), psi_internal_populations(fine)
-        assert max(abs(pops[w] - pops_fine[w]) for w in pops) < 1e-5
+        self.assert_converged(cfg, seed)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(n_qubits=st.integers(1, 3),
+           n_max=st.integers(2, 3),
+           weights=st.lists(st.floats(0.8, 1.0), min_size=3, max_size=3),
+           offsets_khz=st.lists(st.floats(4.0, 12.0), min_size=3, max_size=3),
+           signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3),
+           sideband=st.sampled_from([Sideband.RED, Sideband.BLUE]),
+           eta=st.floats(0.15, 0.25),
+           omega_peak_khz=st.floats(200.0, 300.0),
+           sigma_us=st.floats(20.0, 30.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_coupling_bound_step_converged(self, n_qubits, n_max, weights, offsets_khz,
+                                           signs, sideband, eta, omega_peak_khz, sigma_us,
+                                           seed):
+        # Chirp-free sideband-only drives conserve n + up (red) or n - up (blue)
+        # in H_F, which then commutes with the coupling, so the split would be
+        # exact up to the envelope's quadrature; the ion offsets break that
+        # while staying well below the coupling, which sets the step.
+        pulse = PulseShape(omega_peak=TWO_PI * 1e3 * omega_peak_khz, sigma=sigma_us * 1e-6)
+        offsets = tuple(TWO_PI * 1e3 * o * sign for o, sign in zip(offsets_khz, signs))
+        cfg = DriveConfig(space=build_space(n_qubits, n_max), eta=eta, omega_v=OMEGA_V,
+                          pulse=pulse, ion_weights=tuple(weights[:n_qubits]),
+                          ion_detuning_offsets=offsets[:n_qubits], sideband=sideband,
+                          compensation=CompensationMode.zero_carrier())
+        frequencies = propagator._step_frequencies(cfg)
+        assert max(frequencies, key=frequencies.get) == "the peak coupling"
+        self.assert_converged(cfg, seed)
 
 
 class TestRapOracle:
