@@ -15,15 +15,22 @@ factors, ``H(t) = omega_v 1(x)n + sum_k c_k(t) H_k(x)1 + Omega(t) R`` with
 
 The step defaults to ``0.04 / max_frequency`` (:func:`default_dt`) and a
 guard rejects any step above ``0.05 / max_frequency``.  ``max_frequency``
-holds only what the split integrates approximately (:func:`max_frequency`):
-the peak coupling, the chirp endpoints, the ion offsets, the envelope rate
-``1/sigma``, and the trap frequency only where carrier and sideband couplings
-coexist.  Without both, an excitation number (``n + up`` red, ``n - up``
-blue, ``n`` carrier) is conserved on every block, so ``omega_v`` times it is
-a multiple of the identity there: a phase every factor takes exactly and
-that commutes with all of them, so it adds nothing to the error, which comes
-from the commutators of the split's pieces (McLachlan & Quispel, Acta
-Numerica 11, 341 (2002)).  A step of length dt at midpoint t is ``U = A B A`` with
+holds what the split integrates approximately (:func:`max_frequency`): the
+peak coupling, the chirp endpoints, the ion offsets and the envelope rate
+``1/sigma``.  The trap frequency is not such a rate.  The split's error comes
+from the commutators of its pieces (McLachlan & Quispel, Acta Numerica 11,
+341 (2002)), and ``omega_v`` multiplies an excitation number (``n + up``
+red, ``n - up`` blue, ``n`` carrier) that commutes with R.  Without carrier
+couplings that number is conserved on every block, so ``omega_v`` times it
+is an exact phase that commutes with every factor.  With both couplings the
+carrier does not conserve it; ``omega_v`` then reaches the error only through
+the carrier's rotation at ``omega_v`` between the split's samples, which
+leaves the error flat in ``omega_v`` until ``omega_v dt`` nears the aliasing
+resonance ``2 pi``.  For those drives ``omega_v / 2pi`` enters
+``max_frequency`` as a margin, so the default step covers at most 1/25 of a
+trap period.
+
+A step of length dt at midpoint t is ``U = A B A`` with
 ``A = exp(-i H_F(t) dt / 2)`` and ``B = exp(-i Omega(t) R dt)``.  Every
 factor is an exact exponential, so each step is unitary to machine
 precision and the global error is second order in dt.  ``A`` is complex
@@ -72,8 +79,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import StateVector, symmetric_transform
-from .drive import (DriveConfig, DriveTerms, Sideband, coefficients, drive_terms,
-                    symmetric_terms)
+from .drive import (TWO_PI, DriveConfig, DriveTerms, Sideband, coefficients,
+                    drive_terms, symmetric_terms)
 from .errors import NumericsError, StepSizeError, TruncationLeakError
 
 #: steps per chunk; blocks above 4 states get proportionally fewer, so one
@@ -139,9 +146,12 @@ def _step_frequencies(cfg: DriveConfig) -> dict:
 
     The coupling is the total peak Rabi frequency when the drive keeps its
     carrier couplings and ``eta sqrt(n_max)`` times it for a sideband-only
-    drive.  ``omega_v`` enters only when carrier and sideband couplings
-    coexist: otherwise ``omega_v`` multiplies a conserved excitation number
-    (see the module docstring).  O(N) in the ion number.
+    drive.  The trap frequency is not a rate the split resolves (see the
+    module docstring).  It enters as ``omega_v / 2pi``, a margin against the
+    aliasing resonance ``omega_v dt = 2pi``, and only where carrier and
+    sideband couplings coexist: the default step then covers at most 1/25 of a
+    trap period (``omega_v dt <= 0.25``, ``<= 0.31`` at the guard).  O(N) in
+    the ion number.
     """
     pulse = cfg.pulse
     coupling = cfg.total_peak_rabi
@@ -154,7 +164,7 @@ def _step_frequencies(cfg: DriveConfig) -> dict:
         "the envelope rate 1/sigma": 1.0 / pulse.sigma,
     }
     if cfg.carrier_coupled and cfg.sideband is not Sideband.CARRIER:
-        frequencies["the trap frequency omega_v"] = cfg.omega_v
+        frequencies["the trap-period margin omega_v / 2pi"] = cfg.omega_v / TWO_PI
     return frequencies
 
 

@@ -337,10 +337,16 @@ class TestExitCodes:
                      "simulate"]) == 3
         assert "numerical guard" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("compensation,bound", [("zero_carrier", "a chirp endpoint"),
-                                                    ("none", "the trap frequency omega_v")])
-    def test_step_refusal_names_its_bound(self, tmp_path, capsys, compensation, bound):
-        cfg = write_config(tmp_path, {"dt_ns": 1e6, "compensation": compensation})
+    @pytest.mark.parametrize("compensation,overrides,bound", [
+        ("zero_carrier", {}, "a chirp endpoint"),
+        # weak, nearly chirp-free and long: the trap margin sets the step
+        ("none", {"omega_peak_khz": 2, "sigma_us": 100, "chirp_khz": 1},
+         "the trap-period margin omega_v / 2pi"),
+    ], ids=["zero_carrier", "none"])
+    def test_step_refusal_names_its_bound(self, tmp_path, capsys, compensation, overrides,
+                                          bound):
+        cfg = write_config(tmp_path, {"dt_ns": 1e6, "compensation": compensation,
+                                      **overrides})
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "simulate"]) == 3
         err = capsys.readouterr().err
