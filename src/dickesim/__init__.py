@@ -21,10 +21,10 @@ from .errors import (ConfigError, ContinuityError, DegeneracyError,
                      NumericsError, ResourceGuardError, StepSizeError,
                      TruncationLeakError)
 from .experiment import (ExperimentConfig, PrepMode, RapResult, SweepResult,
-                         dicke_fidelity, potentials_report, run_rap, sweep)
+                         potentials_report, run_rap, sweep)
 from .measurement import (InternalDensityMatrix, ParityCurve, ParityFit,
-                          fit_parity, parity_curve, simulate_histogram,
-                          trace_out_motion)
+                          dicke_fidelity, fit_parity, parity_curve,
+                          simulate_histogram, trace_out_motion)
 from .propagator import EvolutionResult, evolve
 from .spectral import (AdiabaticFrame, DiabaticBound, ReducedModel,
                        adiabatic_spectrum, diabatic_bound,

@@ -4,14 +4,15 @@ Config files use explicit unit suffixes (``omega_peak_khz``, ``sigma_us``);
 unknown keys are rejected.  One table, ``_SCHEMA``, gives each plain key its
 :class:`ExperimentConfig` field, unit and rule; :func:`parse_config` and
 :func:`resolved_snapshot` both read it.  A key missing from the file is not
-passed on, so the library's dataclasses hold every default, and a config is
-accepted only if every object a run builds from it can be built.
-Frequencies in emitted data are ordinary Hz,
-times are seconds.  Stdout carries data only (the result JSON for
-``simulate``, the run manifest for the file-emitting subcommands);
-diagnostics go to stderr.  Exit codes: 0 success, 2 configuration error
-(:class:`ConfigError`), 3 numerical-guard error or any other ``ValueError``
-raised after the configuration was accepted.
+passed on: :class:`ExperimentConfig` holds every default and resolves and
+checks the config at construction, and the manifest reads it back.  Each
+subcommand returns the data files it wrote; :func:`main` writes the one
+``manifest.json``.  Frequencies in emitted data are ordinary Hz, times are
+seconds.  Stdout carries data only (the result JSON for ``simulate``, the
+run manifest for the other subcommands); diagnostics go to stderr.  Exit
+codes: 0 success, 2 configuration error (:class:`ConfigError`), 3
+numerical-guard error, exhausted memory, or any other ``ValueError`` raised
+after the configuration was accepted.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ def _in_units(value, unit):
 def parse_config(path) -> ExperimentConfig:
     """Load and strictly validate a JSON config file.
 
-    The config is accepted only if every object a run builds from it can be
-    built: the drives, the Hilbert space and the thermal components.
+    The config is accepted only if :class:`ExperimentConfig` accepts it, which
+    builds the Hilbert space, the drives and the thermal components.
     """
     path = Path(path)
     if not path.exists():
@@ -176,14 +177,9 @@ def parse_config(path) -> ExperimentConfig:
     try:
         fields["compensation"] = CompensationMode(
             kind, **(compensation if kind is CompensationKind.EFFECTIVE else {}))
-        cfg = ExperimentConfig(**fields)
-        cfg.space()          # dimension cap
-        cfg.rap_drive()      # eta window, weight lengths, ...
-        cfg.prep_stages()    # prep weight lengths and range
-        cfg.thermal_components()   # nbar > 0 needs room below the guard level
+        return ExperimentConfig(**fields)
     except (ValueError, ResourceGuardError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    return cfg
 
 
 def resolved_snapshot(cfg: ExperimentConfig) -> dict:
@@ -192,11 +188,8 @@ def resolved_snapshot(cfg: ExperimentConfig) -> dict:
                 for key, name, unit, _ in _SCHEMA}
     snapshot.update({key: _in_units(getattr(cfg.compensation, name), unit)
                      for key, name, unit, _ in _COMPENSATION})
-    drive = cfg.rap_drive()
     snapshot.update(
-        eta=drive.eta,
-        ion_weights=list(drive.ion_weights),
-        ion_offsets_khz=_in_units(drive.ion_detuning_offsets, _KHZ),
+        eta=cfg.resolved_eta(),
         chirp_khz=cfg.chirp_end / _KHZ,
         compensation=cfg.compensation.kind.value,
         prep=cfg.prep.value,
@@ -241,7 +234,7 @@ def write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig,
 # subcommands
 # ----------------------------------------------------------------------
 
-def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path):
+def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path, args) -> list:
     res = run_rap(cfg)
     bound = (None if res.bound is None
              else {"value": res.bound.value, "time_s": res.bound.time})
@@ -253,13 +246,12 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path):
     }
     if cfg.n_qubits == 2:
         payload["diag_sum"], payload["offdiag"] = fidelity_decomposition(res.rho)
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    (out_dir / "simulate.json").write_text(text + "\n")
-    write_manifest(out_dir, "simulate", cfg, [out_dir / "simulate.json"])
-    print(text)
+    path = out_dir / "simulate.json"
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return [path]
 
 
-def _cmd_potentials(cfg: ExperimentConfig, out_dir: Path):
+def _cmd_potentials(cfg: ExperimentConfig, out_dir: Path, args) -> list:
     report = potentials_report(cfg)
     rows = []
     for name in ("none", "zero_carrier"):
@@ -270,15 +262,14 @@ def _cmd_potentials(cfg: ExperimentConfig, out_dir: Path):
     path = out_dir / "potentials.csv"
     _write_csv(path, ["t_s", "eps_0", "eps_1", "eps_2", "eps_3", "eps_4",
                       "alpha_over_omega_sq", "variant"], rows)
-    manifest = write_manifest(out_dir, "potentials", cfg, [path])
-    print(manifest.read_text(), end="")
+    return [path]
 
 
-def _cmd_parity(cfg: ExperimentConfig, out_dir: Path, ideal: bool):
+def _cmd_parity(cfg: ExperimentConfig, out_dir: Path, args) -> list:
     if cfg.n_qubits != 2:
         raise ConfigError(
             f"parity is defined for two ions; the config has n_qubits={cfg.n_qubits}")
-    rho = trace_out_motion(make_dicke(2, 1)) if ideal else run_rap(cfg).rho
+    rho = trace_out_motion(make_dicke(2, 1)) if args.ideal else run_rap(cfg).rho
     curve = parity_curve(rho, np.linspace(0.0, math.pi, cfg.n_phases, endpoint=False))
     pops = np.clip(curve.populations, 0.0, None)
     counts = np.random.default_rng(cfg.seed).multinomial(
@@ -293,11 +284,10 @@ def _cmd_parity(cfg: ExperimentConfig, out_dir: Path, ideal: bool):
         "cos_amp": fit.cos_amp, "offset": fit.offset,
         "residual_rms": fit.residual_rms, "sin_amp": fit.sin_amp,
     }, sort_keys=True, indent=2) + "\n")
-    manifest = write_manifest(out_dir, "parity", cfg, [path, fit_path])
-    print(manifest.read_text(), end="")
+    return [path, fit_path]
 
 
-def _cmd_histogram(cfg: ExperimentConfig, out_dir: Path):
+def _cmd_histogram(cfg: ExperimentConfig, out_dir: Path, args) -> list:
     classes = np.zeros(cfg.n_qubits + 1)
     for word, p in run_rap(cfg).populations.items():
         classes[word.count("u")] += p
@@ -305,15 +295,14 @@ def _cmd_histogram(cfg: ExperimentConfig, out_dir: Path):
     rows = [(int(c), int(f)) for c, f in enumerate(hist)]
     path = out_dir / "histogram.csv"
     _write_csv(path, ["counts", "frequency"], rows)
-    manifest = write_manifest(out_dir, "histogram", cfg, [path])
-    print(manifest.read_text(), end="")
+    return [path]
 
 
-def _cmd_sweep(cfg: ExperimentConfig, out_dir: Path, axis: str, points: int):
-    result = sweep(cfg, axis, default_sweep_values(cfg, axis, points))
+def _cmd_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> list:
+    result = sweep(cfg, args.axis, default_sweep_values(cfg, args.axis, args.points))
     rows = []
     for k, value in enumerate(result.values):
-        axis_value = value if axis == "width" else value / TWO_PI
+        axis_value = value if args.axis == "width" else value / TWO_PI
         rows.append((float(axis_value), float(result.fidelity[k]),
                      float(result.diag_sum[k]), float(result.offdiag[k]),
                      float(result.bound[k])))
@@ -323,8 +312,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir: Path, axis: str, points: int):
     if result.partial:
         failed = [f"{v:.6g}: {e}" for v, e in zip(result.values, result.errors) if e]
         print("partial sweep; failed points:\n  " + "\n  ".join(failed), file=sys.stderr)
-    manifest = write_manifest(out_dir, "sweep", cfg, [path])
-    print(manifest.read_text(), end="")
+    return [path]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,15 +323,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", help="final populations, fidelity, diabatic bound")
-    sub.add_parser("potentials", help="adiabatic energies and |alpha/omega|^2")
+    sub.add_parser("simulate", help="final populations, fidelity, diabatic bound"
+                   ).set_defaults(run=_cmd_simulate)
+    sub.add_parser("potentials", help="adiabatic energies and |alpha/omega|^2"
+                   ).set_defaults(run=_cmd_potentials)
     p_parity = sub.add_parser("parity", help="parity versus analysis phase")
     p_parity.add_argument("--ideal", action="store_true",
                           help="use the ideal target state instead of simulating")
-    sub.add_parser("histogram", help="simulated fluorescence histogram")
+    p_parity.set_defaults(run=_cmd_parity)
+    sub.add_parser("histogram", help="simulated fluorescence histogram"
+                   ).set_defaults(run=_cmd_histogram)
     p_sweep = sub.add_parser("sweep", help="fidelity across a pulse parameter")
     p_sweep.add_argument("--axis", choices=("width", "peak"), required=True)
     p_sweep.add_argument("--points", type=int, default=15)
+    p_sweep.set_defaults(run=_cmd_sweep)
     return parser
 
 
@@ -357,16 +350,9 @@ def main(argv=None) -> int:
             _count("--points", args.points, 1)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "simulate":
-            _cmd_simulate(cfg, out_dir)
-        elif args.command == "potentials":
-            _cmd_potentials(cfg, out_dir)
-        elif args.command == "parity":
-            _cmd_parity(cfg, out_dir, args.ideal)
-        elif args.command == "histogram":
-            _cmd_histogram(cfg, out_dir)
-        elif args.command == "sweep":
-            _cmd_sweep(cfg, out_dir, args.axis, args.points)
+        files = args.run(cfg, out_dir, args)
+        manifest = write_manifest(out_dir, args.command, cfg, files)
+        print((files[0] if args.command == "simulate" else manifest).read_text(), end="")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -375,6 +361,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print("out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 3
     return 0
 

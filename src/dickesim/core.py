@@ -53,10 +53,6 @@ class BasisState:
         if self.fock_n < 0:
             raise ValueError(f"fock_n must be nonnegative, got {self.fock_n}")
 
-    @property
-    def n_up(self) -> int:
-        return self.spins.count(SPIN_UP)
-
 
 @dataclass(frozen=True)
 class HilbertSpace:

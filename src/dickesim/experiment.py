@@ -8,8 +8,8 @@ drive layer.  The default operating point: peak carrier Rabi frequency
 
 Every ion number takes the same path: one reduced density matrix of the
 final state (averaged over the thermal components) gives the populations and
-the fidelity :func:`dicke_fidelity`, and the diabatic bound (like the two-ion
-potentials report) reads the adiabatic frame of
+the fidelity :func:`dickesim.measurement.dicke_fidelity`, and the diabatic
+bound (like the two-ion potentials report) reads the adiabatic frame of
 :func:`dickesim.spectral.reduced_model`.
 """
 
@@ -21,16 +21,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (HilbertSpace, StateVector, build_space, embed, make_dicke)
+from .core import HilbertSpace, StateVector, build_space, embed
 from .drive import (DEFAULT_DURATION_FACTOR, CompensationMode, DriveConfig,
                     PulseShape, Sideband, TWO_PI, derive_eta)
 from .errors import (ConfigError, ContinuityError, DegeneracyError, NumericsError,
                      ResourceGuardError)
-from .measurement import (InternalDensityMatrix, fidelity_decomposition,
-                          trace_out_motion)
+from .measurement import (InternalDensityMatrix, dicke_fidelity,
+                          fidelity_decomposition, trace_out_motion)
 from .propagator import EvolutionResult, evolve
 from .spectral import (DEFAULT_GRID_POINTS, DiabaticBound, adiabatic_spectrum,
-                       diabatic_bound, nonadiabatic_coupling, reduced_model,
+                       diabatic_bound, diabatic_ratio, reduced_model,
                        spectrum_with_refinement)
 
 DEFAULT_OMEGA_PEAK = TWO_PI * 145e3
@@ -53,7 +53,14 @@ class PrepMode(enum.Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved parameters for one experiment."""
+    """Parameters for one experiment, resolved and checked at construction.
+
+    Empty per-ion lists become ion weights 1, prep weights ``(1, 0, ...)``
+    and offsets 0, and the space, drives and thermal components are built
+    once, so a config no run can use cannot be constructed.  ``eta=None``
+    and ``dt=None`` stay lazy, so a ``replace`` of ``omega_v`` derives eta
+    anew; ``replace(cfg, n_qubits=k)`` is refused unless it gives the lists.
+    """
 
     n_qubits: int = 2
     n_max: int = 5
@@ -79,6 +86,45 @@ class ExperimentConfig:
     nbar: float = 0.0
     dt: float | None = None
 
+    def __post_init__(self):
+        space = build_space(self.n_qubits, self.n_max)
+        n = self.n_qubits
+        # field, the config key a refusal names, and the value when left out
+        for name, key, default in (
+                ("ion_weights", "ion_weights", (1.0,) * n),
+                ("ion_detuning_offsets", "ion_offsets_khz", (0.0,) * n),
+                ("prep_weights", "prep_weights", (1.0,) + (0.0,) * (n - 1)),
+                ("prep_detuning_offsets", "prep_offsets_khz", (0.0,) * n)):
+            values = tuple(getattr(self, name)) or default
+            if len(values) != n:
+                raise ValueError(f"{key} has {len(values)} entries for {n} ions")
+            if name.endswith("weights") and any(not 0.0 <= w <= 1.0 for w in values):
+                raise ValueError(f"{key} must lie in [0, 1], got {values}")
+            object.__setattr__(self, name, values)
+
+        eta = self.resolved_eta()
+        rap = DriveConfig(space=space, eta=eta, omega_v=self.omega_v, pulse=self.pulse(),
+                          ion_weights=self.ion_weights,
+                          ion_detuning_offsets=self.ion_detuning_offsets,
+                          sideband=Sideband.RED, compensation=self.compensation)
+        # preparation: an addressed blue-sideband pi pulse, then a carrier pi
+        # pulse, on flat envelopes so that the pi durations pi/(eta Omega) (the
+        # n = 0 -> 1 element) and pi/Omega are exact; the sideband stage drops
+        # its carrier coupling, and crosstalk enters through the prep lists
+        flat = dict(space=space, eta=eta, omega_v=self.omega_v,
+                    pulse=PulseShape.flat(self.omega_peak), ion_weights=self.prep_weights,
+                    ion_detuning_offsets=self.prep_detuning_offsets)
+        bsb = DriveConfig(**flat, sideband=Sideband.BLUE,
+                          compensation=CompensationMode.zero_carrier())
+        carrier = DriveConfig(**flat, sideband=Sideband.CARRIER,
+                              compensation=CompensationMode.none())
+        # without a drive the pi pulses never end, and evolve refuses to run them
+        prep = ((bsb, math.pi / (eta * self.omega_peak) if self.omega_peak else math.inf),
+                (carrier, math.pi / self.omega_peak if self.omega_peak else math.inf))
+        for name, value in (("_space", space), ("_rap_drive", rap), ("_prep_stages", prep),
+                            ("_thermal", _thermal_components(self.nbar, self.n_max))):
+            object.__setattr__(self, name, value)
+
     def resolved_eta(self) -> float:
         if self.eta is not None:
             return self.eta
@@ -86,88 +132,42 @@ class ExperimentConfig:
                           self.n_qubits, self.beam_angle)
 
     def space(self) -> HilbertSpace:
-        return build_space(self.n_qubits, self.n_max)
+        return self._space
 
     def pulse(self) -> PulseShape:
         return PulseShape(omega_peak=self.omega_peak, sigma=self.sigma,
                           duration_factor=self.duration_factor,
                           chirp_start=self.chirp_start, chirp_end=self.chirp_end)
 
-    def _per_ion(self, weights_key, weights, offsets_key, offsets) -> tuple:
-        """Per-ion weights and offsets, checked here so that a refusal names
-        the config keys, not the drive's fields."""
-        for key, values in ((weights_key, weights), (offsets_key, offsets)):
-            if len(values) != self.n_qubits:
-                raise ValueError(f"{key} has {len(values)} entries for {self.n_qubits} ions")
-        if any(not 0.0 <= w <= 1.0 for w in weights):
-            raise ValueError(f"{weights_key} must lie in [0, 1], got {weights}")
-        return weights, offsets
-
     def rap_drive(self) -> DriveConfig:
-        weights, offsets = self._per_ion(
-            "ion_weights", self.ion_weights or (1.0,) * self.n_qubits,
-            "ion_offsets_khz", self.ion_detuning_offsets or (0.0,) * self.n_qubits)
-        return DriveConfig(
-            space=self.space(), eta=self.resolved_eta(), omega_v=self.omega_v,
-            pulse=self.pulse(), ion_weights=weights, ion_detuning_offsets=offsets,
-            sideband=Sideband.RED, compensation=self.compensation,
-        )
+        return self._rap_drive
 
-    def prep_stages(self) -> list:
-        """Addressed blue-sideband pi pulse then carrier pi pulse on ion 1.
-
-        Both stages use flat envelopes at the configured peak Rabi frequency so
-        the analytic pi durations are exact: ``pi/(eta Omega)`` on the sideband
-        (the n=0 -> 1 element) and ``pi/Omega`` on the carrier.  The sideband
-        stage drops its carrier coupling (compensated shifts); crosstalk enters
-        through the prep weights and offsets.
-        """
-        space = self.space()
-        eta = self.resolved_eta()
-        weights, offsets = self._per_ion(
-            "prep_weights", self.prep_weights or (1.0,) + (0.0,) * (self.n_qubits - 1),
-            "prep_offsets_khz", self.prep_detuning_offsets or (0.0,) * self.n_qubits)
-        flat = PulseShape.flat(self.omega_peak)
-        bsb = DriveConfig(space=space, eta=eta, omega_v=self.omega_v, pulse=flat,
-                          ion_weights=weights, ion_detuning_offsets=offsets,
-                          sideband=Sideband.BLUE,
-                          compensation=CompensationMode.zero_carrier())
-        carrier = DriveConfig(space=space, eta=eta, omega_v=self.omega_v, pulse=flat,
-                              ion_weights=weights, ion_detuning_offsets=offsets,
-                              sideband=Sideband.CARRIER,
-                              compensation=CompensationMode.none())
-        t_bsb = math.pi / (eta * self.omega_peak)
-        t_carrier = math.pi / self.omega_peak
-        return [(bsb, t_bsb), (carrier, t_carrier)]
-
-    def thermal_components(self) -> list:
-        """Fock-diagonal thermal weights ``[(n, p), ...]``, renormalized over the kept ones.
+    def thermal_components(self) -> tuple:
+        """Fock-diagonal thermal weights ``((n, p), ...)``, renormalized over the kept ones.
 
         Components stop once the remaining tail drops below ``THERMAL_TAIL``
         and never exceed ``n_max - 2`` (preparation adds one quantum, and the
         topmost Fock level is reserved as the truncation guard), so
-        ``nbar > 0`` needs ``n_max >= 2``; a ValueError says so otherwise.
+        ``nbar > 0`` needs ``n_max >= 2``; construction refuses it otherwise.
         """
-        if self.nbar <= 0:
-            return [(0, 1.0)]
-        if self.n_max < 2:
-            raise ValueError(f"nbar = {self.nbar} needs n_max >= 2 to keep any thermal "
-                             f"component, got n_max = {self.n_max}")
-        weights = []
-        total = 0.0
-        for n in range(self.n_max - 1):
-            p = self.nbar**n / (1.0 + self.nbar) ** (n + 1)
-            weights.append((n, p))
-            total += p
-            if 1.0 - total < THERMAL_TAIL:
-                break
-        return [(n, p / total) for n, p in weights]
+        return self._thermal
 
 
-def dicke_fidelity(rho: InternalDensityMatrix, m: int = 1) -> float:
-    """``<D_N^(m)| rho |D_N^(m)>`` for the reduced state of any ion number N."""
-    d = make_dicke(rho.n_qubits, m).amplitudes
-    return float(np.real(d.conj() @ rho.matrix @ d))
+def _thermal_components(nbar: float, n_max: int) -> tuple:
+    if nbar <= 0:
+        return ((0, 1.0),)
+    if n_max < 2:
+        raise ValueError(f"nbar = {nbar} needs n_max >= 2 to keep any thermal "
+                         f"component, got n_max = {n_max}")
+    weights = []
+    total = 0.0
+    for n in range(n_max - 1):
+        p = nbar**n / (1.0 + nbar) ** (n + 1)
+        weights.append((n, p))
+        total += p
+        if 1.0 - total < THERMAL_TAIL:
+            break
+    return tuple((n, p / total) for n, p in weights)
 
 
 def _prepare_from(cfg: ExperimentConfig, start_n: int) -> StateVector:
@@ -176,7 +176,7 @@ def _prepare_from(cfg: ExperimentConfig, start_n: int) -> StateVector:
     if cfg.prep is PrepMode.IDEAL_FOCK:
         return embed(space, word, start_n + 1)
     psi = embed(space, word, start_n)
-    for drive, duration in cfg.prep_stages():
+    for drive, duration in cfg._prep_stages:
         psi = evolve(drive, psi, dt=cfg.dt, duration=duration).final_state
     return psi
 
@@ -341,8 +341,7 @@ def potentials_report(cfg: ExperimentConfig,
                        ("zero_carrier", CompensationMode.zero_carrier())):
         frame, (i, j) = _rap_frame(replace(cfg, compensation=comp), n_points, times)
         times = frame.times
-        omega = frame.energies[:, j] - frame.energies[:, i]
-        ratio = np.abs(nonadiabatic_coupling(frame, i, j) / omega) ** 2
-        variants[name] = PotentialsVariant(energies=frame.energies, gap=np.abs(omega),
-                                           alpha_over_omega_sq=ratio)
+        gap = np.abs(frame.energies[:, j] - frame.energies[:, i])
+        variants[name] = PotentialsVariant(energies=frame.energies, gap=gap,
+                                           alpha_over_omega_sq=diabatic_ratio(frame, i, j))
     return PotentialsReport(times=times, variants=variants)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector
+from .core import StateVector, make_dicke
 
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
@@ -80,6 +80,12 @@ def trace_out_motion(state) -> InternalDensityMatrix:
         amp = psi.amplitudes.reshape(2**space.n_qubits, space.n_fock)
         matrix += weight * (amp @ amp.conj().T)
     return InternalDensityMatrix(matrix)
+
+
+def dicke_fidelity(rho: InternalDensityMatrix, m: int = 1) -> float:
+    """``<D_N^(m)| rho |D_N^(m)>`` for the reduced state of any ion number N."""
+    d = make_dicke(rho.n_qubits, m).amplitudes
+    return float(np.real(d.conj() @ rho.matrix @ d))
 
 
 def fidelity_decomposition(rho: InternalDensityMatrix) -> tuple:

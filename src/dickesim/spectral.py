@@ -2,10 +2,10 @@
 
 Provides gauge-fixed adiabatic frames (branch-matched eigendecompositions on
 a time grid), nonadiabatic couplings ``alpha_ji(t) = <j(t)| d/dt |i(t)>``,
-the standard upper bound on diabatic-transition probability
-``max |alpha_ji / omega_ji|^2``, and the reduced model of the chirped
-red-sideband pulse: the drive Hamiltonian projected onto the symmetric
-states with at most two excitations.
+the ratio ``|alpha_ji / omega_ji|^2`` on the grid and its maximum (the
+standard upper bound on diabatic-transition probability), and the reduced
+model of the chirped red-sideband pulse: the drive Hamiltonian projected
+onto the symmetric states with at most two excitations.
 
 The spectrum scan works on blocks of :data:`CHUNK_POINTS` grid points: one
 call of ``h_of_t`` for the block's stacked Hamiltonians, one batched
@@ -189,6 +189,12 @@ def nonadiabatic_coupling(frame: AdiabaticFrame, i: int, j: int) -> np.ndarray:
     return alpha
 
 
+def diabatic_ratio(frame: AdiabaticFrame, i: int, j: int) -> np.ndarray:
+    """``|alpha_ji(t) / omega_ji(t)|^2`` on the frame's grid, ``omega_ji = E_j - E_i``."""
+    omega = frame.energies[:, j] - frame.energies[:, i]
+    return np.abs(nonadiabatic_coupling(frame, i, j) / omega) ** 2
+
+
 class DiabaticBound(NamedTuple):
     value: float
     time: float
@@ -206,7 +212,7 @@ def diabatic_bound(frame: AdiabaticFrame, i: int, j: int) -> DiabaticBound:
         raise DegeneracyError(
             "branch gap nearly closes on the grid; diabatic bound unreliable"
         )
-    ratio = np.abs(nonadiabatic_coupling(frame, i, j) / omega) ** 2
+    ratio = diabatic_ratio(frame, i, j)
     k = int(np.argmax(ratio))
     return DiabaticBound(value=float(ratio[k]), time=float(frame.times[k]))
 

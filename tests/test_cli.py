@@ -145,6 +145,9 @@ class TestParseConfig:
         assert snap["omega_v_khz"] == pytest.approx(700.0)
         assert snap["prep"] == "ideal_fock"
         assert snap["ion_weights"] == [1.0, 1.0]
+        assert snap["ion_offsets_khz"] == [0.0, 0.0]
+        assert snap["prep_weights"] == [1.0, 0.0]
+        assert snap["prep_offsets_khz"] == [0.0, 0.0]
         assert snap["eta"] == pytest.approx(0.0819, abs=1e-3)
 
 
@@ -313,6 +316,22 @@ class TestManifest:
         path = out / "parity.csv"
         path.write_text(path.read_text() + "tampered\n")
         assert not verify_manifest(out / "manifest.json")
+
+    @pytest.mark.parametrize("prep", ["ideal_fock", "simulated_pulses"])
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_records_the_per_ion_lists_the_run_used(self, tmp_path, capsys, n_qubits,
+                                                     prep):
+        # left out of the file, the prep lists used to be written as []
+        cfg = write_config(tmp_path, {"n_qubits": n_qubits, "prep": prep})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+        capsys.readouterr()
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["prep"] == prep
+        assert config["ion_weights"] == [1.0] * n_qubits
+        assert config["ion_offsets_khz"] == [0.0] * n_qubits
+        assert config["prep_weights"] == [1.0] + [0.0] * (n_qubits - 1)
+        assert config["prep_offsets_khz"] == [0.0] * n_qubits
 
     def test_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -487,6 +506,24 @@ class TestExitCodes:
         assert captured.err.startswith("config error: ")
         assert len(captured.err.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,name", [(["histogram"], "simulate_histogram"),
+                                           (["parity", "--ideal"], "parity_curve")],
+                             ids=["histogram", "parity"])
+    def test_exhausted_memory_is_3(self, tmp_path, capsys, monkeypatch, argv, name):
+        # an accepted config can ask for more than memory holds, e.g. 1e13
+        # shots or phases; numpy then raises MemoryError
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(cli, name, exhausted)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "out of memory: Unable to allocate 72.8 TiB for an array\n"
+        assert not (out / "manifest.json").exists()
 
     def test_stdout_clean_on_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"omega_peak_khz": -1})

@@ -10,7 +10,7 @@ from oracles import annihilation, atom_number, fock_number, sigma_x
 
 def internal_parity_matrix(space):
     """(-1)^(number of up ions), built by direct basis enumeration."""
-    diag = [(-1.0) ** space.basis_state(i).n_up for i in range(space.dim)]
+    diag = [(-1.0) ** space.basis_state(i).spins.count("u") for i in range(space.dim)]
     return np.diag(diag)
 
 

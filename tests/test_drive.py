@@ -94,7 +94,7 @@ class TestHamiltonian:
         delta_c = detuning(drive.pulse, t) - OMEGA_V
         for i in range(drive.space.dim):
             b = drive.space.basis_state(i)
-            expected = -delta_c * b.n_up + OMEGA_V * b.fock_n
+            expected = -delta_c * b.spins.count("u") + OMEGA_V * b.fock_n
             assert h[i, i] == pytest.approx(expected, rel=1e-12)
 
     def test_bright_state_coupling_at_center(self):

@@ -108,9 +108,10 @@ class TestRunRap:
 
     def test_thermal_without_room_below_the_guard_level_raises(self):
         # n_max = 1 leaves no Fock level for a thermal component once the
-        # prepared quantum and the guard level are taken
+        # prepared quantum and the guard level are taken; the config says so
+        # when it is constructed, before any run
         with pytest.raises(ValueError, match="n_max >= 2"):
-            run_rap(zc_config(nbar=0.5, n_max=1))
+            ExperimentConfig(nbar=0.5, n_max=1)
 
 
 class TestWStateExtension:
@@ -245,6 +246,31 @@ class TestTruncationConvergence:
                         prep_weights=(1.0, 0.002))
         assert truncation_overlap(replace(cfg, nbar=0.0)) >= 1.0 - 1e-6
         assert truncation_overlap(cfg) < 1.0 - 1e-6
+
+
+class TestConfigResolution:
+    def test_left_out_per_ion_lists_are_filled_in(self):
+        cfg = ExperimentConfig(n_qubits=3)
+        assert cfg.ion_weights == (1.0, 1.0, 1.0)
+        assert cfg.ion_detuning_offsets == (0.0, 0.0, 0.0)
+        assert cfg.prep_weights == (1.0, 0.0, 0.0)
+        assert cfg.prep_detuning_offsets == (0.0, 0.0, 0.0)
+        assert cfg.rap_drive().ion_weights == cfg.ion_weights
+
+    def test_another_ion_number_needs_its_own_lists(self):
+        with pytest.raises(ValueError, match="ion_weights has 2 entries for 3 ions"):
+            replace(ExperimentConfig(), n_qubits=3)
+        three = replace(ExperimentConfig(), n_qubits=3, ion_weights=(), ion_detuning_offsets=(),
+                        prep_weights=(), prep_detuning_offsets=())
+        assert three == ExperimentConfig(n_qubits=3)
+
+    def test_zero_drive_is_refused_only_where_it_runs_pi_pulses(self):
+        # the preparation's pi pulses are built at construction; without a
+        # drive they never end, which matters only to a simulated preparation
+        res = run_rap(zc_config(omega_peak=0.0))
+        assert res.fidelity == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(ValueError, match="finite positive duration"):
+            run_rap(zc_config(omega_peak=0.0, prep=PrepMode.SIMULATED_PULSES))
 
 
 class TestHelpers:
