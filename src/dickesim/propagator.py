@@ -1,6 +1,7 @@
 """Unitarity-preserving integration of the time-dependent Schrodinger equation.
 
-Each step is a Strang split along the motional (Fock) number.  The drive
+Each step is a fourth-order composition of Strang splits along the motional
+(Fock) number.  The drive
 Hamiltonian comes from :func:`dickesim.drive.drive_terms` as spin (x) Fock
 factors, ``H(t) = omega_v 1(x)n + sum_k c_k(t) H_k(x)1 + Omega(t) R`` with
 ``R = J(x)L + J^T(x)L^T``, and is cut into
@@ -13,8 +14,8 @@ factors, ``H(t) = omega_v 1(x)n + sum_k c_k(t) H_k(x)1 + Omega(t) R`` with
   does not depend on time; it is assembled on the block's states and
   diagonalised once per block.
 
-The step defaults to ``0.04 / max_frequency`` (:func:`default_dt`) and a
-guard rejects any step above ``0.05 / max_frequency``.  ``max_frequency``
+The step defaults to ``0.24 / max_frequency`` (:func:`default_dt`) and a
+guard rejects any step above ``0.30 / max_frequency``.  ``max_frequency``
 holds what the split integrates approximately (:func:`max_frequency`): the
 peak coupling, the chirp endpoints, the ion offsets and the envelope rate
 ``1/sigma``.  The trap frequency is not such a rate.  The split's error comes
@@ -23,32 +24,38 @@ from the commutators of its pieces (McLachlan & Quispel, Acta Numerica 11,
 red, ``n - up`` blue, ``n`` carrier) that commutes with R.  Without carrier
 couplings that number is conserved on every block, so ``omega_v`` times it
 is an exact phase that commutes with every factor.  With both couplings the
-carrier does not conserve it; ``omega_v`` then reaches the error only through
-the carrier's rotation at ``omega_v`` between the split's samples, which
-leaves the error flat in ``omega_v`` until ``omega_v dt`` nears the aliasing
-resonance ``2 pi``.  For those drives ``omega_v / 2pi`` enters
-``max_frequency`` as a margin, so the default step covers at most 1/25 of a
-trap period.
+carrier does not conserve it; ``omega_v`` then reaches the error through the
+carrier's rotation at ``omega_v`` between the split's samples, which grows
+the error steadily in ``omega_v dt`` (fastest on short pulses, where it
+combines with the envelope rate) and sharply near the aliasing resonance
+``2 pi``.  For those drives ``omega_v / 4`` enters ``max_frequency`` as a
+margin, so the default step keeps ``omega_v dt <= 0.96``.
 
-A step of length dt at midpoint t is ``U = A B A`` with
-``A = exp(-i H_F(t) dt / 2)`` and ``B = exp(-i Omega(t) R dt)``.  Every
-factor is an exact exponential, so each step is unitary to machine
-precision and the global error is second order in dt.  ``A`` is complex
-symmetric and ``B = V diag(b) V^T`` with V real (the eigenvectors of R), so
-every step factors as ``U = Q Q^T`` with ``Q = A V diag(b)^(1/2)``; the
-factors of a chunk are built in batch.  Blocks above ``SCAN_BLOCK`` states
-apply each step as ``Q (Q^T psi)``, two matrix-vector products, and never
-form U.  For smaller blocks the states
-after every step come from a two-level prefix-product scan over the formed
-step unitaries (groups of about sqrt(K) steps: batched products within each
-group, one matrix-vector product per group, one in-place batched product for
-every state), so the Python-level loop runs about sqrt(K) times per chunk of
-K steps instead of K times.  Either way every state is produced, and the
-norm drift and truncation leak are read off each of them.  Every block
-builds the stacks of every chunk in one buffer allocated per call, so the
-chunk loop allocates no stack.
+A Strang sub-step of length h at midpoint t is ``S = A B A`` with
+``A = exp(-i H_F(t) h / 2)`` and ``B = exp(-i Omega(t) R h)``.  It is
+time-symmetric and second order, so the symmetric triple jump
+``S(w1 dt) S(w0 dt) S(w1 dt)`` with ``w1 = 1 / (2 - 2^(1/3))`` and
+``w0 = 1 - 2 w1`` is fourth order (Yoshida, Phys. Lett. A 150, 262 (1990)).
+Each step of length dt takes those three sub-steps, at midpoints
+``0.676 dt``, ``dt / 2`` and ``0.324 dt`` into the step (the middle one runs
+backward, ``w0 = -1.70``).  Every factor is an exact exponential, so each
+step is unitary to machine precision.  ``A`` is complex symmetric and
+``B = V diag(b) V^T`` with V real (the eigenvectors of R), so every sub-step
+factors as ``S = Q Q^T`` with ``Q = A V diag(b)^(1/2)``; the factors of a
+chunk are built in batch.  Blocks above ``SCAN_BLOCK`` states
+apply each sub-step as ``Q (Q^T psi)``, two matrix-vector products, and never
+form S.  For smaller blocks the states
+after every sub-step come from a two-level prefix-product scan over the formed
+sub-step unitaries (groups of about sqrt(K) sub-steps: batched products within
+each group, one matrix-vector product per group, one in-place batched product
+for every state), so the Python-level loop runs about sqrt(K) times per chunk
+of K sub-steps instead of K times.  Either way every state is produced, and
+the norm drift and truncation leak are read off the state after each whole
+step (the state after the backward sub-step is not the state at any time).
+Every block builds the stacks of every chunk in one buffer allocated per
+call, so the chunk loop allocates no stack.
 
-Rounding still moves the norm by about 3e-16 per step, so after each chunk
+Rounding still moves the norm by about 3e-16 per sub-step, so after each chunk
 the carried block states are rescaled jointly to unit norm (projection onto
 the invariant).  The norm drift reported and checked is the largest
 deviation within a chunk, before rescaling: it still measures unitarity.
@@ -79,14 +86,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import StateVector, symmetric_transform
-from .drive import (TWO_PI, DriveConfig, DriveTerms, Sideband, coefficients,
-                    drive_terms, symmetric_terms)
+from .drive import (DriveConfig, DriveTerms, Sideband, coefficients, drive_terms,
+                    symmetric_terms)
 from .errors import NumericsError, StepSizeError, TruncationLeakError
 
-#: steps per chunk; blocks above 4 states get proportionally fewer, so one
+#: sub-steps per chunk; blocks above 4 states get proportionally fewer, so one
 #: stack of a chunk never exceeds CHUNK_ENTRIES complex entries (1.3 MB, what
-#: 256 steps of an 18-state block take) and the three stacks of the per-call
-#: buffer stay below numpy's 4 MiB huge-page threshold
+#: 256 sub-steps of an 18-state block take) and the three stacks of the
+#: per-call buffer stay below numpy's 4 MiB huge-page threshold; a chunk holds
+#: the whole steps whose sub-steps fit
 CHUNK_STEPS = 4096
 CHUNK_ENTRIES = 256 * 18**2
 #: largest block taken by the prefix-product scan (and largest inner size of
@@ -97,18 +105,30 @@ BLOCK_WEIGHT_FLOOR = 1e-20
 LEAK_LIMIT = 1e-4
 #: largest norm deviation within one chunk before evolve raises NumericsError
 NORM_DRIFT_LIMIT = 1e-9
+#: default step and guard, times 1 / max_frequency, measured on the composed
+#: step: against dt/8, about 1 in 1000 random 1-4 us pulses moves populations
+#: by more than 1e-5 (1 in 80 for the Strang step at 0.04)
+DEFAULT_STEP = 0.24
+STEP_LIMIT = 0.30
+#: the triple jump S(w1 dt) S(w0 dt) S(w1 dt): sub-step lengths and midpoints
+#: as fractions of the step
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+SUBSTEP_LENGTHS = np.array([_W1, 1.0 - 2.0 * _W1, _W1])
+SUBSTEP_MIDPOINTS = np.cumsum(SUBSTEP_LENGTHS) - SUBSTEP_LENGTHS / 2
 
 
 @dataclass
 class EvolutionResult:
     """Final state plus integration diagnostics.
 
-    ``steps`` and ``dt`` are the step count and the effective step,
-    ``block_sizes`` the sizes of the evolved coupling blocks (largest first)
-    and ``symmetric_basis`` whether they live in the permutation-symmetric
+    ``steps`` and ``dt`` are the count and the effective length of the
+    composed steps, each three Strang sub-steps (three exponentials of the
+    internal Hamiltonian and of the sideband coupling).  ``block_sizes`` are
+    the sizes of the evolved coupling blocks (largest first) and
+    ``symmetric_basis`` whether they live in the permutation-symmetric
     basis.  ``norm_drift`` is the largest deviation of the norm squared from
     1 within a chunk, before the per-chunk rescale.  ``peak_leak`` is the
-    largest population at ``fock_n = n_max`` after any step and
+    largest population at ``fock_n = n_max`` after any whole step and
     ``peak_leak_time`` when it happened.
     """
 
@@ -124,19 +144,21 @@ class EvolutionResult:
 
 
 def default_dt(cfg: DriveConfig) -> float:
-    """The integration step: 0.04 / :func:`max_frequency`, inside the 0.05 guard.
+    """The integration step: 0.24 / :func:`max_frequency`, inside the 0.30 guard.
 
-    A drive with no frequency the split approximates (no coupling, chirp,
-    offset or envelope) is integrated exactly by one step: ``math.inf``.
+    The factor is measured on the composed step (:data:`DEFAULT_STEP`).  A
+    drive with no frequency the split approximates (no coupling, chirp, offset
+    or envelope) is integrated exactly by one step: ``math.inf``.
     """
     frequency = max_frequency(cfg)
-    return 0.04 / frequency if frequency > 0 else math.inf
+    return DEFAULT_STEP / frequency if frequency > 0 else math.inf
 
 
 def max_frequency(cfg: DriveConfig) -> float:
     """The fastest frequency the split integrates approximately (rad/s).
 
-    The largest of :func:`_step_frequencies`.
+    The largest of :func:`_step_frequencies`; :func:`default_dt` and the step
+    guard are fixed fractions of its inverse.
     """
     return max(_step_frequencies(cfg).values())
 
@@ -147,11 +169,13 @@ def _step_frequencies(cfg: DriveConfig) -> dict:
     The coupling is the total peak Rabi frequency when the drive keeps its
     carrier couplings and ``eta sqrt(n_max)`` times it for a sideband-only
     drive.  The trap frequency is not a rate the split resolves (see the
-    module docstring).  It enters as ``omega_v / 2pi``, a margin against the
-    aliasing resonance ``omega_v dt = 2pi``, and only where carrier and
-    sideband couplings coexist: the default step then covers at most 1/25 of a
-    trap period (``omega_v dt <= 0.25``, ``<= 0.31`` at the guard).  O(N) in
-    the ion number.
+    module docstring).  It enters as ``omega_v / 4``, a margin that keeps the
+    composed step's error growth in ``omega_v dt`` inside the convergence
+    bounds and far from the aliasing resonance ``omega_v dt = 2pi``, and only
+    where carrier and sideband couplings coexist: the default step then covers
+    at most 0.15 of a trap period (``omega_v dt <= 0.96``, ``<= 1.2`` at the
+    guard).  At ``omega_v / 2pi`` (``omega_v dt <= 1.51``) a 1.7 us pulse
+    left populations 2.1e-5 off.  O(N) in the ion number.
     """
     pulse = cfg.pulse
     coupling = cfg.total_peak_rabi
@@ -164,7 +188,7 @@ def _step_frequencies(cfg: DriveConfig) -> dict:
         "the envelope rate 1/sigma": 1.0 / pulse.sigma,
     }
     if cfg.carrier_coupled and cfg.sideband is not Sideband.CARRIER:
-        frequencies["the trap-period margin omega_v / 2pi"] = cfg.omega_v / TWO_PI
+        frequencies["the trap-period margin omega_v / 4"] = cfg.omega_v / 4
     return frequencies
 
 
@@ -230,24 +254,27 @@ class _FockSplit:
     r_values: np.ndarray
     r_vectors: np.ndarray
 
-    def step_factors(self, coefs: np.ndarray, omega_v: float, dt: float,
+    def step_factors(self, coefs: np.ndarray, omega_v: float, dts: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
-        """The factors ``Q_k`` of ``U_k = A_k V diag(b_k) V^T A_k = Q_k Q_k^T``.
+        """The factors ``Q_k`` of ``S_k = A_k V diag(b_k) V^T A_k = Q_k Q_k^T``.
 
-        ``A_k`` is complex symmetric, so ``Q_k = A_k V diag(b_k)^(1/2)``, one
-        per row of ``coefs``.  They are written to ``out``, a (K, m, m) stack
-        with K >= len(coefs), and the filled part of it is returned.
+        Strang step k has the midpoint coefficients ``coefs[k]`` and the
+        length ``dts[k]``.  ``A_k`` is complex symmetric, so
+        ``Q_k = A_k V diag(b_k)^(1/2)``.  They are written to ``out``, a
+        (K, m, m) stack with K >= len(coefs), and the filled part of it is
+        returned.
         """
         n, m = len(coefs), len(self.r_values)
-        half_b = np.exp(-0.5j * dt * coefs[:, 2:3] * self.r_values)[:, None, None, :]
+        half_dt = -0.5j * dts[:, None]
+        half_b = np.exp(half_dt * coefs[:, 2:3] * self.r_values)[:, None, None, :]
         q = out[:n]
         for stack, first, levels in self.groups:
             size, n_levels = stack.shape[1], len(levels)
             rows = slice(first, first + size * n_levels)
             v = self.r_vectors[rows].reshape(size, n_levels * m)
             w, e = np.linalg.eigh(np.tensordot(coefs, stack, axes=(1, 0)))
-            av = (e * np.exp(-0.5j * dt * w)[:, None, :]) @ e.transpose(0, 2, 1) @ v
-            shift = np.exp(-0.5j * dt * omega_v * levels)[:, None]
+            av = (e * np.exp(half_dt * w)[:, None, :]) @ e.transpose(0, 2, 1) @ v
+            shift = np.exp(half_dt * omega_v * levels)[:, None, :, None]
             np.multiply(av.reshape(n, size, n_levels, m), shift * half_b,
                         out=q[:, rows].reshape(n, size, n_levels, m))
         return q
@@ -337,12 +364,13 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
            sample_every: int = 0, duration: float | None = None) -> EvolutionResult:
     """Propagate ``psi0`` through one pulse of ``cfg``.
 
+    Each step of length ``dt`` is the triple jump of three Strang sub-steps.
     ``dt`` defaults to :func:`default_dt`; a guard rejects steps coarser than
-    ``0.05 / max_frequency``.  ``duration`` defaults to the pulse duration and
+    ``0.30 / max_frequency``.  ``duration`` defaults to the pulse duration and
     must be given for flat (infinite-sigma) pulses.  With ``sample_every = k``
     the trajectory records the state every k steps (plus the initial state).
     The truncation leak (population at ``fock_n = n_max``) and the norm
-    drift are checked after every step; the drift is measured from unit
+    drift are checked after every whole step; the drift is measured from unit
     norm, to which the state is rescaled after each chunk.
     """
     if psi0.space != cfg.space:
@@ -359,10 +387,10 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
     dt_eff = duration / n_steps
     frequencies = _step_frequencies(cfg)
     bound = max(frequencies, key=frequencies.get)
-    if dt_eff * frequencies[bound] > 0.05:
+    if dt_eff * frequencies[bound] > STEP_LIMIT:
         raise StepSizeError(
             f"dt={dt_eff:.3e} s too coarse: dt * max_frequency = "
-            f"{dt_eff * frequencies[bound]:.3f} > 0.05, where max_frequency = "
+            f"{dt_eff * frequencies[bound]:.3f} > {STEP_LIMIT:.2f}, where max_frequency = "
             f"{frequencies[bound]:.4g} rad/s is {bound}"
         )
 
@@ -380,17 +408,20 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
     leak_masks = [(split.idx % n_fock) == cfg.space.n_max for split in splits]
 
     largest = max(len(split.idx) for split in splits)
-    chunk = max(1, min(CHUNK_STEPS, CHUNK_ENTRIES // largest**2))
+    n_sub = len(SUBSTEP_LENGTHS)
+    chunk = max(1, min(CHUNK_STEPS, CHUNK_ENTRIES // largest**2) // n_sub)
+    sub_dts = SUBSTEP_LENGTHS * dt_eff
     # every block builds its chunk's stacks (Q, and U with a scratch product
     # for the scanned blocks) in this one buffer, so no chunk allocates a stack
-    work = np.empty(3 * chunk * largest**2, dtype=complex)
+    work = np.empty(3 * n_sub * chunk * largest**2, dtype=complex)
     norm_drift = 0.0
     peak_leak, peak_leak_time = 0.0, 0.0
     samples = []
     for start in range(0, n_steps, chunk):
         steps = np.arange(start + 1, min(start + chunk, n_steps) + 1)
-        midpoints = (steps - 0.5) * dt_eff
+        midpoints = ((steps - 1)[:, None] + SUBSTEP_MIDPOINTS).ravel() * dt_eff
         coefs = coefficients(cfg, midpoints)
+        dts = np.tile(sub_dts, len(steps))
         picks = (np.flatnonzero(steps % sample_every == 0) if sample_every > 0
                  else np.array([], dtype=int))
 
@@ -399,9 +430,11 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
         picked = np.zeros((len(picks), cfg.space.dim), dtype=complex)
         for b, split in enumerate(splits):
             m = len(split.idx)
-            buffer = work[:3 * chunk * m * m].reshape(3, chunk, m, m)
-            q = split.step_factors(coefs, cfg.omega_v, dt_eff, buffer[0])
-            states = _run_chunk(q, psis[b], buffer[1:])
+            buffer = work[:3 * n_sub * chunk * m * m].reshape(3, n_sub * chunk, m, m)
+            q = split.step_factors(coefs, cfg.omega_v, dts, buffer[0])
+            # the states after whole steps; the backward middle sub-step's is
+            # not the state at any time
+            states = _run_chunk(q, psis[b], buffer[1:])[n_sub - 1::n_sub]
             psis[b] = states[-1].copy()
             pops = states.real**2 + states.imag**2
             norms += pops.sum(axis=1)

@@ -360,7 +360,7 @@ class TestExitCodes:
         ("zero_carrier", {}, "a chirp endpoint"),
         # weak, nearly chirp-free and long: the trap margin sets the step
         ("none", {"omega_peak_khz": 2, "sigma_us": 100, "chirp_khz": 1},
-         "the trap-period margin omega_v / 2pi"),
+         "the trap-period margin omega_v / 4"),
     ], ids=["zero_carrier", "none"])
     def test_step_refusal_names_its_bound(self, tmp_path, capsys, compensation, overrides,
                                           bound):

@@ -2,11 +2,13 @@
 
 Two dense full-space oracles run without any reduction: ``brute_force_evolve``
 applies the exact exponential of the midpoint Hamiltonian (the accuracy
-reference the split is pinned against), and ``dense_split_evolve`` applies the
-same Fock-number Strang split as ``evolve`` (the equivalence reference for
-the block and symmetric-basis reductions).  ``sequential_chunk`` forms a
-chunk's step unitaries ``Q Q^T`` from their factors and applies them one
-matrix-vector product at a time (the reference for the chunk kernel).
+reference the split is pinned against), and ``dense_split_evolve`` composes the
+same triple jump of Fock-number Strang splits as ``evolve`` (the equivalence
+reference for the block and symmetric-basis reductions).  ``sequential_chunk``
+forms a chunk's step unitaries ``Q Q^T`` from their factors and applies them
+one matrix-vector product at a time (the reference for the chunk kernel), and
+``strang_evolve`` runs single Strang steps through the propagator's own
+kernels (what the second-order test measures).
 """
 
 import math
@@ -16,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dickesim import (CompensationMode, DriveConfig, ExperimentConfig, NumericsError,
@@ -25,7 +27,8 @@ from dickesim import (CompensationMode, DriveConfig, ExperimentConfig, NumericsE
                       run_rap)
 from dickesim import propagator
 from dickesim.core import symmetric_transform
-from dickesim.drive import CompensationKind, TWO_PI, drive_terms, symmetric_terms
+from dickesim.drive import (CompensationKind, TWO_PI, coefficients, drive_terms,
+                            symmetric_terms)
 from oracles import (connected_components, dense_terms, excitation_number,
                      hamiltonian_matrix, prepare_fock1, psi_internal_populations,
                      sample_stride)
@@ -67,9 +70,8 @@ def step_rule(cfg):
     rates = [coupling, abs(pulse.chirp_start), abs(pulse.chirp_end),
              max(abs(o) for o in cfg.ion_detuning_offsets), 1.0 / pulse.sigma]
     if both_couplings(cfg):
-        # not a rate: a margin of 25 steps per trap period against the aliasing
-        # resonance omega_v dt = 2 pi
-        rates.append(cfg.omega_v / (2 * math.pi))
+        # not a rate: a margin that keeps omega_v dt <= 0.96 at the default step
+        rates.append(cfg.omega_v / 4)
     return max(rates)
 
 
@@ -90,23 +92,37 @@ def brute_force_evolve(cfg, psi0, n_steps, duration):
     return psi
 
 
-def dense_split_evolve(cfg, psi0, n_steps, duration):
-    """Reference Fock split, dense full space, no reductions.
+def dense_strang_step(cfg, psi, t, h_len):
+    """One Strang step of length ``h_len`` at midpoint ``t``, dense full space.
 
-    Each midpoint step applies ``A B A`` with ``A = exp(-i H_F dt/2)`` for the
-    Fock-number-preserving entries of H and ``B = exp(-i H_R dt)`` for the
+    It applies ``A B A`` with ``A = exp(-i H_F h_len/2)`` for the
+    Fock-number-preserving entries of H and ``B = exp(-i H_R h_len)`` for the
     rest, both through a dense eigendecomposition.
     """
     fock = np.arange(cfg.space.dim) % cfg.space.n_fock
     same = fock[:, None] == fock[None, :]
+    h = hamiltonian_matrix(cfg, t)
+    wf, vf = np.linalg.eigh(np.where(same, h, 0.0))
+    wr, vr = np.linalg.eigh(np.where(same, 0.0, h))
+    a = (vf * np.exp(-0.5j * wf * h_len)) @ vf.T
+    return a @ ((vr * np.exp(-1j * wr * h_len)) @ (vr.T @ (a @ psi)))
+
+
+def dense_split_evolve(cfg, psi0, n_steps, duration):
+    """Reference composed split, dense full space, no reductions.
+
+    Each step of length dt is the triple jump of Strang steps of lengths
+    ``w1 dt, w0 dt, w1 dt`` in turn, each at its own midpoint, with
+    ``w1 = 1 / (2 - 2^(1/3))`` and ``w0 = 1 - 2 w1``.
+    """
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
     dt = duration / n_steps
     psi = psi0.amplitudes.astype(complex)
     for k in range(n_steps):
-        h = hamiltonian_matrix(cfg, (k + 0.5) * dt)
-        wf, vf = np.linalg.eigh(np.where(same, h, 0.0))
-        wr, vr = np.linalg.eigh(np.where(same, 0.0, h))
-        a = (vf * np.exp(-0.5j * wf * dt)) @ vf.T
-        psi = a @ ((vr * np.exp(-1j * wr * dt)) @ (vr.T @ (a @ psi)))
+        start = k * dt
+        for h_len in (w1 * dt, (1.0 - 2.0 * w1) * dt, w1 * dt):
+            psi = dense_strang_step(cfg, psi, start + h_len / 2, h_len)
+            start += h_len
     return psi
 
 
@@ -117,6 +133,30 @@ def sequential_chunk(q, psi, work=None):
     for u, out in zip(unitaries, states):
         psi = np.dot(u, psi, out=out)
     return states
+
+
+def strang_evolve(cfg, psi0, n_steps):
+    """Final state after ``n_steps`` single Strang steps at uniform midpoints.
+
+    The propagator's own ``step_factors`` and ``_run_chunk``, fed a uniform
+    schedule instead of the triple jump's sub-steps, on the product basis.
+    """
+    terms, n_fock = drive_terms(cfg), cfg.space.n_fock
+    dt = cfg.pulse.duration / n_steps
+    psi = psi0.amplitudes.astype(complex)
+    final = np.zeros_like(psi)
+    chunk = 1024
+    for idx in propagator._active_blocks(terms, psi):
+        split = propagator._fock_split(terms, idx, n_fock)
+        m = len(split.idx)
+        block, work = psi[split.idx], np.empty((3, chunk, m, m), dtype=complex)
+        for start in range(0, n_steps, chunk):
+            midpoints = (np.arange(start, min(start + chunk, n_steps)) + 0.5) * dt
+            q = split.step_factors(coefficients(cfg, midpoints), cfg.omega_v,
+                                   np.full(len(midpoints), dt), work[0])
+            block = propagator._run_chunk(q, block, work[1:])[-1].copy()
+        final[split.idx] = block
+    return final
 
 
 def random_factors(rng, n_steps, m):
@@ -226,39 +266,39 @@ class TestGuards:
 class TestStepRule:
     """``max_frequency`` holds only what the split integrates approximately.
     ``omega_v`` multiplies an excitation number that commutes with the
-    sideband coupling; it enters as ``omega_v / 2pi``, a margin against the
-    aliasing resonance, only where carrier and sideband couplings coexist."""
+    sideband coupling; it enters as ``omega_v / 4``, a margin that keeps
+    ``omega_v dt`` below 1, only where carrier and sideband couplings coexist."""
 
     @pytest.mark.parametrize("sideband,comp", DRIVE_KINDS)
     def test_trap_frequency_only_with_both_couplings(self, sideband, comp):
         weak = weak_drive(comp, sideband)
         for cfg in (rap_drive(comp, sideband=sideband), weak):
             assert propagator.max_frequency(cfg) == step_rule(cfg)
-            assert ("the trap-period margin omega_v / 2pi"
+            assert ("the trap-period margin omega_v / 4"
                     in propagator._step_frequencies(cfg)) is both_couplings(cfg)
-        # where the margin counts it sets the weak drive's step: 1/25 of a trap period
+        # where the margin counts it sets the weak drive's step: omega_v dt = 0.96
         weak_phase = propagator.default_dt(weak) * OMEGA_V
-        assert (weak_phase == pytest.approx(2 * math.pi / 25)) is both_couplings(weak)
+        assert (weak_phase == pytest.approx(0.96)) is both_couplings(weak)
 
     @pytest.mark.parametrize("sideband", [Sideband.RED, Sideband.BLUE])
     @pytest.mark.parametrize("comp", [CompensationMode.none(),
                                       CompensationMode.effective(0.6, TWO_PI * 400e3)])
     def test_carrier_coupled_sideband_drives_step_at_their_coupling(self, sideband, comp):
-        # at the operating point the coupling, 2.6x omega_v / 2pi, sets the step
+        # at the operating point the coupling, 1.66x omega_v / 4, sets the step
         cfg = rap_drive(comp, sideband=sideband)
         assert propagator.max_frequency(cfg) == cfg.total_peak_rabi
-        assert propagator.default_dt(cfg) == 0.04 / cfg.total_peak_rabi
-        # 63318 and 220 steps if omega_v itself were a rate of the rule
-        assert math.ceil(cfg.pulse.duration / propagator.default_dt(cfg)) == 26232
+        assert propagator.default_dt(cfg) == 0.24 / cfg.total_peak_rabi
+        # 10553 and 37 steps if omega_v itself were a rate of the rule
+        assert math.ceil(cfg.pulse.duration / propagator.default_dt(cfg)) == 4372
         res = evolve(cfg, embed(cfg.space, "dd", 1), duration=2e-6)
-        assert res.steps == 92
+        assert res.steps == 16
 
     @pytest.mark.parametrize("sideband,comp", DRIVE_KINDS)
     def test_guard_at_its_bound(self, sideband, comp):
         # the weak drive puts the trap margin at the bound wherever it counts
         for cfg in (rap_drive(comp, sideband=sideband), weak_drive(comp, sideband)):
             psi0 = embed(cfg.space, "dd", 1)
-            limit = 0.05 / propagator.max_frequency(cfg)
+            limit = 0.30 / propagator.max_frequency(cfg)
             # duration = dt makes the effective step the requested one exactly
             coarse = limit * (1 + 1e-9)
             with pytest.raises(StepSizeError):
@@ -268,17 +308,17 @@ class TestStepRule:
 
     @pytest.mark.parametrize("sigma", [SIGMA, math.inf])
     def test_undriven_zero_carrier_pulse(self, sigma):
-        # nothing but the envelope to resolve: 0.04 sigma for a Gaussian, one
+        # nothing but the envelope to resolve: 0.24 sigma for a Gaussian, one
         # exact step for a flat pulse (default_dt is infinite)
         pulse = PulseShape(omega_peak=0.0, sigma=sigma)
         cfg = DriveConfig(space=build_space(2, 3), eta=ETA, omega_v=OMEGA_V, pulse=pulse,
                           compensation=CompensationMode.zero_carrier())
         duration = 50e-6 if math.isinf(sigma) else pulse.duration
         dt = propagator.default_dt(cfg)
-        assert dt == (math.inf if math.isinf(sigma) else pytest.approx(0.04 * sigma))
+        assert dt == (math.inf if math.isinf(sigma) else pytest.approx(0.24 * sigma))
         res = evolve(cfg, embed(cfg.space, "dd", 1), duration=duration)
         assert res.steps == max(1, math.ceil(duration / dt))
-        assert res.steps == (1 if math.isinf(sigma) else 118)
+        assert res.steps == (1 if math.isinf(sigma) else 20)
         # |dd,1> has no up ion: only the phase of omega_v n
         amplitude = res.final_state.amplitudes[cfg.space.index("dd", 1)]
         assert amplitude == pytest.approx(np.exp(-1j * OMEGA_V * duration), abs=1e-12)
@@ -286,7 +326,7 @@ class TestStepRule:
     @pytest.mark.parametrize("kwargs,offsets,name", [
         ({"compensation": CompensationMode.none(), "chirp_sign": 0,
           "omega_peak": TWO_PI * 2e3, "sigma": 100e-6}, (),
-         "the trap-period margin omega_v / 2pi"),
+         "the trap-period margin omega_v / 4"),
         ({}, (), "a chirp endpoint"),
         ({"omega_peak": TWO_PI * 1e6}, (), "the peak coupling"),
         ({}, (TWO_PI * 300e3, 0.0), "an ion detuning offset"),
@@ -324,24 +364,36 @@ class TestUnitarityAndConvergence:
         with pytest.raises(NumericsError, match="norm drifted by"):
             evolve(cfg, embed(cfg.space, "dd", 1))
 
-    def test_second_order_convergence(self):
-        # scaled-down frequencies so coarse steps pass the dt guard
-        space = build_space(2, 3)
+    @staticmethod
+    def order_drive():
+        """Scaled-down frequencies, so coarse steps pass the dt guard."""
         pulse = PulseShape(omega_peak=TWO_PI * 10e3, sigma=SIGMA,
                            chirp_start=-TWO_PI * 5e3, chirp_end=TWO_PI * 5e3)
-        cfg = DriveConfig(space=space, eta=0.1, omega_v=TWO_PI * 20e3, pulse=pulse,
-                          compensation=CompensationMode.none())
-        psi0 = embed(space, "dd", 1)
-        duration = pulse.duration
+        cfg = DriveConfig(space=build_space(2, 3), eta=0.1, omega_v=TWO_PI * 20e3,
+                          pulse=pulse, compensation=CompensationMode.none())
+        return cfg, embed(cfg.space, "dd", 1)
 
-        def final(n):
-            return evolve(cfg, psi0, dt=duration / n).final_state.amplitudes
-
-        ref = final(2**16)
-        err_coarse = np.linalg.norm(final(2**11) - ref)
-        err_fine = np.linalg.norm(final(2**12) - ref)
+    def test_second_order_convergence(self):
+        # one Strang sub-step per step: the error falls ~4x per halving
+        cfg, psi0 = self.order_drive()
+        ref = strang_evolve(cfg, psi0, 2**16)
+        err_coarse = np.linalg.norm(strang_evolve(cfg, psi0, 2**11) - ref)
+        err_fine = np.linalg.norm(strang_evolve(cfg, psi0, 2**12) - ref)
         assert err_coarse > 1e-10   # measurable, not machine noise
         assert 3.0 < err_coarse / err_fine < 5.2
+
+    def test_fourth_order_convergence(self):
+        # the triple jump of evolve: the error falls ~16x per halving
+        cfg, psi0 = self.order_drive()
+
+        def final(n):
+            return evolve(cfg, psi0, dt=cfg.pulse.duration / n).final_state.amplitudes
+
+        ref = final(2**14)
+        errors = [np.linalg.norm(final(2**k) - ref) for k in (9, 10, 11)]
+        assert errors[-1] > 1e-10   # measurable, not machine noise
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 14.0 < coarse / fine < 18.0
 
 
 REDUCTION_CONFIGS = [
@@ -533,11 +585,11 @@ class TestDiagnostics:
         cfg = ExperimentConfig(compensation=compensation)
         drive = cfg.rap_drive()
         res = run_rap(cfg).evolution
-        assert propagator.default_dt(drive) == 0.04 / propagator.max_frequency(drive)
+        assert propagator.default_dt(drive) == 0.24 / propagator.max_frequency(drive)
         assert res.steps == math.ceil(drive.pulse.duration / propagator.default_dt(drive))
 
     def test_run_rap_dt_override(self):
-        # dt_ns sets the step; the default at this point is 64 ns
+        # dt_ns sets the step; the default at this point is 382 ns
         cfg = ExperimentConfig(dt=1e-8)
         duration = cfg.pulse().duration
         res = run_rap(cfg).evolution
@@ -723,13 +775,29 @@ class TestRandomizedEquivalence:
             phi.overlap(psi), abs=1e-12)
 
 
+def random_drive(n_qubits, n_max, weights, offsets_khz, kind, eta, omega_peak_khz,
+                 chirp_khz, sigma_us):
+    """A drive of ``kind = (sideband, compensation)`` from random draws in lab units."""
+    sideband, comp = kind
+    pulse = PulseShape(omega_peak=TWO_PI * 1e3 * omega_peak_khz, sigma=sigma_us * 1e-6,
+                       chirp_start=TWO_PI * 1e3 * chirp_khz[0],
+                       chirp_end=TWO_PI * 1e3 * chirp_khz[1])
+    return DriveConfig(space=build_space(n_qubits, n_max), eta=eta, omega_v=OMEGA_V,
+                       pulse=pulse, ion_weights=tuple(weights[:n_qubits]),
+                       ion_detuning_offsets=tuple(o * TWO_PI * 1e3
+                                                  for o in offsets_khz[:n_qubits]),
+                       sideband=sideband, compensation=comp)
+
+
 class TestDefaultStepConvergence:
     """The default step against one eighth of it, on random drives at the real
-    frequencies from random initial states: short drives of every kind with
-    random weights, offsets and chirp endpoints, long sideband-only drives
-    whose coupling sets the step, and long carrier-coupled sideband drives
-    whose coupling, chirp or trap margin sets it.  At a fixed step, the same
-    error is flat in the trap frequency away from the aliasing resonance."""
+    frequencies from random initial states: short (sigma 4-12 us) and very
+    short (1-4 us) drives of every kind with random weights, offsets and chirp
+    endpoints, long sideband-only drives whose coupling sets the step, and
+    long carrier-coupled sideband drives whose coupling, chirp or trap margin
+    sets it.  At a fixed step, the same error stays inside the bounds as the
+    trap frequency rises past the margin and is large at the aliasing
+    resonance."""
 
     @staticmethod
     def assert_converged(cfg, seed):
@@ -758,16 +826,32 @@ class TestDefaultStepConvergence:
            seed=st.integers(0, 2**32 - 1))
     def test_default_step_converged(self, n_qubits, n_max, weights, offsets_khz, kind,
                                     eta, omega_peak_khz, chirp_khz, sigma_us, seed):
-        sideband, comp = kind
-        pulse = PulseShape(omega_peak=TWO_PI * 1e3 * omega_peak_khz, sigma=sigma_us * 1e-6,
-                           chirp_start=TWO_PI * 1e3 * chirp_khz[0],
-                           chirp_end=TWO_PI * 1e3 * chirp_khz[1])
-        cfg = DriveConfig(space=build_space(n_qubits, n_max), eta=eta, omega_v=OMEGA_V,
-                          pulse=pulse, ion_weights=tuple(weights[:n_qubits]),
-                          ion_detuning_offsets=tuple(o * TWO_PI * 1e3
-                                                     for o in offsets_khz[:n_qubits]),
-                          sideband=sideband, compensation=comp)
-        self.assert_converged(cfg, seed)
+        self.assert_converged(random_drive(n_qubits, n_max, weights, offsets_khz, kind, eta,
+                                           omega_peak_khz, chirp_khz, sigma_us), seed)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n_qubits=st.integers(1, 3),
+           n_max=st.integers(1, 3),
+           weights=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+           offsets_khz=st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3),
+           kind=st.sampled_from(DRIVE_KINDS),
+           eta=st.floats(0.02, 0.25),
+           omega_peak_khz=st.floats(50.0, 300.0),
+           chirp_khz=st.lists(st.floats(-200.0, 200.0), min_size=2, max_size=2),
+           sigma_us=st.floats(1.0, 4.0),
+           seed=st.integers(0, 2**32 - 1))
+    # the first two drives of a random scan of this strategy that the Strang
+    # step at 0.04 / max_frequency left off by more than 1e-5 in populations
+    @example(1, 3, [0.73, 0.14, 0.74], [11.1, 13.0, 7.0], DRIVE_KINDS[7], 0.105, 66.1,
+             [7.5, 103.0], 1.57, 1612219126)
+    @example(1, 3, [0.36, 0.59, 0.056], [-5.1, 18.4, -15.2], DRIVE_KINDS[5], 0.22, 213.1,
+             [-82.4, 111.3], 1.87, 4022394181)
+    def test_short_pulse_step_converged(self, n_qubits, n_max, weights, offsets_khz, kind,
+                                        eta, omega_peak_khz, chirp_khz, sigma_us, seed):
+        # pulses of a few dozen to a few hundred default steps, where the
+        # second-order split at its step left populations up to 2.5e-5 off
+        self.assert_converged(random_drive(n_qubits, n_max, weights, offsets_khz, kind, eta,
+                                           omega_peak_khz, chirp_khz, sigma_us), seed)
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(n_qubits=st.integers(1, 3),
@@ -807,7 +891,7 @@ class TestDefaultStepConvergence:
                                  if c.kind is not CompensationKind.ZERO_CARRIER]),
            eta=st.floats(0.05, 0.2),
            bound=st.sampled_from(["the peak coupling", "a chirp endpoint",
-                                  "the trap-period margin omega_v / 2pi"]),
+                                  "the trap-period margin omega_v / 4"]),
            fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
            chirp_sign=st.sampled_from([-1.0, 1.0]),
            sigma_us=st.floats(20.0, 60.0),
@@ -817,16 +901,17 @@ class TestDefaultStepConvergence:
                                             chirp_sign, sigma_us, seed):
         # Long none/effective sideband drives, whose trap frequency is only a
         # margin: total peak Rabi 20-300 kHz and chirp 0-200 kHz, drawn so that
-        # the coupling, the chirp or the margin (both below 111 kHz) sets the step.
+        # the coupling, the chirp or the margin (both below its 175 kHz) sets
+        # the step.
         a, b = fractions
         if bound == "the peak coupling":
-            rabi_khz = 120.0 + 180.0 * a
+            rabi_khz = 180.0 + 120.0 * a
             chirp_khz = 0.9 * rabi_khz * b
         elif bound == "a chirp endpoint":
-            chirp_khz = 120.0 + 80.0 * a
+            chirp_khz = 180.0 + 20.0 * a
             rabi_khz = 20.0 + (0.9 * chirp_khz - 20.0) * b
         else:
-            rabi_khz, chirp_khz = 20.0 + 80.0 * a, 100.0 * b
+            rabi_khz, chirp_khz = 20.0 + 150.0 * a, 170.0 * b
         weights = tuple(weights[:n_qubits])
         chirp = TWO_PI * 1e3 * chirp_khz * chirp_sign
         pulse = PulseShape(omega_peak=TWO_PI * 1e3 * rabi_khz / sum(weights),
@@ -841,11 +926,12 @@ class TestDefaultStepConvergence:
         self.assert_converged(cfg, seed)
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
-    def test_error_flat_in_trap_frequency(self, n_qubits, monkeypatch):
-        # At one fixed step, 0.1 / omega_v at 2 pi 0.7 MHz, the split's error on
-        # a none red drive stays flat as omega_v goes from 2 pi 0.35 to 5.6 MHz
-        # (omega_v dt 0.05 -> 0.8, past the margin's 0.31 at the guard); it
-        # grows only at the aliasing resonance omega_v dt = 2 pi.  The guard's
+    def test_converged_in_trap_frequency_up_to_the_guard(self, n_qubits, monkeypatch):
+        # At one fixed step, 6 x 0.1 / omega_v at 2 pi 0.7 MHz, the composed
+        # step's error on a none red drive grows with omega_v dt but stays
+        # inside the convergence bounds from omega_v dt = 0.3 past the margin's
+        # 0.96 at the default step and 1.2 at the guard up to 1.88, and it is
+        # large at the aliasing resonance omega_v dt = 2 pi.  The guard's
         # margin is lifted, it is not under test here.
         step_frequencies = propagator._step_frequencies
         monkeypatch.setattr(propagator, "_step_frequencies", lambda cfg: {
@@ -857,22 +943,21 @@ class TestDefaultStepConvergence:
             psi0 = StateVector(space, amp / np.linalg.norm(amp))
         else:
             psi0 = embed(space, "dd", 1)
-        dt = 0.1 / OMEGA_V
+        dt = 0.6 / OMEGA_V
         pulse = PulseShape(omega_peak=TWO_PI * 145e3, sigma=20e-6,
                            chirp_start=-TWO_PI * 100e3, chirp_end=TWO_PI * 100e3)
         errors = []
-        for omega_v in (TWO_PI * 0.35e6, TWO_PI * 1.4e6, TWO_PI * 5.6e6, TWO_PI / dt):
-            cfg = DriveConfig(space=space, eta=0.1, omega_v=omega_v, pulse=pulse,
+        for phase in (0.3, 0.6, 1.2, 1.88, TWO_PI):
+            cfg = DriveConfig(space=space, eta=0.1, omega_v=phase / dt, pulse=pulse,
                               compensation=CompensationMode.none())
             coarse = evolve(cfg, psi0, dt=dt).final_state
             fine = evolve(cfg, psi0, dt=dt / 8).final_state
             pops, pops_fine = psi_internal_populations(coarse), psi_internal_populations(fine)
             errors.append((np.linalg.norm(coarse.amplitudes - fine.amplitudes),
                            max(abs(pops[w] - pops_fine[w]) for w in pops)))
-        (slowest, _), *flat, (resonant, _) = errors
-        assert slowest < 2e-5
-        for state_error, population_error in flat:
-            assert state_error < 1.5 * slowest and population_error < 1e-5
+        (slowest, _), *converged, (resonant, _) = errors
+        for state_error, population_error in [errors[0], *converged]:
+            assert state_error < 2e-4 and population_error < 1e-5
         assert resonant > 100 * slowest
 
 
