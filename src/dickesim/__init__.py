@@ -13,8 +13,7 @@ robustness sweeps.
 
 __version__ = "0.1.0"
 
-from .core import (BasisState, HilbertSpace, StateVector, build_space, embed,
-                   make_dicke)
+from .core import HilbertSpace, StateVector, build_space, embed, make_dicke
 from .drive import (CompensationKind, CompensationMode, DriveConfig,
                     PulseShape, Sideband, derive_eta, detuning, envelope)
 from .errors import (ConfigError, ContinuityError, DegeneracyError,
@@ -32,7 +31,7 @@ from .spectral import (AdiabaticFrame, DiabaticBound, ReducedModel,
                        spectrum_with_refinement)
 
 __all__ = [
-    "AdiabaticFrame", "BasisState", "CompensationKind", "CompensationMode",
+    "AdiabaticFrame", "CompensationKind", "CompensationMode",
     "ConfigError", "ContinuityError", "DegeneracyError", "DiabaticBound",
     "DriveConfig", "EvolutionResult", "ExperimentConfig", "HilbertSpace",
     "InternalDensityMatrix", "NumericsError", "ParityCurve", "ParityFit",

@@ -42,19 +42,6 @@ def normalize_spins(spins) -> str:
 
 
 @dataclass(frozen=True)
-class BasisState:
-    """One product basis state: a spin word and a motional quantum number."""
-
-    spins: str
-    fock_n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "spins", normalize_spins(self.spins))
-        if self.fock_n < 0:
-            raise ValueError(f"fock_n must be nonnegative, got {self.fock_n}")
-
-
-@dataclass(frozen=True)
 class HilbertSpace:
     """N qubits times a Fock space truncated at ``n_max`` quanta.
 
@@ -86,14 +73,14 @@ class HilbertSpace:
         spin_index = int(spins.replace(SPIN_DOWN, "0").replace(SPIN_UP, "1"), 2)
         return spin_index * self.n_fock + fock_n
 
-    def basis_state(self, index: int) -> BasisState:
-        """Inverse of :meth:`index`."""
+    def basis_state(self, index: int) -> tuple[str, int]:
+        """Inverse of :meth:`index`: the spin word and the Fock number."""
         if not 0 <= index < self.dim:
             raise IndexError(f"basis index {index} outside [0, {self.dim})")
         spin_index, fock_n = divmod(index, self.n_fock)
         word = format(spin_index, f"0{self.n_qubits}b")
         spins = word.replace("0", SPIN_DOWN).replace("1", SPIN_UP)
-        return BasisState(spins, fock_n)
+        return spins, fock_n
 
 
 @lru_cache(maxsize=16)
@@ -127,16 +114,16 @@ def symmetric_transform(n_qubits: int) -> np.ndarray:
     return transform
 
 
-def build_space(n_qubits: int, n_max: int, dim_cap: int = DEFAULT_DIM_CAP) -> HilbertSpace:
-    """Construct the qubits-times-oscillator space with a dimension guard."""
+def build_space(n_qubits: int, n_max: int) -> HilbertSpace:
+    """Construct the qubits-times-oscillator space, at most ``DEFAULT_DIM_CAP`` states."""
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     dim = 2**n_qubits * (n_max + 1)
-    if dim > dim_cap:
+    if dim > DEFAULT_DIM_CAP:
         raise ResourceGuardError(
-            f"requested space has dim={dim}, exceeding the cap of {dim_cap}"
+            f"requested space has dim={dim}, exceeding the cap of {DEFAULT_DIM_CAP}"
         )
     return HilbertSpace(n_qubits, n_max)
 
@@ -177,9 +164,6 @@ class StateVector:
 
     def population(self, spins, fock_n: int) -> float:
         return abs(self.amplitudes[self.space.index(spins, fock_n)]) ** 2
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.space, self.amplitudes.copy())
 
 
 def embed(space: HilbertSpace, spins, fock_n: int) -> StateVector:

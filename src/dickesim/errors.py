@@ -32,7 +32,7 @@ class ContinuityError(NumericsError):
 
 
 class DegeneracyError(NumericsError):
-    """Exactly degenerate eigenvalues make branch gauge ambiguous."""
+    """Exactly degenerate eigenvalues leave the branches ambiguous."""
 
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)

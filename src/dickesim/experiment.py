@@ -29,9 +29,8 @@ from .errors import (ConfigError, ContinuityError, DegeneracyError, NumericsErro
 from .measurement import (InternalDensityMatrix, dicke_fidelity,
                           fidelity_decomposition, trace_out_motion)
 from .propagator import EvolutionResult, evolve
-from .spectral import (DEFAULT_GRID_POINTS, DiabaticBound, adiabatic_spectrum,
-                       diabatic_bound, diabatic_ratio, reduced_model,
-                       spectrum_with_refinement)
+from .spectral import (DiabaticBound, adiabatic_spectrum, diabatic_bound,
+                       diabatic_ratio, reduced_model, spectrum_with_refinement)
 
 DEFAULT_OMEGA_PEAK = TWO_PI * 145e3
 DEFAULT_SIGMA = 122e-6          # half of the 244 us full width 2 sigma
@@ -181,18 +180,16 @@ def _prepare_from(cfg: ExperimentConfig, start_n: int) -> StateVector:
     return psi
 
 
-def _rap_frame(cfg: ExperimentConfig, n_points: int = DEFAULT_GRID_POINTS,
-               times=None):
+def _rap_frame(cfg: ExperimentConfig, times=None):
     """Adiabatic frame of the reduced model and the RAP branch pair ``(i, j)``.
 
     The pair are the branches whose t=0 eigenvectors follow the bare states
     ``|d..d,1>`` and ``|D,0>``.  Without ``times`` the grid is uniform with
-    ``n_points`` points, refined on branch-tracking failure.
+    ``DEFAULT_GRID_POINTS`` points, refined on branch-tracking failure.
     """
     model = reduced_model(cfg.rap_drive())
     if times is None:
-        frame = spectrum_with_refinement(model.h_at, 0.0, cfg.pulse().duration,
-                                         n_points)
+        frame = spectrum_with_refinement(model.h_at, 0.0, cfg.pulse().duration)
     else:
         frame = adiabatic_spectrum(model.h_at, times)
     picks = []
@@ -242,7 +239,7 @@ def run_rap(cfg: ExperimentConfig) -> RapResult:
     for n, weight in cfg.thermal_components():
         finals.append((weight, evolve(drive, _prepare_from(cfg, n), dt=cfg.dt)))
     rho = trace_out_motion([(weight, res.final_state) for weight, res in finals])
-    populations = {space.basis_state(s * space.n_fock).spins: float(p)
+    populations = {space.basis_state(s * space.n_fock)[0]: float(p)
                    for s, p in enumerate(rho.populations())}
     return RapResult(evolution=finals[0][1], rho=rho, fidelity=dicke_fidelity(rho),
                      bound=rap_diabatic_bound(cfg), populations=populations)
@@ -313,7 +310,6 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None) -> SweepResult:
 @dataclass
 class PotentialsVariant:
     energies: np.ndarray           # (n_times, 5)
-    gap: np.ndarray
     alpha_over_omega_sq: np.ndarray
 
 
@@ -323,14 +319,13 @@ class PotentialsReport:
     variants: dict
 
 
-def potentials_report(cfg: ExperimentConfig,
-                      n_points: int = DEFAULT_GRID_POINTS) -> PotentialsReport:
+def potentials_report(cfg: ExperimentConfig) -> PotentialsReport:
     """Adiabatic energies and |alpha/omega|^2 with and without carrier couplings.
 
     Both variants (raw Hamiltonian and carrier terms zeroed) are evaluated on
     the same grid so their curves compare point by point: the first variant's
-    uniform ``n_points`` grid (refined automatically on branch-tracking
-    failure), which the second reuses.
+    uniform ``DEFAULT_GRID_POINTS`` grid (refined automatically on
+    branch-tracking failure), which the second reuses.
     """
     if cfg.n_qubits != 2:
         raise ConfigError("the potentials report is defined for two ions; "
@@ -339,9 +334,8 @@ def potentials_report(cfg: ExperimentConfig,
     times = None
     for name, comp in (("none", CompensationMode.none()),
                        ("zero_carrier", CompensationMode.zero_carrier())):
-        frame, (i, j) = _rap_frame(replace(cfg, compensation=comp), n_points, times)
+        frame, (i, j) = _rap_frame(replace(cfg, compensation=comp), times)
         times = frame.times
-        gap = np.abs(frame.energies[:, j] - frame.energies[:, i])
-        variants[name] = PotentialsVariant(energies=frame.energies, gap=gap,
+        variants[name] = PotentialsVariant(energies=frame.energies,
                                            alpha_over_omega_sq=diabatic_ratio(frame, i, j))
     return PotentialsReport(times=times, variants=variants)

@@ -191,14 +191,12 @@ def fit_parity(samples) -> ParityFit:
                      sin_amp=float(coef[2]), residual_rms=rms)
 
 
-def simulate_histogram(populations, shots: int, seed: int,
-                       bright_mean: float = BRIGHT_MEAN,
-                       background: float = BACKGROUND_MEAN) -> np.ndarray:
+def simulate_histogram(populations, shots: int, seed: int) -> np.ndarray:
     """Sampled fluorescence-count histogram for projective readout of N ions.
 
     ``populations[m]`` (m = 0..N) is the probability that m ions are up;
     the other N - m are down and fluoresce, so class m gives Poisson counts
-    with mean ``background + (N - m) bright_mean``.  For two ions that is
+    with mean ``BACKGROUND_MEAN + (N - m) BRIGHT_MEAN``.  For two ions that is
     ``(P_dd, P_du + P_ud, P_uu)``.  Returns integer frequencies indexed by
     count value (``hist[c]`` = number of shots with c counts).
     """
@@ -213,7 +211,7 @@ def simulate_histogram(populations, shots: int, seed: int,
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
     n_ions = populations.size - 1
-    means = background + bright_mean * np.arange(n_ions, -1, -1.0)
+    means = BACKGROUND_MEAN + BRIGHT_MEAN * np.arange(n_ions, -1, -1.0)
     classes = rng.choice(n_ions + 1, size=shots, p=populations)
     counts = rng.poisson(means[classes])
     return np.bincount(counts)

@@ -140,7 +140,6 @@ class EvolutionResult:
     symmetric_basis: bool
     peak_leak: float
     peak_leak_time: float
-    trajectory: list | None = None  # [(t, StateVector), ...] when sampled
 
 
 def default_dt(cfg: DriveConfig) -> float:
@@ -361,17 +360,17 @@ def _run_chunk(q: np.ndarray, psi: np.ndarray, work: np.ndarray) -> np.ndarray:
 
 
 def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
-           sample_every: int = 0, duration: float | None = None) -> EvolutionResult:
+           duration: float | None = None) -> EvolutionResult:
     """Propagate ``psi0`` through one pulse of ``cfg``.
 
     Each step of length ``dt`` is the triple jump of three Strang sub-steps.
     ``dt`` defaults to :func:`default_dt`; a guard rejects steps coarser than
     ``0.30 / max_frequency``.  ``duration`` defaults to the pulse duration and
-    must be given for flat (infinite-sigma) pulses.  With ``sample_every = k``
-    the trajectory records the state every k steps (plus the initial state).
-    The truncation leak (population at ``fock_n = n_max``) and the norm
-    drift are checked after every whole step; the drift is measured from unit
-    norm, to which the state is rescaled after each chunk.
+    must be given for flat (infinite-sigma) pulses; the state at any time
+    inside the pulse is ``evolve(..., duration=t)``.  The truncation leak
+    (population at ``fock_n = n_max``) and the norm drift are checked after
+    every whole step; the drift is measured from unit norm, to which the
+    state is rescaled after each chunk.
     """
     if psi0.space != cfg.space:
         raise ValueError("initial state lives in a different space than the drive")
@@ -416,18 +415,14 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
     work = np.empty(3 * n_sub * chunk * largest**2, dtype=complex)
     norm_drift = 0.0
     peak_leak, peak_leak_time = 0.0, 0.0
-    samples = []
     for start in range(0, n_steps, chunk):
         steps = np.arange(start + 1, min(start + chunk, n_steps) + 1)
         midpoints = ((steps - 1)[:, None] + SUBSTEP_MIDPOINTS).ravel() * dt_eff
         coefs = coefficients(cfg, midpoints)
         dts = np.tile(sub_dts, len(steps))
-        picks = (np.flatnonzero(steps % sample_every == 0) if sample_every > 0
-                 else np.array([], dtype=int))
 
         norms = np.zeros(len(steps))
         leaks = np.zeros(len(steps))
-        picked = np.zeros((len(picks), cfg.space.dim), dtype=complex)
         for b, split in enumerate(splits):
             m = len(split.idx)
             buffer = work[:3 * n_sub * chunk * m * m].reshape(3, n_sub * chunk, m, m)
@@ -439,7 +434,6 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
             pops = states.real**2 + states.imag**2
             norms += pops.sum(axis=1)
             leaks += pops[:, leak_masks[b]].sum(axis=1)
-            picked[:, split.idx] = states[picks]
 
         drift = np.abs(1.0 - norms)
         worst = int(np.argmax(drift))
@@ -459,23 +453,15 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
             )
         if leaks[peak] > peak_leak:
             peak_leak, peak_leak_time = float(leaks[peak]), float(steps[peak] * dt_eff)
-        samples.extend(zip(steps[picks], picked))
-
-    def back(vec):
-        return vec if transform is None else (transform @ vec.reshape(-1, n_fock)).ravel()
-
-    trajectory = None
-    if sample_every > 0:
-        trajectory = [(0.0, psi0.copy())]
-        trajectory += [(int(k) * dt_eff, StateVector(cfg.space, back(vec)))
-                       for k, vec in samples]
 
     psi_final = np.zeros(cfg.space.dim, dtype=complex)
     for split, psi in zip(splits, psis):
         psi_final[split.idx] = psi
-    final = StateVector(cfg.space, back(psi_final))
+    if transform is not None:
+        psi_final = (transform @ psi_final.reshape(-1, n_fock)).ravel()
+    final = StateVector(cfg.space, psi_final)
     return EvolutionResult(
         final_state=final, norm_drift=norm_drift, steps=n_steps, dt=dt_eff,
         block_sizes=tuple(sorted((len(split.idx) for split in splits), reverse=True)),
         symmetric_basis=transform is not None, peak_leak=peak_leak,
-        peak_leak_time=peak_leak_time, trajectory=trajectory)
+        peak_leak_time=peak_leak_time)

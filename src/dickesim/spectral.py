@@ -1,7 +1,8 @@
 """Instantaneous eigen-analysis of time-dependent Hamiltonians.
 
-Provides gauge-fixed adiabatic frames (branch-matched eigendecompositions on
-a time grid), nonadiabatic couplings ``alpha_ji(t) = <j(t)| d/dt |i(t)>``,
+Provides adiabatic frames (branch-matched eigendecompositions of a real
+symmetric H(t) on a time grid), nonadiabatic couplings
+``alpha_ji(t) = <j(t)| d/dt |i(t)>``,
 the ratio ``|alpha_ji / omega_ji|^2`` on the grid and its maximum (the
 standard upper bound on diabatic-transition probability), and the reduced
 model of the chirped red-sideband pulse: the drive Hamiltonian projected
@@ -14,8 +15,10 @@ eigenvector sets (the pair across the block boundary included).  Each
 branch follows the column of its largest overlap.  Because the columns are
 orthonormal, once every such maximum exceeds ``CONTINUITY_MIN`` (> 1/sqrt 2)
 they form a permutation, the one a greedy descending-overlap match picks.
-Permutations are composed only where the match is not the identity, and
-the gauge is a running product of signs (real H) or phases (complex H).
+Permutations are composed only where the match is not the identity.  The
+eigenvectors keep the signs ``eigh`` gives them: the couplings align each
+neighbour's sign locally, and the diabatic ratio is a square, so no global
+gauge is needed.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ class AdiabaticFrame:
 
     ``energies[k, i]`` and ``vectors[k, :, i]`` describe branch ``i`` at
     ``times[k]``; branches are ordered by ascending energy at ``times[0]``
-    and then followed by maximum-overlap continuation.  Successive overlaps
-    ``<v_i(t_k)|v_i(t_k+1)>`` are made real and positive (the gauge fix).
+    and then followed by maximum-overlap continuation.  Each vector keeps the
+    sign ``eigh`` gave it, so ``<v_i(t_k)|v_i(t_k+1)>`` may be negative.
     ``refinements`` counts the grid doublings :func:`spectrum_with_refinement`
     needed to track the branches (0 for a grid given directly).
     """
@@ -65,9 +68,9 @@ class AdiabaticFrame:
 
 def adiabatic_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray],
                        times) -> AdiabaticFrame:
-    """Diagonalize H(t) over a grid with branch matching and gauge fixing.
+    """Diagonalize a real symmetric H(t) over a grid with branch matching.
 
-    ``h_of_t`` takes a 1-d array of K times and returns the stacked
+    ``h_of_t`` takes a 1-d array of K times and returns the stacked real
     Hamiltonians, shape ``(K, d, d)``; it is called once per block of at most
     :data:`CHUNK_POINTS` grid points.  Raises :class:`ContinuityError` when
     successive eigenvectors overlap by at most 0.9 (grid too coarse near an
@@ -85,22 +88,22 @@ def adiabatic_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray],
     for start in range(0, len(times), CHUNK_POINTS):
         block = times[start:start + CHUNK_POINTS]
         h = np.asarray(h_of_t(block))
-        if (h.ndim != 3 or h.shape[:2] != (len(block), h.shape[2])
+        if (h.ndim != 3 or h.shape[:2] != (len(block), h.shape[2]) or h.dtype.kind == "c"
                 or (vectors is not None and h.shape[2] != vectors.shape[1])):
-            raise ValueError(f"h_of_t returned shape {h.shape} for {len(block)} times; "
-                             f"expected ({len(block)}, d, d)")
+            raise ValueError(f"h_of_t returned {h.dtype} shape {h.shape} for {len(block)} "
+                             f"times; expected a real ({len(block)}, d, d) stack")
         w, v = np.linalg.eigh(h)
         if vectors is None:
             dim = h.shape[2]
             energies = np.empty((len(times), dim))
-            vectors = np.empty((len(times), dim, dim), dtype=v.dtype)
-            # carried between blocks: raw vectors at the last point done, and
-            # there each branch's raw column and gauge factor; the first block
-            # starts from point 0 itself (a self-overlap, so no step)
-            prev, perm, gauge = v[0], np.arange(dim), np.ones(dim, dtype=v.dtype)
+            vectors = np.empty((len(times), dim, dim))
+            # carried between blocks: the vectors at the last point done, and
+            # there each branch's column; the first block starts from point 0
+            # itself (a self-overlap, so no step)
+            prev, perm = v[0], np.arange(dim)
 
         # step k joins the point before block point k to block point k
-        overlap = np.concatenate([prev[None], v[:-1]]).conj().swapaxes(1, 2) @ v
+        overlap = np.concatenate([prev[None], v[:-1]]).swapaxes(1, 2) @ v
         mag = np.abs(overlap)
         # each raw column on the left follows its largest overlap on the right;
         # above 1/sqrt(2) these row maxima form the greedy permutation
@@ -124,7 +127,7 @@ def adiabatic_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray],
         if k_deg < len(block) and k_deg <= k_cont:
             t = block[k_deg]
             raise DegeneracyError(
-                f"exactly degenerate eigenvalues at t={t:.6e} s; branch gauge ambiguous",
+                f"exactly degenerate eigenvalues at t={t:.6e} s; branches ambiguous",
                 time=float(t),
             )
         if k_cont < len(block):
@@ -136,16 +139,10 @@ def adiabatic_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray],
                 f"t={times[k-1]:.6e} and t={times[k]:.6e}; refine the grid"
             )
 
-        # gauge: successive overlaps <v_i(t_k-1)|v_i(t_k)> real positive
-        raw = overlap[np.arange(len(block))[:, None], perms[:-1], perms[1:]]
-        turn = np.exp(-1j * np.angle(raw)) if np.iscomplexobj(raw) else np.sign(raw)
-        gauges = gauge * np.cumprod(turn, axis=0)
-
         cols = perms[1:]
         energies[start:start + len(block)] = np.take_along_axis(w, cols, axis=1)
-        vectors[start:start + len(block)] = (np.take_along_axis(v, cols[:, None, :], axis=2)
-                                             * gauges[:, None, :])
-        prev, perm, gauge = v[-1], perms[-1], gauges[-1]
+        vectors[start:start + len(block)] = np.take_along_axis(v, cols[:, None, :], axis=2)
+        prev, perm = v[-1], perms[-1]
 
     return AdiabaticFrame(times=times, energies=energies, vectors=vectors)
 
@@ -170,23 +167,24 @@ def spectrum_with_refinement(h_of_t, t_start: float, t_end: float,
 def nonadiabatic_coupling(frame: AdiabaticFrame, i: int, j: int) -> np.ndarray:
     """``alpha_ji(t) = <j(t)| d/dt |i(t)>`` by finite differences on the frame.
 
-    Central differences at interior points, one-sided at the ends.  The
-    result is real for the real-symmetric Hamiltonians used here; a complex
-    frame contributes only its real part.
+    Central differences at interior points, one-sided at the ends.  Each
+    neighbour of ``v_i(t_k)`` first takes the sign
+    ``s_k = sign <v_i(t_k)|v_i(t_k+1)>`` that aligns it with ``v_i(t_k)``.
+    Flipping a vector's sign is exact, so any signs the frame's vectors carry
+    change ``alpha_ji`` by an exact sign at most and leave ``|alpha_ji|``
+    bit-identical.
     """
     if i == j:
         raise ValueError("nonadiabatic coupling needs two distinct branches")
     vi = frame.vectors[:, :, i]
     vj = frame.vectors[:, :, j]
     t = frame.times
-    n = len(t)
-    alpha = np.empty(n)
+    s = np.sign(np.sum(vi[:-1] * vi[1:], axis=1))[:, None]
     dvi = np.empty_like(vi)
-    dvi[1:-1] = (vi[2:] - vi[:-2]) / (t[2:] - t[:-2])[:, None]
-    dvi[0] = (vi[1] - vi[0]) / (t[1] - t[0])
-    dvi[-1] = (vi[-1] - vi[-2]) / (t[-1] - t[-2])
-    alpha[:] = np.real(np.sum(vj.conj() * dvi, axis=1))
-    return alpha
+    dvi[1:-1] = (s[1:] * vi[2:] - s[:-1] * vi[:-2]) / (t[2:] - t[:-2])[:, None]
+    dvi[0] = (s[0] * vi[1] - vi[0]) / (t[1] - t[0])
+    dvi[-1] = (vi[-1] - s[-1] * vi[-2]) / (t[-1] - t[-2])
+    return np.sum(vj * dvi, axis=1)
 
 
 def diabatic_ratio(frame: AdiabaticFrame, i: int, j: int) -> np.ndarray:

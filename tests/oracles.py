@@ -12,8 +12,8 @@ statistics that only tests need, the per-phase analysis pulse
 (``rotation_matrix``, ``rotate_global``, ``parity``) that the batched
 ``parity_curve`` is checked against, the components of a dense coupling
 pattern (``connected_components``) that the propagator's block search is
-checked against, and three run helpers only tests use (``prepare_fock1``,
-``truncation_overlap``, ``sample_stride``).
+checked against, and four run helpers only tests use (``prepare_fock1``,
+``truncation_overlap``, ``checkpoint_states``, ``rap_pair_gap``).
 """
 
 import math
@@ -22,9 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from dickesim import InternalDensityMatrix, StateVector, evolve, make_dicke, propagator
-from dickesim.drive import CompensationKind, DriveConfig, Sideband, envelope
-from dickesim.experiment import ExperimentConfig, _prepare_from
+from dickesim import InternalDensityMatrix, StateVector, evolve, make_dicke
+from dickesim.drive import (CompensationKind, CompensationMode, DriveConfig, Sideband,
+                            envelope)
+from dickesim.experiment import ExperimentConfig, _prepare_from, _rap_frame
 
 
 def psi_dicke_fidelity(psi, m=1):
@@ -40,7 +41,7 @@ def psi_internal_populations(psi):
     space = psi.space
     amp = psi.amplitudes.reshape(2**space.n_qubits, space.n_fock)
     pops = np.sum(np.abs(amp) ** 2, axis=1)
-    return {space.basis_state(s * space.n_fock).spins: float(p)
+    return {space.basis_state(s * space.n_fock)[0]: float(p)
             for s, p in enumerate(pops)}
 
 
@@ -255,7 +256,18 @@ def truncation_overlap(cfg: ExperimentConfig, extra: int = 2) -> float:
     return worst
 
 
-def sample_stride(cfg: DriveConfig, samples: int = 30) -> int:
-    """``sample_every`` for which a default-step ``evolve`` records ``samples`` states or more."""
-    steps = math.ceil(cfg.pulse.duration / propagator.default_dt(cfg))
-    return max(1, steps // samples)
+def checkpoint_states(cfg: DriveConfig, psi0: StateVector, count: int = 8) -> list:
+    """The states at ``count`` evenly spaced times up to the pulse's end, each its own run."""
+    return [evolve(cfg, psi0, duration=t).final_state
+            for t in np.linspace(0.0, cfg.pulse.duration, count + 1)[1:]]
+
+
+def rap_pair_gap(cfg: ExperimentConfig, report, variant: str) -> np.ndarray:
+    """``|E_j - E_i|`` of the RAP branch pair on one variant of a potentials report.
+
+    The pair ``(i, j)`` is the one the variant's frame picks on the report's grid.
+    """
+    compensation = getattr(CompensationMode, variant)()
+    _, (i, j) = _rap_frame(replace(cfg, compensation=compensation), report.times)
+    energies = report.variants[variant].energies
+    return np.abs(energies[:, j] - energies[:, i])

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from dickesim import ResourceGuardError, StateVector, build_space, embed, make_dicke
-from dickesim.core import dicke_spin_words
+from dickesim.core import DEFAULT_DIM_CAP, dicke_spin_words
 from oracles import annihilation, atom_number, fock_number, sigma_x
 
 
 def internal_parity_matrix(space):
     """(-1)^(number of up ions), built by direct basis enumeration."""
-    diag = [(-1.0) ** space.basis_state(i).spins.count("u") for i in range(space.dim)]
+    diag = [(-1.0) ** space.basis_state(i)[0].count("u") for i in range(space.dim)]
     return np.diag(diag)
 
 
@@ -24,10 +24,12 @@ class TestBuildSpace:
         assert build_space(n_qubits, n_max).dim == dim
 
     def test_resource_guard(self):
+        # the cap admits 4096 states (ten ions at n_max 3) and nothing above
+        assert build_space(10, 3).dim == DEFAULT_DIM_CAP
+        with pytest.raises(ResourceGuardError, match="cap of 4096"):
+            build_space(10, 4)
         with pytest.raises(ResourceGuardError):
             build_space(10, 10)
-        # a custom cap is honored
-        build_space(10, 10, dim_cap=2**14)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -40,9 +42,9 @@ class TestBuildSpace:
         space = build_space(n_qubits, n_max)
         seen = set()
         for i in range(space.dim):
-            b = space.basis_state(i)
-            assert space.index(b.spins, b.fock_n) == i
-            seen.add((b.spins, b.fock_n))
+            spins, fock_n = space.basis_state(i)
+            assert space.index(spins, fock_n) == i
+            seen.add((spins, fock_n))
         assert len(seen) == space.dim
 
     def test_ordering_convention(self):

@@ -12,7 +12,7 @@ from dickesim import experiment, measurement
 from dickesim.drive import TWO_PI
 from dickesim.experiment import default_sweep_values
 from oracles import (count_local_minima, prepare_fock1, psi_dicke_fidelity,
-                     psi_internal_populations, truncation_overlap)
+                     psi_internal_populations, rap_pair_gap, truncation_overlap)
 
 
 def zc_config(**kwargs):
@@ -214,24 +214,25 @@ class TestPotentialsReport:
     def test_minima_structure_at_elevated_amplitude(self):
         cfg = zc_config(omega_peak=TWO_PI * 300e3)
         report = potentials_report(cfg)
-        assert count_local_minima(report.variants["zero_carrier"].gap) == 1
-        assert count_local_minima(report.variants["none"].gap) >= 2
+        assert count_local_minima(rap_pair_gap(cfg, report, "zero_carrier")) == 1
+        assert count_local_minima(rap_pair_gap(cfg, report, "none")) >= 2
 
     def test_bare_branches_with_zero_drive(self):
-        # even point count keeps the exact crossing off the grid
-        cfg = zc_config(omega_peak=TWO_PI * 1e-3)
-        report = potentials_report(cfg, n_points=2000)
-        var = report.variants["none"]
+        # a chirp to +110 kHz puts the exact crossing (delta_sb = 0) at
+        # 10/21 of the pulse, off the grid (at its center it is a grid point)
+        cfg = zc_config(omega_peak=TWO_PI * 1e-3, chirp_end=TWO_PI * 110e3)
+        report = potentials_report(cfg)
+        gap = rap_pair_gap(cfg, report, "none")
         dur = cfg.pulse().duration
-        delta_sb = -TWO_PI * 100e3 + TWO_PI * 200e3 * report.times / dur
+        delta_sb = -TWO_PI * 100e3 + TWO_PI * 210e3 * report.times / dur
         bare_gap = np.abs(delta_sb)
-        assert np.max(np.abs(var.gap - bare_gap)) < TWO_PI * 1.0
-        assert count_local_minima(var.gap) == 1   # plain V shape, no splitting
+        assert np.max(np.abs(gap - bare_gap)) < TWO_PI * 1.0
+        assert count_local_minima(gap) == 1   # plain V shape, no splitting
 
     def test_same_grid_for_both_variants(self):
-        report = potentials_report(zc_config(), n_points=801)
+        report = potentials_report(zc_config())
         assert report.variants["none"].energies.shape == \
-            report.variants["zero_carrier"].energies.shape == (801, 5)
+            report.variants["zero_carrier"].energies.shape == (2001, 5)
 
 
 class TestTruncationConvergence:

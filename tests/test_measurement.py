@@ -307,8 +307,9 @@ class TestHistogram:
         assert mean == pytest.approx(140.5, abs=1.0)
         assert hist[counts <= 105].sum() < 0.01 * hist.sum()
 
-    def test_all_dark_without_background(self):
-        hist = simulate_histogram((0.0, 0.0, 1.0), shots=500, seed=1, background=0.0)
+    def test_all_dark_without_background(self, monkeypatch):
+        monkeypatch.setattr(measurement, "BACKGROUND_MEAN", 0.0)
+        hist = simulate_histogram((0.0, 0.0, 1.0), shots=500, seed=1)
         assert hist[0] == 500
         assert hist.sum() == 500
 

@@ -29,9 +29,9 @@ from dickesim import propagator
 from dickesim.core import symmetric_transform
 from dickesim.drive import (CompensationKind, TWO_PI, coefficients, drive_terms,
                             symmetric_terms)
-from oracles import (connected_components, dense_terms, excitation_number,
-                     hamiltonian_matrix, prepare_fock1, psi_internal_populations,
-                     sample_stride)
+from oracles import (checkpoint_states, connected_components, dense_terms,
+                     excitation_number, hamiltonian_matrix, prepare_fock1,
+                     psi_internal_populations)
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
@@ -417,14 +417,17 @@ def short_rap_drive(comp, weights):
 
 class TestAgainstBruteForce:
     N_STEPS = 16384
+    #: the reduced and the dense split share this discretisation, so their gap
+    #: is rounding at any count the step guard admits (>= 574 here)
+    REDUCTION_STEPS = 1024
 
     @pytest.mark.parametrize("comp,weights", REDUCTION_CONFIGS)
     def test_block_reductions_change_nothing(self, comp, weights):
         cfg = short_rap_drive(comp, weights)
         psi0 = embed(cfg.space, "dd", 1)
         duration = cfg.pulse.duration
-        res = evolve(cfg, psi0, dt=duration / self.N_STEPS)
-        ref = dense_split_evolve(cfg, psi0, self.N_STEPS, duration)
+        res = evolve(cfg, psi0, dt=duration / self.REDUCTION_STEPS)
+        ref = dense_split_evolve(cfg, psi0, self.REDUCTION_STEPS, duration)
         assert np.linalg.norm(res.final_state.amplitudes - ref) < 1e-10
 
     @pytest.mark.parametrize("comp,weights", REDUCTION_CONFIGS)
@@ -482,14 +485,10 @@ class TestChunkScan:
         cfg = scan_drive()
         psi0 = embed(cfg.space, "dd", 1)
         dt = cfg.pulse.duration / n_steps
-        res = evolve(cfg, psi0, dt=dt, sample_every=97)
+        res = evolve(cfg, psi0, dt=dt)
         monkeypatch.setattr(propagator, "_run_chunk", sequential_chunk)
-        ref = evolve(cfg, psi0, dt=dt, sample_every=97)
+        ref = evolve(cfg, psi0, dt=dt)
         assert res.block_sizes == (2,) and res.steps == n_steps
-        assert [t for t, _ in res.trajectory] == [t for t, _ in ref.trajectory]
-        gap = max(np.abs(a.amplitudes - b.amplitudes).max()
-                  for (_, a), (_, b) in zip(res.trajectory, ref.trajectory))
-        assert gap < 1e-12
         assert np.abs(res.final_state.amplitudes - ref.final_state.amplitudes).max() < 1e-12
         assert res.norm_drift == pytest.approx(ref.norm_drift, abs=1e-13)
         assert res.peak_leak == pytest.approx(ref.peak_leak, abs=1e-13)
@@ -987,11 +986,9 @@ class TestStructuralDynamics:
     def test_excitation_number_conserved(self):
         cfg = rap_drive()
         psi0 = embed(cfg.space, "dd", 1)
-        res = evolve(cfg, psi0, sample_every=sample_stride(cfg))
-        assert len(res.trajectory) > 30
         n_e = excitation_number(cfg.space)
         values = [np.vdot(s.amplitudes, n_e @ s.amplitudes).real
-                  for _, s in res.trajectory]
+                  for s in checkpoint_states(cfg, psi0)]
         assert np.max(np.abs(np.array(values) - 1.0)) < 1e-8
 
     @pytest.mark.parametrize("comp", [CompensationMode.none(),
@@ -1003,9 +1000,7 @@ class TestStructuralDynamics:
         amp[space.index("du", 0)] = 1 / math.sqrt(2)
         amp[space.index("ud", 0)] = -1 / math.sqrt(2)
         dark = StateVector(space, amp)
-        res = evolve(cfg, dark, sample_every=sample_stride(cfg))
-        assert len(res.trajectory) > 30
-        for _, s in res.trajectory:
+        for s in checkpoint_states(cfg, dark):
             assert dark.squared_overlap(s) == pytest.approx(1.0, abs=1e-8)
 
 
