@@ -153,18 +153,6 @@ class StateVector:
     def norm_sq(self) -> float:
         return float(np.real(np.vdot(self.amplitudes, self.amplitudes)))
 
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product ``<self|other>``."""
-        if other.space != self.space:
-            raise ValueError("states live in different spaces")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def squared_overlap(self, other: "StateVector") -> float:
-        return abs(self.overlap(other)) ** 2
-
-    def population(self, spins, fock_n: int) -> float:
-        return abs(self.amplitudes[self.space.index(spins, fock_n)]) ** 2
-
 
 def embed(space: HilbertSpace, spins, fock_n: int) -> StateVector:
     """Unit basis vector ``|spins, fock_n>``."""

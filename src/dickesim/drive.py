@@ -175,14 +175,18 @@ def derive_eta(wavelength: float, mass_amu: float, omega_v: float,
 
 @dataclass(frozen=True)
 class DriveConfig:
-    """Everything needed to evaluate H(t) for one pulse on one space."""
+    """Everything needed to evaluate H(t) for one pulse on one space.
+
+    ``ion_weights`` and ``ion_detuning_offsets`` hold one entry per ion;
+    :class:`dickesim.experiment.ExperimentConfig` fills in their defaults.
+    """
 
     space: HilbertSpace
     eta: float
     omega_v: float
     pulse: PulseShape
-    ion_weights: tuple = ()
-    ion_detuning_offsets: tuple = ()
+    ion_weights: tuple
+    ion_detuning_offsets: tuple
     sideband: Sideband = Sideband.RED
     compensation: CompensationMode = field(default_factory=CompensationMode.none)
 
@@ -195,8 +199,7 @@ class DriveConfig:
         if self.omega_v <= 0:
             raise ValueError(f"omega_v must be > 0, got {self.omega_v}")
         n = self.space.n_qubits
-        weights = tuple(self.ion_weights) if self.ion_weights else (1.0,) * n
-        offsets = tuple(self.ion_detuning_offsets) if self.ion_detuning_offsets else (0.0,) * n
+        weights, offsets = tuple(self.ion_weights), tuple(self.ion_detuning_offsets)
         if len(weights) != n:
             raise ValueError(f"ion_weights has {len(weights)} entries for {n} ions")
         if len(offsets) != n:

@@ -14,11 +14,12 @@ factors, ``H(t) = omega_v 1(x)n + sum_k c_k(t) H_k(x)1 + Omega(t) R`` with
   does not depend on time; it is assembled on the block's states and
   diagonalised once per block.
 
-The step defaults to ``0.24 / max_frequency`` (:func:`default_dt`) and a
-guard rejects any step above ``0.30 / max_frequency``.  ``max_frequency``
+The step defaults to ``0.60 / max_frequency`` (:func:`default_dt`) and a
+guard rejects any step above ``0.75 / max_frequency``.  ``max_frequency``
 holds what the split integrates approximately (:func:`max_frequency`): the
-peak coupling, the chirp endpoints, the ion offsets and the envelope rate
-``1/sigma``.  The trap frequency is not such a rate.  The split's error comes
+peak coupling, the chirp endpoints, the ion offsets and the envelope floor
+``8/sigma``, which keeps about 63 steps on any Gaussian pulse.  The trap
+frequency is not such a rate.  The split's error comes
 from the commutators of its pieces (McLachlan & Quispel, Acta Numerica 11,
 341 (2002)), and ``omega_v`` multiplies an excitation number (``n + up``
 red, ``n - up`` blue, ``n`` carrier) that commutes with R.  Without carrier
@@ -29,16 +30,19 @@ carrier's rotation at ``omega_v`` between the split's samples, which grows
 the error steadily in ``omega_v dt`` (fastest on short pulses, where it
 combines with the envelope rate) and sharply near the aliasing resonance
 ``2 pi``.  For those drives ``omega_v / 4`` enters ``max_frequency`` as a
-margin, so the default step keeps ``omega_v dt <= 0.96``.
+margin, so the default step keeps ``omega_v dt <= 2.4``.
 
 A Strang sub-step of length h at midpoint t is ``S = A B A`` with
 ``A = exp(-i H_F(t) h / 2)`` and ``B = exp(-i Omega(t) R h)``.  It is
-time-symmetric and second order, so the symmetric triple jump
-``S(w1 dt) S(w0 dt) S(w1 dt)`` with ``w1 = 1 / (2 - 2^(1/3))`` and
-``w0 = 1 - 2 w1`` is fourth order (Yoshida, Phys. Lett. A 150, 262 (1990)).
-Each step of length dt takes those three sub-steps, at midpoints
-``0.676 dt``, ``dt / 2`` and ``0.324 dt`` into the step (the middle one runs
-backward, ``w0 = -1.70``).  Every factor is an exact exponential, so each
+time-symmetric and second order, so Suzuki's symmetric five-stage
+composition ``S(p dt) S(p dt) S((1 - 4p) dt) S(p dt) S(p dt)`` with
+``p = 1 / (4 - 4^(1/3))`` is fourth order (Suzuki, Phys. Lett. A 146, 319
+(1990); McLachlan, SIAM J. Sci. Comput. 16, 151 (1995)).  Its one backward
+sub-step, ``1 - 4p = -0.66``, is shorter than the triple jump's
+``-1.70``, so its error constant is much smaller.  Each step of length dt
+takes those five sub-steps, at midpoints ``0.207 dt``, ``0.622 dt``,
+``dt / 2``, ``0.378 dt`` and ``0.793 dt`` into the step (the middle one runs
+backward).  Every factor is an exact exponential, so each
 step is unitary to machine precision.  ``A`` is complex symmetric and
 ``B = V diag(b) V^T`` with V real (the eigenvectors of R), so every sub-step
 factors as ``S = Q Q^T`` with ``Q = A V diag(b)^(1/2)``; the factors of a
@@ -51,7 +55,7 @@ each group, one matrix-vector product per group, one in-place batched product
 for every state), so the Python-level loop runs about sqrt(K) times per chunk
 of K sub-steps instead of K times.  Either way every state is produced, and
 the norm drift and truncation leak are read off the state after each whole
-step (the state after the backward sub-step is not the state at any time).
+step (the states between sub-steps are not the state at any time).
 Every block builds the stacks of every chunk in one buffer allocated per
 call, so the chunk loop allocates no stack.
 
@@ -106,14 +110,14 @@ LEAK_LIMIT = 1e-4
 #: largest norm deviation within one chunk before evolve raises NumericsError
 NORM_DRIFT_LIMIT = 1e-9
 #: default step and guard, times 1 / max_frequency, measured on the composed
-#: step: against dt/8, about 1 in 1000 random 1-4 us pulses moves populations
-#: by more than 1e-5 (1 in 80 for the Strang step at 0.04)
-DEFAULT_STEP = 0.24
-STEP_LIMIT = 0.30
-#: the triple jump S(w1 dt) S(w0 dt) S(w1 dt): sub-step lengths and midpoints
-#: as fractions of the step
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-SUBSTEP_LENGTHS = np.array([_W1, 1.0 - 2.0 * _W1, _W1])
+#: step with the envelope floor 8 / sigma: against dt/8, none of 2000 random
+#: 1-4 us pulses moves populations by more than 1e-5
+DEFAULT_STEP = 0.60
+STEP_LIMIT = 0.75
+#: Suzuki's five-stage composition S(p dt) S(p dt) S((1 - 4p) dt) S(p dt) S(p dt):
+#: sub-step lengths and midpoints as fractions of the step
+_P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+SUBSTEP_LENGTHS = np.array([_P, _P, 1.0 - 4.0 * _P, _P, _P])
 SUBSTEP_MIDPOINTS = np.cumsum(SUBSTEP_LENGTHS) - SUBSTEP_LENGTHS / 2
 
 
@@ -122,7 +126,7 @@ class EvolutionResult:
     """Final state plus integration diagnostics.
 
     ``steps`` and ``dt`` are the count and the effective length of the
-    composed steps, each three Strang sub-steps (three exponentials of the
+    composed steps, each five Strang sub-steps (five exponentials of the
     internal Hamiltonian and of the sideband coupling).  ``block_sizes`` are
     the sizes of the evolved coupling blocks (largest first) and
     ``symmetric_basis`` whether they live in the permutation-symmetric
@@ -143,7 +147,7 @@ class EvolutionResult:
 
 
 def default_dt(cfg: DriveConfig) -> float:
-    """The integration step: 0.24 / :func:`max_frequency`, inside the 0.30 guard.
+    """The integration step: 0.60 / :func:`max_frequency`, inside the 0.75 guard.
 
     The factor is measured on the composed step (:data:`DEFAULT_STEP`).  A
     drive with no frequency the split approximates (no coupling, chirp, offset
@@ -167,14 +171,19 @@ def _step_frequencies(cfg: DriveConfig) -> dict:
 
     The coupling is the total peak Rabi frequency when the drive keeps its
     carrier couplings and ``eta sqrt(n_max)`` times it for a sideband-only
-    drive.  The trap frequency is not a rate the split resolves (see the
-    module docstring).  It enters as ``omega_v / 4``, a margin that keeps the
-    composed step's error growth in ``omega_v dt`` inside the convergence
+    drive.  The envelope enters as ``8/sigma``, a floor of about 63 steps
+    per Gaussian pulse (``4.72 sigma`` long).  On pulses of a few dozen
+    steps, where coupling, chirp and envelope rate nearly coincide, the
+    largest single rate understates the step's error; with the floor,
+    2000 random 1-4 us pulses stayed within 1.9e-6 of dt/8 in populations
+    (85 were off by more than 1e-5 at ``1/sigma``, the worst by 9.6e-6 at
+    ``5/sigma``).  The trap frequency is not a rate the split resolves (see
+    the module docstring).  It enters as ``omega_v / 4``, a margin that keeps
+    the composed step's error growth in ``omega_v dt`` inside the convergence
     bounds and far from the aliasing resonance ``omega_v dt = 2pi``, and only
-    where carrier and sideband couplings coexist: the default step then covers
-    at most 0.15 of a trap period (``omega_v dt <= 0.96``, ``<= 1.2`` at the
-    guard).  At ``omega_v / 2pi`` (``omega_v dt <= 1.51``) a 1.7 us pulse
-    left populations 2.1e-5 off.  O(N) in the ion number.
+    where carrier and sideband couplings coexist: the default step then
+    covers at most 0.38 of a trap period (``omega_v dt <= 2.4``, ``<= 3.0``
+    at the guard).  O(N) in the ion number.
     """
     pulse = cfg.pulse
     coupling = cfg.total_peak_rabi
@@ -184,7 +193,7 @@ def _step_frequencies(cfg: DriveConfig) -> dict:
         "the peak coupling": coupling,
         "a chirp endpoint": max(abs(pulse.chirp_start), abs(pulse.chirp_end)),
         "an ion detuning offset": max(map(abs, cfg.ion_detuning_offsets)),
-        "the envelope rate 1/sigma": 1.0 / pulse.sigma,
+        "the envelope floor 8/sigma": 8.0 / pulse.sigma,
     }
     if cfg.carrier_coupled and cfg.sideband is not Sideband.CARRIER:
         frequencies["the trap-period margin omega_v / 4"] = cfg.omega_v / 4
@@ -363,14 +372,14 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
            duration: float | None = None) -> EvolutionResult:
     """Propagate ``psi0`` through one pulse of ``cfg``.
 
-    Each step of length ``dt`` is the triple jump of three Strang sub-steps.
-    ``dt`` defaults to :func:`default_dt`; a guard rejects steps coarser than
-    ``0.30 / max_frequency``.  ``duration`` defaults to the pulse duration and
-    must be given for flat (infinite-sigma) pulses; the state at any time
-    inside the pulse is ``evolve(..., duration=t)``.  The truncation leak
-    (population at ``fock_n = n_max``) and the norm drift are checked after
-    every whole step; the drift is measured from unit norm, to which the
-    state is rescaled after each chunk.
+    Each step of length ``dt`` is Suzuki's composition of five Strang
+    sub-steps.  ``dt`` defaults to :func:`default_dt`; a guard rejects steps
+    coarser than ``0.75 / max_frequency``.  ``duration`` defaults to the
+    pulse duration and must be given for flat (infinite-sigma) pulses; the
+    state at any time inside the pulse is ``evolve(..., duration=t)``.  The
+    truncation leak (population at ``fock_n = n_max``) and the norm drift are
+    checked after every whole step; the drift is measured from unit norm, to
+    which the state is rescaled after each chunk.
     """
     if psi0.space != cfg.space:
         raise ValueError("initial state lives in a different space than the drive")
@@ -427,8 +436,8 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
             m = len(split.idx)
             buffer = work[:3 * n_sub * chunk * m * m].reshape(3, n_sub * chunk, m, m)
             q = split.step_factors(coefs, cfg.omega_v, dts, buffer[0])
-            # the states after whole steps; the backward middle sub-step's is
-            # not the state at any time
+            # the states after whole steps; those between sub-steps are not
+            # the state at any time
             states = _run_chunk(q, psis[b], buffer[1:])[n_sub - 1::n_sub]
             psis[b] = states[-1].copy()
             pops = states.real**2 + states.imag**2

@@ -147,10 +147,10 @@ def adiabatic_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray],
     return AdiabaticFrame(times=times, energies=energies, vectors=vectors)
 
 
-def spectrum_with_refinement(h_of_t, t_start: float, t_end: float,
-                             n_points: int = DEFAULT_GRID_POINTS) -> AdiabaticFrame:
-    """adiabatic_spectrum on a uniform grid, doubling it up to MAX_REFINEMENTS times."""
-    last = None
+def spectrum_with_refinement(h_of_t, t_start: float, t_end: float) -> AdiabaticFrame:
+    """adiabatic_spectrum on a uniform ``DEFAULT_GRID_POINTS`` grid, doubling it
+    up to MAX_REFINEMENTS times."""
+    last, n_points = None, DEFAULT_GRID_POINTS
     for doublings in range(MAX_REFINEMENTS + 1):
         times = np.linspace(t_start, t_end, n_points)
         try:

@@ -12,8 +12,11 @@ statistics that only tests need, the per-phase analysis pulse
 (``rotation_matrix``, ``rotate_global``, ``parity``) that the batched
 ``parity_curve`` is checked against, the components of a dense coupling
 pattern (``connected_components``) that the propagator's block search is
-checked against, and four run helpers only tests use (``prepare_fock1``,
-``truncation_overlap``, ``checkpoint_states``, ``rap_pair_gap``).
+checked against, four run helpers only tests use (``prepare_fock1``,
+``truncation_overlap``, ``checkpoint_states``, ``rap_pair_gap``), the inner
+products and basis populations of pure states (``overlap``,
+``squared_overlap``, ``population``), and ``drive_config``, which fills in
+identical, undetuned ions where a test leaves the per-ion lists out.
 """
 
 import math
@@ -26,6 +29,30 @@ from dickesim import InternalDensityMatrix, StateVector, evolve, make_dicke
 from dickesim.drive import (CompensationKind, CompensationMode, DriveConfig, Sideband,
                             envelope)
 from dickesim.experiment import ExperimentConfig, _prepare_from, _rap_frame
+
+
+def drive_config(**kwargs) -> DriveConfig:
+    """``DriveConfig(**kwargs)`` with weights 1 and offsets 0 for the lists not given."""
+    n = kwargs["space"].n_qubits
+    kwargs.setdefault("ion_weights", (1.0,) * n)
+    kwargs.setdefault("ion_detuning_offsets", (0.0,) * n)
+    return DriveConfig(**kwargs)
+
+
+def overlap(bra: StateVector, ket: StateVector) -> complex:
+    """Inner product ``<bra|ket>``."""
+    if bra.space != ket.space:
+        raise ValueError("states live in different spaces")
+    return complex(np.vdot(bra.amplitudes, ket.amplitudes))
+
+
+def squared_overlap(bra: StateVector, ket: StateVector) -> float:
+    return abs(overlap(bra, ket)) ** 2
+
+
+def population(psi: StateVector, spins, fock_n: int) -> float:
+    """Population of the basis state ``|spins, fock_n>``."""
+    return abs(psi.amplitudes[psi.space.index(spins, fock_n)]) ** 2
 
 
 def psi_dicke_fidelity(psi, m=1):
@@ -252,7 +279,7 @@ def truncation_overlap(cfg: ExperimentConfig, extra: int = 2) -> float:
         padded = np.zeros((2**cfg.n_qubits, big_space.n_fock), dtype=complex)
         padded[:, :n_fock] = small.final_state.amplitudes.reshape(-1, n_fock)
         lifted = StateVector(big_space, padded.reshape(-1))
-        worst = min(worst, lifted.squared_overlap(large.final_state))
+        worst = min(worst, squared_overlap(lifted, large.final_state))
     return worst
 
 

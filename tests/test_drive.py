@@ -12,7 +12,8 @@ from dickesim import (CompensationMode, DriveConfig, PulseShape, Sideband,
 from dickesim.core import symmetric_transform
 from dickesim.drive import TWO_PI, coefficients, drive_terms, symmetric_terms
 from dickesim.spectral import reduced_model, spectrum_with_refinement
-from oracles import dense_terms, excitation_number, hamiltonian_matrix, swap_operator
+from oracles import (dense_terms, drive_config, excitation_number, hamiltonian_matrix,
+                     swap_operator)
 
 
 def assembled_terms(cfg):
@@ -31,8 +32,8 @@ def operating_pulse(omega_peak=OMEGA_PEAK, sigma=SIGMA, chirp=TWO_PI * 100e3):
                       chirp_start=-chirp, chirp_end=+chirp)
 
 
-def operating_drive(compensation=CompensationMode.zero_carrier(), weights=(),
-                offsets=(), sideband=Sideband.RED, n_max=5):
+def operating_drive(compensation=CompensationMode.zero_carrier(), weights=(1.0, 1.0),
+                offsets=(0.0, 0.0), sideband=Sideband.RED, n_max=5):
     return DriveConfig(space=build_space(2, n_max), eta=ETA, omega_v=OMEGA_V,
                        pulse=operating_pulse(), ion_weights=weights,
                        ion_detuning_offsets=offsets, sideband=sideband,
@@ -82,12 +83,12 @@ class TestDetuning:
 class TestHamiltonian:
     def test_zero_drive_is_diagonal(self):
         cfg = operating_drive()
-        drive = DriveConfig(space=cfg.space, eta=ETA, omega_v=OMEGA_V,
-                            pulse=PulseShape(omega_peak=0.0, sigma=SIGMA,
-                                             chirp_start=-TWO_PI * 40e3,
-                                             chirp_end=-TWO_PI * 40e3),
-                            sideband=Sideband.RED,
-                            compensation=CompensationMode.none())
+        drive = drive_config(space=cfg.space, eta=ETA, omega_v=OMEGA_V,
+                             pulse=PulseShape(omega_peak=0.0, sigma=SIGMA,
+                                              chirp_start=-TWO_PI * 40e3,
+                                              chirp_end=-TWO_PI * 40e3),
+                             sideband=Sideband.RED,
+                             compensation=CompensationMode.none())
         t = drive.pulse.duration * 0.3
         h = hamiltonian_matrix(drive, t)
         assert np.allclose(h, np.diag(np.diag(h)))
@@ -109,9 +110,9 @@ class TestHamiltonian:
 
     def test_single_ion_red_sideband_element(self):
         space = build_space(1, 3)
-        cfg = DriveConfig(space=space, eta=ETA, omega_v=OMEGA_V, pulse=operating_pulse(),
-                          sideband=Sideband.RED,
-                          compensation=CompensationMode.zero_carrier())
+        cfg = drive_config(space=space, eta=ETA, omega_v=OMEGA_V, pulse=operating_pulse(),
+                           sideband=Sideband.RED,
+                           compensation=CompensationMode.zero_carrier())
         t = 0.37 * cfg.pulse.duration
         h = hamiltonian_matrix(cfg, t)
         elem = h[space.index("u", 0), space.index("d", 1)]
@@ -119,9 +120,9 @@ class TestHamiltonian:
 
     def test_blue_sideband_selects_raising(self):
         space = build_space(1, 3)
-        cfg = DriveConfig(space=space, eta=ETA, omega_v=OMEGA_V,
-                          pulse=PulseShape.flat(OMEGA_PEAK), sideband=Sideband.BLUE,
-                          compensation=CompensationMode.zero_carrier())
+        cfg = drive_config(space=space, eta=ETA, omega_v=OMEGA_V,
+                           pulse=PulseShape.flat(OMEGA_PEAK), sideband=Sideband.BLUE,
+                           compensation=CompensationMode.zero_carrier())
         h = hamiltonian_matrix(cfg, 0.0)
         assert h[space.index("u", 1), space.index("d", 0)] == pytest.approx(
             ETA * OMEGA_PEAK / 2)
@@ -129,8 +130,8 @@ class TestHamiltonian:
 
     def test_carrier_mode_flips_without_motion(self):
         space = build_space(1, 2)
-        cfg = DriveConfig(space=space, eta=ETA, omega_v=OMEGA_V,
-                          pulse=PulseShape.flat(OMEGA_PEAK), sideband=Sideband.CARRIER)
+        cfg = drive_config(space=space, eta=ETA, omega_v=OMEGA_V,
+                           pulse=PulseShape.flat(OMEGA_PEAK), sideband=Sideband.CARRIER)
         h = hamiltonian_matrix(cfg, 0.0)
         assert h[space.index("u", 1), space.index("d", 1)] == pytest.approx(OMEGA_PEAK / 2)
         assert h[space.index("u", 1), space.index("d", 0)] == 0.0
@@ -246,8 +247,7 @@ class TestStructuralInvariants:
         gaps = {}
         for name, mode in (("eff", comp), ("zc", CompensationMode.zero_carrier())):
             model = reduced_model(operating_drive(mode))
-            frame = spectrum_with_refinement(model.h_at, 0.0,
-                                             model.drive.pulse.duration, 1001)
+            frame = spectrum_with_refinement(model.h_at, 0.0, model.drive.pulse.duration)
             v0 = frame.vectors[0]
             b_dd1 = int(np.argmax(np.abs(v0[1])))
             b_d0 = int(np.argmax(np.abs(v0[2])))
@@ -259,18 +259,23 @@ class TestStructuralInvariants:
 class TestValidation:
     def test_eta_window(self):
         with pytest.raises(ValueError):
-            DriveConfig(space=build_space(2, 2), eta=0.5, omega_v=OMEGA_V,
-                        pulse=operating_pulse())
+            drive_config(space=build_space(2, 2), eta=0.5, omega_v=OMEGA_V,
+                         pulse=operating_pulse())
 
     def test_weight_length(self):
         with pytest.raises(ValueError):
+            drive_config(space=build_space(2, 2), eta=ETA, omega_v=OMEGA_V,
+                         pulse=operating_pulse(), ion_weights=(1.0,))
+        # no list stands for identical ions: an empty one is refused like any other
+        with pytest.raises(ValueError, match="ion_detuning_offsets has 0 entries"):
             DriveConfig(space=build_space(2, 2), eta=ETA, omega_v=OMEGA_V,
-                        pulse=operating_pulse(), ion_weights=(1.0,))
+                        pulse=operating_pulse(), ion_weights=(1.0, 1.0),
+                        ion_detuning_offsets=())
 
     def test_weight_range(self):
         with pytest.raises(ValueError):
-            DriveConfig(space=build_space(2, 2), eta=ETA, omega_v=OMEGA_V,
-                        pulse=operating_pulse(), ion_weights=(1.0, 1.5))
+            drive_config(space=build_space(2, 2), eta=ETA, omega_v=OMEGA_V,
+                         pulse=operating_pulse(), ion_weights=(1.0, 1.5))
 
     def test_effective_mode_validation(self):
         with pytest.raises(ValueError):

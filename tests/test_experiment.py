@@ -11,8 +11,9 @@ from dickesim import (CompensationMode, ExperimentConfig, NumericsError,
 from dickesim import experiment, measurement
 from dickesim.drive import TWO_PI
 from dickesim.experiment import default_sweep_values
-from oracles import (count_local_minima, prepare_fock1, psi_dicke_fidelity,
-                     psi_internal_populations, rap_pair_gap, truncation_overlap)
+from oracles import (count_local_minima, population, prepare_fock1, psi_dicke_fidelity,
+                     psi_internal_populations, rap_pair_gap, squared_overlap,
+                     truncation_overlap)
 
 
 def zc_config(**kwargs):
@@ -26,25 +27,25 @@ def none_config(**kwargs):
 class TestPrepareFock1:
     def test_ideal(self):
         psi = prepare_fock1(zc_config())
-        assert psi.population("dd", 1) == 1.0
+        assert population(psi, "dd", 1) == 1.0
 
     def test_simulated_perfect_addressing(self):
         cfg = zc_config(prep=PrepMode.SIMULATED_PULSES)
         psi = prepare_fock1(cfg)
-        assert psi.population("dd", 1) >= 0.999
+        assert population(psi, "dd", 1) >= 0.999
 
     def test_simulated_crosstalk_leakage(self):
         cfg = zc_config(prep=PrepMode.SIMULATED_PULSES, prep_weights=(1.0, 0.1))
         psi = prepare_fock1(cfg)
-        leak = 1.0 - psi.population("dd", 1)
+        leak = 1.0 - population(psi, "dd", 1)
         # two pi/2-scaled crosstalk rotations, each about sin^2(0.1 pi/2)
         assert 0.01 < leak < 0.12
 
     def test_addressing_offset_suppresses_crosstalk(self):
         weak = zc_config(prep=PrepMode.SIMULATED_PULSES, prep_weights=(1.0, 0.1))
         detuned = replace(weak, prep_detuning_offsets=(0.0, TWO_PI * 100e3))
-        leak_weak = 1.0 - prepare_fock1(weak).population("dd", 1)
-        leak_detuned = 1.0 - prepare_fock1(detuned).population("dd", 1)
+        leak_weak = 1.0 - population(prepare_fock1(weak), "dd", 1)
+        leak_detuned = 1.0 - population(prepare_fock1(detuned), "dd", 1)
         assert leak_detuned < leak_weak
 
 
@@ -123,7 +124,7 @@ class TestWStateExtension:
         assert res.fidelity >= 0.98
         target = make_dicke(3, 1, cfg.space())
         final = res.evolution.final_state
-        assert final.squared_overlap(target) >= 0.98
+        assert squared_overlap(final, target) >= 0.98
         # every readout comes from the 8x8 reduced state
         assert res.rho.matrix.shape == (8, 8)
         assert res.fidelity == pytest.approx(psi_dicke_fidelity(final), abs=1e-12)
@@ -195,7 +196,7 @@ class TestSweep:
         assert np.all(np.isfinite(result.fidelity)) and np.all(np.isfinite(result.bound))
 
     def test_errors_recorded_not_raised(self):
-        cfg = zc_config(dt=1e-6)   # violates the step-size guard at every point
+        cfg = zc_config(dt=2e-6)   # violates the step-size guard at every point
         result = sweep(cfg, "width", [244e-6, 300e-6])
         assert result.partial
         assert all("StepSizeError" in e for e in result.errors)

@@ -22,9 +22,9 @@ from dickesim import (CompensationMode, ContinuityError, DegeneracyError,
                       reduced_model, spectrum_with_refinement)
 from dickesim.core import symmetric_transform
 from dickesim.drive import TWO_PI, CompensationKind, envelope
-from dickesim.spectral import (CHUNK_POINTS, CONTINUITY_MIN, DEGENERACY_REL, AdiabaticFrame,
-                               diabatic_ratio)
-from oracles import dense_terms, hamiltonian_matrix
+from dickesim.spectral import (CHUNK_POINTS, CONTINUITY_MIN, DEFAULT_GRID_POINTS,
+                               DEGENERACY_REL, AdiabaticFrame, diabatic_ratio)
+from oracles import dense_terms, drive_config, hamiltonian_matrix
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
@@ -35,9 +35,9 @@ ETA = 0.082
 def five_state_drive(compensation, omega_peak=OMEGA_PEAK, sigma=SIGMA):
     pulse = PulseShape(omega_peak=omega_peak, sigma=sigma,
                        chirp_start=-TWO_PI * 100e3, chirp_end=TWO_PI * 100e3)
-    return DriveConfig(space=build_space(2, 5), eta=ETA, omega_v=OMEGA_V,
-                       pulse=pulse, sideband=Sideband.RED,
-                       compensation=compensation)
+    return drive_config(space=build_space(2, 5), eta=ETA, omega_v=OMEGA_V,
+                        pulse=pulse, sideband=Sideband.RED,
+                        compensation=compensation)
 
 
 def hand_written_five_state(cfg, t):
@@ -329,13 +329,15 @@ class TestAdiabaticSpectrum:
             adiabatic_spectrum(stacked(h), np.linspace(-5, 5, 5))
 
     def test_refinement_recovers(self):
+        # the gap sits at 0.3 of the default grid's spacing: the eigenvectors
+        # turn too far between points until the spacing is a quarter of it
         def h(t):
-            return np.array([[-t, 0.3], [0.3, t]])
+            return np.array([[-t, 0.0015], [0.0015, t]])
 
         with pytest.raises(ContinuityError):
-            adiabatic_spectrum(stacked(h), np.linspace(-5, 5, 11))
-        frame = spectrum_with_refinement(stacked(h), -5.0, 5.0, n_points=11)
-        assert len(frame.times) == 41   # two doublings of the interval count
+            adiabatic_spectrum(stacked(h), np.linspace(-5, 5, DEFAULT_GRID_POINTS))
+        frame = spectrum_with_refinement(stacked(h), -5.0, 5.0)
+        assert len(frame.times) == 8001   # two doublings of the interval count
         assert frame.refinements == 2
 
     def test_exact_degeneracy_detected(self):
@@ -371,7 +373,7 @@ class TestAdiabaticSpectrum:
 
     def test_direct_grid_reports_no_refinement(self):
         frame = spectrum_with_refinement(stacked(lambda t: np.diag([0.0, 1.0 + t])),
-                                         0.0, 1.0, n_points=11)
+                                         0.0, 1.0)
         assert frame.refinements == 0
         assert adiabatic_spectrum(stacked(lambda t: np.eye(2) * [1.0, 2.0]),
                                   np.linspace(0, 1, 5)).refinements == 0
@@ -430,8 +432,7 @@ class TestDiabaticBound:
             cfg = five_state_drive(CompensationMode.zero_carrier(),
                                    sigma=SIGMA * scale)
             model = reduced_model(cfg)
-            frame = spectrum_with_refinement(model.h_at, 0.0,
-                                             cfg.pulse.duration, 2001)
+            frame = spectrum_with_refinement(model.h_at, 0.0, cfg.pulse.duration)
             values.append(diabatic_bound(frame, 1, 2).value)
         assert values[0] > values[1] > values[2]
 
@@ -544,15 +545,15 @@ class TestFiveStateModel:
         # only a drive other than the red sideband is refused
         pulse = PulseShape(omega_peak=OMEGA_PEAK, sigma=SIGMA)
         base = dict(eta=ETA, omega_v=OMEGA_V, pulse=pulse, sideband=Sideband.RED)
-        for cfg in (DriveConfig(space=build_space(2, 5), ion_weights=(1.0, 0.5), **base),
-                    DriveConfig(space=build_space(3, 5), **base)):
+        for cfg in (drive_config(space=build_space(2, 5), ion_weights=(1.0, 0.5), **base),
+                    drive_config(space=build_space(3, 5), **base)):
             h = reduced_model(cfg).h_at(pulse.duration / 2)
             assert h.shape == (5, 5) and np.all(np.isfinite(h))
         with pytest.raises(ValueError):
-            reduced_model(DriveConfig(space=build_space(2, 5),
-                                      sideband=Sideband.BLUE,
-                                      **{k: v for k, v in base.items()
-                                         if k != "sideband"}))
+            reduced_model(drive_config(space=build_space(2, 5),
+                                       sideband=Sideband.BLUE,
+                                       **{k: v for k, v in base.items()
+                                          if k != "sideband"}))
 
     @pytest.mark.parametrize("compensation", [
         CompensationMode.none(), CompensationMode.zero_carrier(),
@@ -576,9 +577,9 @@ class TestFiveStateModel:
         rng = np.random.default_rng(n_qubits)
         pulse = PulseShape(omega_peak=OMEGA_PEAK, sigma=SIGMA,
                            chirp_start=-TWO_PI * 100e3, chirp_end=TWO_PI * 100e3)
-        cfg = DriveConfig(space=build_space(n_qubits, 3), eta=ETA, omega_v=OMEGA_V,
-                          pulse=pulse, ion_weights=tuple(rng.uniform(0.5, 1.0, n_qubits)),
-                          compensation=compensation)
+        cfg = drive_config(space=build_space(n_qubits, 3), eta=ETA, omega_v=OMEGA_V,
+                           pulse=pulse, ion_weights=tuple(rng.uniform(0.5, 1.0, n_qubits)),
+                           compensation=compensation)
         model = reduced_model(cfg)
         pair = [model.states.index((0, 1)), model.states.index((1, 0))]
         for t in rng.uniform(0.0, pulse.duration, 10):
@@ -663,8 +664,7 @@ class TestCarrierShiftStructure:
     def branch_data(self, compensation, omega_peak=TWO_PI * 300e3):
         cfg = five_state_drive(compensation, omega_peak=omega_peak)
         model = reduced_model(cfg)
-        frame = spectrum_with_refinement(model.h_at, 0.0, cfg.pulse.duration,
-                                         2001)
+        frame = spectrum_with_refinement(model.h_at, 0.0, cfg.pulse.duration)
         v0 = frame.vectors[0]
         i = int(np.argmax(np.abs(v0[1])))
         j = int(np.argmax(np.abs(v0[2])))
