@@ -260,8 +260,8 @@ def _cmd_potentials(cfg: ExperimentConfig, out_dir: Path, args) -> list:
             rows.append((float(t), *(float(e / TWO_PI) for e in var.energies[k]),
                          float(var.alpha_over_omega_sq[k]), name))
     path = out_dir / "potentials.csv"
-    _write_csv(path, ["t_s", "eps_0", "eps_1", "eps_2", "eps_3", "eps_4",
-                      "alpha_over_omega_sq", "variant"], rows)
+    levels = [f"eps_{k}" for k in range(report.variants["none"].energies.shape[1])]
+    _write_csv(path, ["t_s", *levels, "alpha_over_omega_sq", "variant"], rows)
     return [path]
 
 

@@ -9,8 +9,10 @@ drive layer.  The default operating point: peak carrier Rabi frequency
 Every ion number takes the same path: one reduced density matrix of the
 final state (averaged over the thermal components) gives the populations and
 the fidelity :func:`dickesim.measurement.dicke_fidelity`, and the diabatic
-bound (like the two-ion potentials report) reads the adiabatic frame of
-:func:`dickesim.spectral.reduced_model`.
+bound and the potentials report read the adiabatic frame of
+:func:`dickesim.spectral.reduced_model`.  Only the sweep's
+``diag_sum``/``offdiag`` decomposition is two-ion; other ion numbers leave it
+``nan``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ import numpy as np
 from .core import HilbertSpace, StateVector, build_space, embed
 from .drive import (DEFAULT_DURATION_FACTOR, CompensationMode, DriveConfig,
                     PulseShape, Sideband, TWO_PI, derive_eta)
-from .errors import (ConfigError, ContinuityError, DegeneracyError, NumericsError,
-                     ResourceGuardError)
+from .errors import ContinuityError, DegeneracyError, NumericsError, ResourceGuardError
 from .measurement import (InternalDensityMatrix, dicke_fidelity,
                           fidelity_decomposition, trace_out_motion)
 from .propagator import EvolutionResult, evolve
@@ -247,7 +248,7 @@ def run_rap(cfg: ExperimentConfig) -> RapResult:
 
 @dataclass
 class SweepResult:
-    """Per-point fidelity decomposition along one pulse-parameter axis."""
+    """Per-point fidelity, bound and (two ions only) fidelity decomposition along one axis."""
 
     axis: str
     values: np.ndarray
@@ -275,9 +276,6 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None) -> SweepResult:
     """Independent :func:`run_rap` per grid point; failures do not stop the sweep."""
     if axis not in ("width", "peak"):
         raise ValueError(f"unknown sweep axis {axis!r}; expected 'width' or 'peak'")
-    if cfg.n_qubits != 2:
-        raise ConfigError("the sweep's fidelity decomposition is defined for two ions; "
-                          f"the config has n_qubits={cfg.n_qubits}")
     if values is None:
         values = default_sweep_values(cfg, axis)
     values = np.asarray(sorted(float(v) for v in values))
@@ -295,9 +293,11 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None) -> SweepResult:
         except (NumericsError, ResourceGuardError, ValueError) as exc:
             errors[k] = f"{type(exc).__name__}: {exc}"
             continue
-        diag[k], off[k] = fidelity_decomposition(res.rho)
         fid[k] = res.fidelity
         bound[k] = res.bound.value if res.bound is not None else np.nan
+        if cfg.n_qubits != 2:
+            continue
+        diag[k], off[k] = fidelity_decomposition(res.rho)
         if not abs(fid[k] - (diag[k] / 2.0 + off[k] / 2.0)) < DECOMPOSITION_TOL:
             raise NumericsError(
                 f"{axis}={value:.6g}: fidelity {fid[k]!r} != diag_sum/2 + offdiag/2 "
@@ -309,7 +309,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None) -> SweepResult:
 
 @dataclass
 class PotentialsVariant:
-    energies: np.ndarray           # (n_times, 5)
+    energies: np.ndarray           # (n_times, d), d reduced-model states
     alpha_over_omega_sq: np.ndarray
 
 
@@ -327,9 +327,6 @@ def potentials_report(cfg: ExperimentConfig) -> PotentialsReport:
     uniform ``DEFAULT_GRID_POINTS`` grid (refined automatically on
     branch-tracking failure), which the second reuses.
     """
-    if cfg.n_qubits != 2:
-        raise ConfigError("the potentials report is defined for two ions; "
-                          f"the config has n_qubits={cfg.n_qubits}")
     variants = {}
     times = None
     for name, comp in (("none", CompensationMode.none()),

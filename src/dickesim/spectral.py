@@ -149,19 +149,26 @@ def adiabatic_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray],
 
 def spectrum_with_refinement(h_of_t, t_start: float, t_end: float) -> AdiabaticFrame:
     """adiabatic_spectrum on a uniform ``DEFAULT_GRID_POINTS`` grid, doubling it
-    up to MAX_REFINEMENTS times."""
-    last, n_points = None, DEFAULT_GRID_POINTS
+    up to MAX_REFINEMENTS times.
+
+    When the finest grid still breaks the branch tracking, the
+    :class:`ContinuityError` names that grid and says the crossing is too
+    sharp for the drive: the caller cannot refine further.
+    """
+    n_points = DEFAULT_GRID_POINTS
     for doublings in range(MAX_REFINEMENTS + 1):
-        times = np.linspace(t_start, t_end, n_points)
         try:
-            frame = adiabatic_spectrum(h_of_t, times)
+            frame = adiabatic_spectrum(h_of_t, np.linspace(t_start, t_end, n_points))
         except ContinuityError as exc:
-            last = exc
+            if doublings == MAX_REFINEMENTS:
+                where = str(exc).removesuffix("; refine the grid")
+                raise ContinuityError(
+                    f"{where} on the finest grid tried, {n_points} points; the "
+                    "avoided crossing is too sharp for this drive") from exc
             n_points = 2 * (n_points - 1) + 1
         else:
             frame.refinements = doublings
             return frame
-    raise last
 
 
 def nonadiabatic_coupling(frame: AdiabaticFrame, i: int, j: int) -> np.ndarray:
@@ -202,13 +209,18 @@ def diabatic_bound(frame: AdiabaticFrame, i: int, j: int) -> DiabaticBound:
     """Transition-probability bound ``max_t |alpha_ji / omega_ji|^2`` and its argmax.
 
     Rejects frames where the branch gap collapses below 1e-6 of its maximum,
-    where the bound stops being meaningful.
+    or changes sign (the branches crossed between grid points, so the tracking
+    followed the diabatic states), where the bound stops being meaningful.
     """
     omega = frame.energies[:, j] - frame.energies[:, i]
     omega_scale = float(np.max(np.abs(omega)))
     if omega_scale == 0.0 or np.min(np.abs(omega)) < OMEGA_FLOOR_REL * omega_scale:
         raise DegeneracyError(
             "branch gap nearly closes on the grid; diabatic bound unreliable"
+        )
+    if np.any(np.signbit(omega) != np.signbit(omega[0])):
+        raise DegeneracyError(
+            "branch gap changes sign on the grid; diabatic bound unreliable"
         )
     ratio = diabatic_ratio(frame, i, j)
     k = int(np.argmax(ratio))

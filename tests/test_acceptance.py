@@ -172,15 +172,14 @@ def _five_state_reference(model, psi0, duration, n_steps):
 
 def test_oracle_equivalences():
     t0 = time.perf_counter()
-    # (a) five-state model vs full 24-dim model, eta = 0.082 <= 0.1
+    # (a) five-state model vs full 24-dim model, eta = 0.082 <= 0.1; the full
+    # model runs at its default step, within 1.5e-6 of dt/16 in the state
     pop_err = {}
     for name, cfg in (("none", UNCOMPENSATED), ("zero_carrier", OPERATING_POINT)):
         drive = cfg.rap_drive()
-        duration = drive.pulse.duration
-        n_steps = 2**16
         model = reduced_model(drive)
-        psi5 = _five_state_reference(model, np.eye(5)[1], duration, n_steps)
-        res = evolve(drive, embed(drive.space, "dd", 1), dt=duration / n_steps)
+        psi5 = _five_state_reference(model, np.eye(5)[1], drive.pulse.duration, 2**16)
+        res = evolve(drive, embed(drive.space, "dd", 1))
         space = drive.space
         d0 = make_dicke(2, 1, space).amplitudes
         d1 = np.zeros(space.dim, dtype=complex)

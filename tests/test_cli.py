@@ -186,6 +186,18 @@ class TestSimulateCommand:
         # the two-ion fidelity decomposition is written for two ions only
         assert ("diag_sum" in payload) == ("offdiag" in payload) == (n_qubits == 2)
 
+    def test_crossing_between_grid_points_gives_no_bound(self, tmp_path, capsys):
+        # an effectively-off drive whose crossing falls between grid points:
+        # the tracking follows the diabatic states and the pair's gap changes
+        # sign, so the bound would report an adiabatic transfer that never ran
+        cfg = write_config(tmp_path, {"omega_peak_khz": 1e-6,
+                                      "ion_offsets_khz": [0.33, 0.33]})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "simulate"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["fidelity"] < 1e-12
+        assert payload["diabatic_bound"] is None
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         for sub in ("a", "b"):
@@ -267,29 +279,53 @@ class TestHistogramCommand:
 
 
 class TestPotentialsCommand:
-    def test_columns_and_variants(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
+    # one ion has no |uu,0> state; from two ions on the reduced model has five
+    @pytest.mark.parametrize("n_qubits,eps", [(2, "eps_0,eps_1,eps_2,eps_3,eps_4"),
+                                              (1, "eps_0,eps_1,eps_2,eps_3"),
+                                              (3, "eps_0,eps_1,eps_2,eps_3,eps_4")])
+    def test_columns_and_variants(self, tmp_path, capsys, n_qubits, eps):
+        cfg = write_config(tmp_path, {"n_qubits": n_qubits})
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), "potentials"]) == 0
         capsys.readouterr()
         lines = (out / "potentials.csv").read_text().strip().splitlines()
-        assert lines[0] == ("t_s,eps_0,eps_1,eps_2,eps_3,eps_4,"
-                            "alpha_over_omega_sq,variant")
+        assert lines[0] == f"t_s,{eps},alpha_over_omega_sq,variant"
+        assert {len(line.split(",")) for line in lines} == {len(lines[0].split(","))}
         variants = {line.rsplit(",", 1)[1] for line in lines[1:]}
         assert variants == {"none", "zero_carrier"}
         assert len(lines) == 1 + 2 * 2001
 
+    def test_unresolvable_crossing_names_the_finest_grid(self, tmp_path, capsys):
+        # an effectively-off drive: the exact crossing sits on the centre point
+        # of every nested grid, so refining cannot help
+        cfg = write_config(tmp_path, {"omega_peak_khz": 0.000001})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "potentials"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("numerical guard: branch ")
+        assert "16001 points" in captured.err
+        assert "too sharp for this drive" in captured.err
+        assert "refine the grid" not in captured.err
+
 
 class TestSweepCommand:
-    def test_row_count_matches_points(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_row_count_matches_points(self, tmp_path, capsys, n_qubits):
+        cfg = write_config(tmp_path, {"n_qubits": n_qubits})
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out),
                      "sweep", "--axis", "width", "--points", "3"]) == 0
-        capsys.readouterr()
+        assert "partial sweep" not in capsys.readouterr().err
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "axis_value,fidelity,diag_sum,offdiag,diabatic_bound"
         assert len(lines) == 1 + 3
+        for line in lines[1:]:
+            _, fidelity, diag_sum, offdiag, bound = line.split(",")
+            assert 0.0 <= float(fidelity) <= 1.0 and math.isfinite(float(bound))
+            # the fidelity decomposition is written for two ions only
+            assert (diag_sum == offdiag == "nan") == (n_qubits != 2)
 
 
 class TestManifest:
@@ -386,8 +422,7 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("numerical guard: norm drifted")
 
-    @pytest.mark.parametrize("argv", [["parity"], ["parity", "--ideal"], ["potentials"],
-                                      ["sweep", "--axis", "width", "--points", "3"]])
+    @pytest.mark.parametrize("argv", [["parity"], ["parity", "--ideal"]])
     def test_two_ion_commands_reject_three_ions(self, tmp_path, capsys, argv):
         cfg = write_config(tmp_path, {"n_qubits": 3})
         out = tmp_path / "o"

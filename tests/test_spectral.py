@@ -340,6 +340,22 @@ class TestAdiabaticSpectrum:
         assert len(frame.times) == 8001   # two doublings of the interval count
         assert frame.refinements == 2
 
+    def test_refinement_gives_up_on_a_crossing_at_a_grid_point(self):
+        # the crossing at t = 0 is the centre point of every nested grid, where
+        # the eigenvectors are the 45-degree mixtures whatever the spacing
+        def h(t):
+            return np.array([[-t, 1e-12], [1e-12, t]])
+
+        with pytest.raises(ContinuityError, match="refine the grid"):
+            adiabatic_spectrum(stacked(h), np.linspace(-5, 5, DEFAULT_GRID_POINTS))
+        with pytest.raises(ContinuityError) as err:
+            spectrum_with_refinement(stacked(h), -5.0, 5.0)
+        message = str(err.value)
+        assert message.startswith("branch ")
+        assert "finest grid tried, 16001 points" in message
+        assert message.endswith("the avoided crossing is too sharp for this drive")
+        assert "refine the grid" not in message
+
     def test_exact_degeneracy_detected(self):
         def h(t):
             return np.diag([0.0, t])
@@ -470,6 +486,20 @@ class TestDiabaticBound:
         frame = AdiabaticFrame(times=times, energies=energies,
                                vectors=vectors)
         with pytest.raises(DegeneracyError):
+            diabatic_bound(frame, 0, 1)
+
+    def test_gap_sign_change_rejected(self):
+        # a crossing far narrower than the spacing falls between grid points:
+        # the tracking follows the diabatic states, so E_1 - E_0 changes sign
+        # while staying well away from zero on the grid
+        def h(t):
+            return np.array([[t, 1e-9], [1e-9, -t]])
+
+        frame = adiabatic_spectrum(stacked(h), np.linspace(-1, 1, 20))
+        omega = frame.energies[:, 1] - frame.energies[:, 0]
+        assert omega[0] > 0.1 and omega[-1] < -0.1
+        assert np.min(np.abs(omega)) > 0.1
+        with pytest.raises(DegeneracyError, match="changes sign"):
             diabatic_bound(frame, 0, 1)
 
 
