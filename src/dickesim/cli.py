@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import make_dicke
+from .core import make_dicke, spin_bits
 from .drive import CompensationKind, CompensationMode, TWO_PI
 from .errors import ConfigError, NumericsError, ResourceGuardError
 from .experiment import (ExperimentConfig, PrepMode, default_sweep_values,
@@ -288,9 +288,8 @@ def _cmd_parity(cfg: ExperimentConfig, out_dir: Path, args) -> list:
 
 
 def _cmd_histogram(cfg: ExperimentConfig, out_dir: Path, args) -> list:
-    classes = np.zeros(cfg.n_qubits + 1)
-    for word, p in run_rap(cfg).populations.items():
-        classes[word.count("u")] += p
+    classes = np.bincount(spin_bits(cfg.n_qubits).sum(axis=1),
+                          weights=run_rap(cfg).rho.populations())
     hist = simulate_histogram(classes, shots=cfg.shots, seed=cfg.seed)
     rows = [(int(c), int(f)) for c, f in enumerate(hist)]
     path = out_dir / "histogram.csv"

@@ -1,4 +1,4 @@
-"""Hilbert space, state vectors and Dicke states.
+"""Hilbert space, spin layout, state vectors and Dicke states.
 
 The simulation space is N optical qubits times one truncated harmonic
 oscillator (the axial center-of-mass mode).  Qubit levels are written
@@ -12,13 +12,18 @@ Basis ordering convention (frozen, all modules depend on it):
 where ``spin_index`` reads the spin word as a big-endian binary number with
 ``u = 1`` (``"dd" -> 0``, ``"du" -> 1``, ``"ud" -> 2``, ``"uu" -> 3``), i.e.
 the ordering is spin-major with the Fock index ascending fastest.
+
+This module is the one place that spin layout is decoded: :func:`spin_bits`
+gives each spin index's bits (whose row sums are the up counts) and
+:func:`dicke_vector` the Dicke state ``|D_N^(m)>`` on the spin words, which
+:func:`make_dicke`, :func:`symmetric_transform` (at the columns
+:func:`dicke_columns` names) and the fidelity all read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
@@ -83,33 +88,50 @@ class HilbertSpace:
         return spins, fock_n
 
 
+def spin_bits(n_qubits: int) -> np.ndarray:
+    """``bits[s, j]`` = 1 when ion j + 1 is up in spin index s, shape ``(2**N, N)``.
+
+    Ion 1 is the leading bit and up is 1, so row s spells the spin word of
+    index s; the row sums are the up counts.
+    """
+    return (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
+
+
+def dicke_vector(n_qubits: int, m: int) -> np.ndarray:
+    """Real amplitudes of ``|D_N^(m)>`` on the 2**N spin words.
+
+    ``1/sqrt(C(N, m))`` on every word with m ions up, 0 elsewhere.
+    """
+    if not 0 <= m <= n_qubits:
+        raise ValueError(f"excitation number m={m} outside [0, {n_qubits}]")
+    ups = spin_bits(n_qubits).sum(axis=1) == m
+    return np.where(ups, 1.0 / sqrt(comb(n_qubits, m)), 0.0)
+
+
+def dicke_columns(n_qubits: int) -> np.ndarray:
+    """The column of :func:`symmetric_transform` holding ``|D_N^(m)>``, for m = 0..N."""
+    return np.cumsum([0] + [comb(n_qubits, m) for m in range(n_qubits)])
+
+
 @lru_cache(maxsize=16)
 def symmetric_transform(n_qubits: int) -> np.ndarray:
     """Orthogonal internal-basis change grouping states by up count.
 
     Columns come in blocks of fixed up count m = 0..N; the first column of
-    each block is the uniform (permutation-symmetric, Dicke) combination and
-    the rest span its orthogonal complement, so every column remains an
-    eigenvector of the up-state number.  For two ions this is the bright/dark
-    change of Morris and Shore.  The returned array is cached and read-only.
+    each block (:func:`dicke_columns`) is the uniform (permutation-symmetric,
+    Dicke) combination :func:`dicke_vector` and the rest span its orthogonal
+    complement, so every column remains an eigenvector of the up-state
+    number.  For two ions this is the bright/dark change of Morris and
+    Shore.  The returned array is cached and read-only.
     """
-    dim = 2**n_qubits
-    n_up = np.array([bin(s).count("1") for s in range(dim)])
-    cols = []
-    for m in range(n_qubits + 1):
+    n_up = spin_bits(n_qubits).sum(axis=1)
+    transform = np.zeros((2**n_qubits,) * 2)
+    for m, first in enumerate(dicke_columns(n_qubits)):
         idx = np.flatnonzero(n_up == m)
-        c = len(idx)
-        sym = np.zeros(dim)
-        sym[idx] = 1.0 / sqrt(c)
-        cols.append(sym)
-        if c > 1:
-            # orthonormal complement of the uniform vector inside the block
-            _, _, vh = np.linalg.svd(np.ones((1, c)))
-            for row in vh[1:]:
-                v = np.zeros(dim)
-                v[idx] = row
-                cols.append(v)
-    transform = np.column_stack(cols)
+        transform[:, first] = dicke_vector(n_qubits, m)
+        # orthonormal complement of the uniform vector inside the block
+        _, _, vh = np.linalg.svd(np.ones((1, len(idx))))
+        transform[idx, first + 1:first + len(idx)] = vh[1:].T
     transform.setflags(write=False)
     return transform
 
@@ -161,33 +183,18 @@ def embed(space: HilbertSpace, spins, fock_n: int) -> StateVector:
     return StateVector(space, amplitudes)
 
 
-def dicke_spin_words(n_qubits: int, m: int):
-    """All spin words with ``m`` ions up, in index order."""
-    words = []
-    for ups in combinations(range(n_qubits), m):
-        word = [SPIN_DOWN] * n_qubits
-        for j in ups:
-            word[j] = SPIN_UP
-        words.append("".join(word))
-    return sorted(words)
-
-
 def make_dicke(n_qubits: int, m: int, space: HilbertSpace | None = None) -> StateVector:
-    """Equal-amplitude symmetric superposition of all spin words with m ups.
+    """:func:`dicke_vector` times the motional ``|0>``.
 
-    The motional factor is ``|0>``.  With ``space=None`` the state lives in a
-    motionless space (``n_max = 0``); pass a space to embed it there instead.
+    With ``space=None`` the state lives in a motionless space (``n_max = 0``);
+    pass a space to embed it there instead.
     """
-    if not 0 <= m <= n_qubits:
-        raise ValueError(f"excitation number m={m} outside [0, {n_qubits}]")
     if space is None:
         space = HilbertSpace(n_qubits, 0)
     elif space.n_qubits != n_qubits:
         raise ValueError(
             f"space has {space.n_qubits} qubits, Dicke state needs {n_qubits}"
         )
-    amplitudes = np.zeros(space.dim, dtype=complex)
-    amp = 1.0 / np.sqrt(comb(n_qubits, m))
-    for word in dicke_spin_words(n_qubits, m):
-        amplitudes[space.index(word, 0)] = amp
-    return StateVector(space, amplitudes)
+    amplitudes = np.zeros((2**n_qubits, space.n_fock), dtype=complex)
+    amplitudes[:, 0] = dicke_vector(n_qubits, m)
+    return StateVector(space, amplitudes.ravel())

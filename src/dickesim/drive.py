@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import HilbertSpace, symmetric_transform
+from .core import HilbertSpace, spin_bits, symmetric_transform
 
 TWO_PI = 2.0 * math.pi
 
@@ -291,9 +291,7 @@ def drive_terms(cfg: DriveConfig) -> DriveTerms:
     the record is cached.
     """
     n, n_fock = cfg.space.n_qubits, cfg.space.n_fock
-    states = np.arange(2**n)
-    # up[s, j]: ion j is up in spin state s (ion 1 is the leading bit)
-    up = (states[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    up = spin_bits(n)
 
     h0 = np.zeros(2**n)
     for j, off in enumerate(cfg.ion_detuning_offsets):
@@ -304,8 +302,8 @@ def drive_terms(cfg: DriveConfig) -> DriveTerms:
     for j, w in enumerate(cfg.ion_weights):
         if w == 0.0:
             continue
-        down = states[up[:, j] == 0]
-        flipped = down | (1 << (n - 1 - j))
+        # raising ion j maps the states with j down, in order, onto those with j up
+        down, flipped = np.flatnonzero(up[:, j] == 0), np.flatnonzero(up[:, j])
         if cfg.carrier_coupled:
             h2[flipped, down] = h2[down, flipped] = w / 2.0
         if cfg.sideband is not Sideband.CARRIER:

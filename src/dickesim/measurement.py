@@ -3,6 +3,9 @@
 The reduced internal-state density matrix of N ions lives on the 2**N spin
 words in the core basis order (``dd, du, ud, uu`` for two ions); every
 readout (populations, Dicke fidelity, readout classes) is taken from it.
+The spin layout and the Dicke states are core's: the fidelity reads
+:func:`dickesim.core.dicke_vector` directly, and the readout classes are the
+populations summed by the up counts of :func:`dickesim.core.spin_bits`.
 A global analysis pulse on two ions is the simultaneous pi/2 rotation
 ``R(phi) = exp[-i (pi/4) (sigma_phi x 1 + 1 x sigma_phi)]`` with
 ``sigma_phi = cos(phi) sigma_x + sin(phi) sigma_y``; the state transforms as
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector, make_dicke
+from .core import StateVector, dicke_vector
 
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
@@ -83,9 +86,12 @@ def trace_out_motion(state) -> InternalDensityMatrix:
 
 
 def dicke_fidelity(rho: InternalDensityMatrix, m: int = 1) -> float:
-    """``<D_N^(m)| rho |D_N^(m)>`` for the reduced state of any ion number N."""
-    d = make_dicke(rho.n_qubits, m).amplitudes
-    return float(np.real(d.conj() @ rho.matrix @ d))
+    """``<D_N^(m)| rho |D_N^(m)>`` for the reduced state of any ion number N.
+
+    Raises ``ValueError`` for m outside ``[0, N]``.
+    """
+    d = dicke_vector(rho.n_qubits, m)
+    return float(np.real(d @ rho.matrix @ d))
 
 
 def fidelity_decomposition(rho: InternalDensityMatrix) -> tuple:

@@ -15,7 +15,8 @@ factors, ``H(t) = omega_v 1(x)n + sum_k c_k(t) H_k(x)1 + Omega(t) R`` with
   diagonalised once per block.
 
 The step defaults to ``0.60 / max_frequency`` (:func:`default_dt`) and a
-guard rejects any step above ``0.75 / max_frequency``.  ``max_frequency``
+guard rejects any step above ``0.75 / max_frequency``; a pulse of more than
+``STEP_CAP`` steps is refused before its first step.  ``max_frequency``
 holds what the split integrates approximately (:func:`max_frequency`): the
 peak coupling, the chirp endpoints, the ion offsets and the envelope floor
 ``8/sigma``, which keeps about 63 steps on any Gaussian pulse.  The trap
@@ -92,7 +93,8 @@ import numpy as np
 from .core import StateVector, symmetric_transform
 from .drive import (DriveConfig, DriveTerms, Sideband, coefficients, drive_terms,
                     symmetric_terms)
-from .errors import NumericsError, StepSizeError, TruncationLeakError
+from .errors import (NumericsError, ResourceGuardError, StepSizeError,
+                     TruncationLeakError)
 
 #: sub-steps per chunk; blocks above 4 states get proportionally fewer, so one
 #: stack of a chunk never exceeds CHUNK_ENTRIES complex entries (1.3 MB, what
@@ -114,6 +116,10 @@ NORM_DRIFT_LIMIT = 1e-9
 #: 1-4 us pulses moves populations by more than 1e-5
 DEFAULT_STEP = 0.60
 STEP_LIMIT = 0.75
+#: most composed steps one evolve takes before ResourceGuardError: about 13x
+#: the longest run of the test suite (311395 steps); a run at the cap took
+#: 12.5 s on a 2-state block and 130 s on an 18-state one (2-vCPU host)
+STEP_CAP = 4_000_000
 #: Suzuki's five-stage composition S(p dt) S(p dt) S((1 - 4p) dt) S(p dt) S(p dt):
 #: sub-step lengths and midpoints as fractions of the step
 _P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
@@ -374,12 +380,14 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
 
     Each step of length ``dt`` is Suzuki's composition of five Strang
     sub-steps.  ``dt`` defaults to :func:`default_dt`; a guard rejects steps
-    coarser than ``0.75 / max_frequency``.  ``duration`` defaults to the
-    pulse duration and must be given for flat (infinite-sigma) pulses; the
-    state at any time inside the pulse is ``evolve(..., duration=t)``.  The
-    truncation leak (population at ``fock_n = n_max``) and the norm drift are
-    checked after every whole step; the drift is measured from unit norm, to
-    which the state is rescaled after each chunk.
+    coarser than ``0.75 / max_frequency``, and :class:`ResourceGuardError` a
+    run of more than ``STEP_CAP`` steps, before any block is built.
+    ``duration`` defaults to the pulse duration and must be given for flat
+    (infinite-sigma) pulses; the state at any time inside the pulse is
+    ``evolve(..., duration=t)``.  The truncation leak (population at
+    ``fock_n = n_max``) and the norm drift are checked after every whole
+    step; the drift is measured from unit norm, to which the state is
+    rescaled after each chunk.
     """
     if psi0.space != cfg.space:
         raise ValueError("initial state lives in a different space than the drive")
@@ -387,6 +395,7 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
         duration = cfg.pulse.duration
     if not math.isfinite(duration) or duration <= 0:
         raise ValueError(f"need a finite positive duration, got {duration}")
+    source = "given" if dt is not None else f"{DEFAULT_STEP} / max_frequency"
     if dt is None:
         dt = default_dt(cfg)
     if dt <= 0:
@@ -395,6 +404,12 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
     dt_eff = duration / n_steps
     frequencies = _step_frequencies(cfg)
     bound = max(frequencies, key=frequencies.get)
+    if n_steps > STEP_CAP:
+        raise ResourceGuardError(
+            f"{n_steps} steps of dt={dt_eff:.3e} s ({source}, where max_frequency = "
+            f"{frequencies[bound]:.4g} rad/s is {bound}) over the {cfg.sideband.value} "
+            f"drive's {duration:.3e} s exceed the cap of {STEP_CAP}"
+        )
     if dt_eff * frequencies[bound] > STEP_LIMIT:
         raise StepSizeError(
             f"dt={dt_eff:.3e} s too coarse: dt * max_frequency = "

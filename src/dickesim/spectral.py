@@ -24,11 +24,11 @@ gauge is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .core import dicke_columns
 from .drive import DriveConfig, Sideband, coefficients, symmetric_terms
 from .errors import ContinuityError, DegeneracyError
 
@@ -267,8 +267,7 @@ def reduced_model(drive: DriveConfig) -> ReducedModel:
     n_qubits = space.n_qubits
     states = tuple((m, n) for m in range(min(n_qubits, 2) + 1)
                    for n in range(2) if m + n <= 2)
-    # column of the uniform vector of each up count in symmetric_transform
-    first = np.cumsum([0] + [comb(n_qubits, m) for m in range(n_qubits)])
+    first = dicke_columns(n_qubits)
     terms = symmetric_terms(drive).assemble([first[m] for m, _ in states],
                                             [n for _, n in states])
     return ReducedModel(drive=drive, states=states, terms=terms)

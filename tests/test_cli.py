@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from dickesim import (ConfigError, ExperimentConfig, cli, make_dicke, measurement,
-                      propagator, trace_out_motion)
+                      propagator, run_rap, sweep, trace_out_motion)
 from dickesim.cli import main, parse_config, resolved_snapshot
 from dickesim.drive import TWO_PI, CompensationMode
 from oracles import parity, rotate_global
@@ -277,6 +278,24 @@ class TestHistogramCommand:
         assert (tmp_path / "a" / "histogram.csv").read_bytes() == \
             (tmp_path / "b" / "histogram.csv").read_bytes()
 
+    def test_three_ion_classes_equal_word_counts(self, tmp_path, capsys, monkeypatch):
+        # oracle: the classes summed by counting the u's of each spin word,
+        # in index order, as the command used to
+        seen = []
+
+        def capture(populations, shots, seed):
+            seen.append(populations)
+            return np.array([shots])
+
+        monkeypatch.setattr(cli, "simulate_histogram", capture)
+        cfg = write_config(tmp_path, {"n_qubits": 3, "compensation": "none"})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "histogram"]) == 0
+        capsys.readouterr()
+        expected = np.zeros(4)
+        for word, p in run_rap(parse_config(cfg)).populations.items():
+            expected[word.count("u")] += p
+        assert np.array_equal(seen[0], expected)
+
 
 class TestPotentialsCommand:
     # one ion has no |uu,0> state; from two ions on the reduced model has five
@@ -385,6 +404,30 @@ class TestExitCodes:
         assert main(["--config", str(cfg), "simulate"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
+
+    @pytest.mark.parametrize("overrides,steps", [
+        # a blue-sideband pi pulse of ~1.6 s at the 4.6 ns step
+        ({"prep": "simulated_pulses", "omega_peak_khz": 0.0039, "dt_ns": 4.6}, 340393015),
+        # a 4.72 s RAP pulse at the default step
+        ({"compensation": "none", "sigma_us": 1e6}, 14334041),
+    ], ids=["simulated_pulses", "long_pulse"])
+    def test_unbounded_run_is_refused_at_once(self, tmp_path, capsys, overrides, steps):
+        cfg = write_config(tmp_path, overrides)
+        t0 = time.perf_counter()
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"]) == 3
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"numerical guard: {steps} steps of dt=")
+        assert f"exceed the cap of {propagator.STEP_CAP}" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_sweep_records_a_refused_point(self, tmp_path):
+        # a 4 s width takes ~10^7 default steps; the 244 us point runs
+        res = sweep(parse_config(write_config(tmp_path)), "width", [244e-6, 4.0])
+        assert res.partial and res.errors[0] is None
+        assert res.errors[1].startswith("ResourceGuardError: ")
+        assert np.isnan(res.fidelity[1]) and res.fidelity[0] > 0.99
 
     def test_numerical_guard_is_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"dt_ns": 1e6})   # far beyond the guard

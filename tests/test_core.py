@@ -1,10 +1,15 @@
 """Hilbert-space indexing, Dicke states, operators."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dickesim import ResourceGuardError, StateVector, build_space, embed, make_dicke
-from dickesim.core import DEFAULT_DIM_CAP, dicke_spin_words
+from dickesim.core import (DEFAULT_DIM_CAP, dicke_columns, dicke_vector, spin_bits,
+                           symmetric_transform)
 from oracles import annihilation, atom_number, fock_number, overlap, population, sigma_x
 
 
@@ -81,12 +86,32 @@ class TestMakeDicke:
         words = [format(s, "04b").replace("0", "d").replace("1", "u") for s in range(16)]
         expected = sorted(w for w in words if w.count("u") == 2)
         assert len(expected) == 6
-        assert dicke_spin_words(4, 2) == expected
         d = make_dicke(4, 2)
         for w in expected:
             amp = d.amplitudes[d.space.index(w, 0)]
             assert amp == pytest.approx(1 / np.sqrt(6), abs=1e-12)
         assert d.norm_sq == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+    @example((4, 2))
+    @example((8, 4))
+    def test_any_ion_number_brute_force(self, case):
+        n_qubits, m = case
+        # oracle: every spin word by its binary spelling, those with m ups kept
+        words = [format(s, f"0{n_qubits}b") for s in range(2**n_qubits)]
+        expected = np.array([1.0 / math.sqrt(math.comb(n_qubits, m))
+                             if w.count("1") == m else 0.0 for w in words])
+        d = make_dicke(n_qubits, m)
+        assert np.array_equal(d.amplitudes, expected)
+        assert np.array_equal(dicke_vector(n_qubits, m), expected)
+        # the Dicke column of the symmetric basis is the same vector, bit for bit
+        column = symmetric_transform(n_qubits)[:, dicke_columns(n_qubits)[m]]
+        assert np.array_equal(column, expected)
+        # the bits spell the spin words the space reads its basis states as
+        space = build_space(n_qubits, 0)
+        spelled = ["".join("du"[b] for b in row) for row in spin_bits(n_qubits)]
+        assert spelled == [space.basis_state(s)[0] for s in range(space.dim)]
 
     def test_excitation_number_out_of_range(self):
         with pytest.raises(ValueError):

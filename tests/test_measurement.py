@@ -112,6 +112,12 @@ class TestFidelity:
         with pytest.raises(ValueError):
             fidelity_decomposition(trace_out_motion(make_dicke(3, 1)))
 
+    @pytest.mark.parametrize("n_qubits,m", [(2, 3), (2, -1), (3, 4), (1, 2)])
+    def test_excitation_number_out_of_range(self, n_qubits, m):
+        rho = trace_out_motion(make_dicke(n_qubits, 0))
+        with pytest.raises(ValueError, match=f"excitation number m={m} outside"):
+            dicke_fidelity(rho, m)
+
 
 def thermal_weights(nbar, count):
     weights = np.array([nbar**n / (1.0 + nbar) ** (n + 1) for n in range(count)])

@@ -22,9 +22,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dickesim import (CompensationMode, DriveConfig, ExperimentConfig, NumericsError,
-                      PulseShape, Sideband, StateVector, StepSizeError,
-                      TruncationLeakError, build_space, embed, evolve, make_dicke,
-                      run_rap)
+                      PulseShape, ResourceGuardError, Sideband, StateVector,
+                      StepSizeError, TruncationLeakError, build_space, embed, evolve,
+                      make_dicke, run_rap)
 from dickesim import propagator
 from dickesim.core import symmetric_transform
 from dickesim.drive import (CompensationKind, TWO_PI, coefficients, drive_terms,
@@ -255,6 +255,32 @@ class TestGuards:
         assert math.ceil(t_cycle / dt) <= propagator.CHUNK_STEPS
         with pytest.raises(TruncationLeakError, match="at t = "):
             evolve(cfg, embed(space, "d", 1), dt=dt, duration=t_cycle)
+
+    def test_step_cap_boundary(self, monkeypatch):
+        # at a cap of 10 steps, 10 steps run and 11 are refused before any
+        # block is built; dt = 2^-21 s makes duration / dt exact
+        monkeypatch.setattr(propagator, "STEP_CAP", 10)
+        cfg = rap_drive()
+        psi0, dt = embed(cfg.space, "dd", 1), 2.0**-21
+        assert evolve(cfg, psi0, dt=dt, duration=10 * dt).steps == 10
+
+        def no_blocks(*args):
+            raise AssertionError("blocks built for a refused run")
+
+        monkeypatch.setattr(propagator, "_active_blocks", no_blocks)
+        with pytest.raises(ResourceGuardError,
+                           match=r"^11 steps of dt=4\.768e-07 s \(given, where max_frequency "
+                                 r"= 6\.283e\+05 rad/s is a chirp endpoint\) over the red "
+                                 r"drive's 5\.245e-06 s exceed the cap of 10$"):
+            evolve(cfg, psi0, dt=dt, duration=11 * dt)
+
+    def test_step_cap_names_the_default_step(self, monkeypatch):
+        monkeypatch.setattr(propagator, "STEP_CAP", 10)
+        cfg = rap_drive()
+        n_steps = math.ceil(cfg.pulse.duration / propagator.default_dt(cfg))
+        with pytest.raises(ResourceGuardError,
+                           match=f"^{n_steps} steps .* \\(0.6 / max_frequency, where "):
+            evolve(cfg, embed(cfg.space, "dd", 1))
 
     def test_flat_pulse_needs_duration(self):
         space = build_space(1, 2)
