@@ -265,21 +265,20 @@ class DriveTerms:
         return DriveTerms(transform.T @ self.internal @ transform,
                           transform.T @ self.sideband @ transform, self.ladder, self.omega_v)
 
-    def assemble(self, spins, levels, coupling_only: bool = False) -> np.ndarray:
-        """Dense (4, k, k) terms S0..S3 on the basis states ``(spins[i], levels[i])``.
-
-        With ``coupling_only`` only the Fock-changing part of S2,
-        ``R = J(x)L + J^T(x)L^T``, as one (k, k) matrix.
-        """
+    def coupling(self, spins, levels) -> np.ndarray:
+        """The Fock-changing part of S2, ``R = J(x)L + J^T(x)L^T``, as one (k, k)
+        matrix on the basis states ``(spins[i], levels[i])``."""
         spins, levels = np.asarray(spins), np.asarray(levels)
         coupling = self.sideband[np.ix_(spins, spins)] * self.ladder[np.ix_(levels, levels)]
-        coupling = coupling + coupling.T
-        if coupling_only:
-            return coupling
+        return coupling + coupling.T
+
+    def assemble(self, spins, levels) -> np.ndarray:
+        """Dense (4, k, k) terms S0..S3 on the basis states ``(spins[i], levels[i])``."""
+        spins, levels = np.asarray(spins), np.asarray(levels)
         same = levels[:, None] == levels[None, :]
         terms = np.where(same, self.internal[:, spins[:, None], spins], 0.0)
         terms[0] += np.diag(self.omega_v * levels)
-        terms[2] += coupling
+        terms[2] += self.coupling(spins, levels)
         return terms
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import StateVector, dicke_vector
+from .errors import NumericsError
 
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
@@ -141,7 +142,7 @@ def parity_curve(rho: InternalDensityMatrix, phi_grid) -> ParityCurve:
     One stacked product ``R_k' rho R_k`` gives the rotated populations of
     every phase; the parity read from them is checked against the closed
     form, and a mismatch beyond 1e-8 signals a rotation-convention bug and
-    raises.
+    raises :class:`NumericsError`.
     """
     if rho.n_qubits != 2:
         raise ValueError(f"parity is defined for two ions, got {rho.n_qubits}")
@@ -159,7 +160,7 @@ def parity_curve(rho: InternalDensityMatrix, phi_grid) -> ParityCurve:
     mismatch = np.flatnonzero(np.abs(values - closed) > CLOSED_FORM_TOL)
     if mismatch.size:
         k = mismatch[0]
-        raise RuntimeError(
+        raise NumericsError(
             f"parity mismatch at phi={phi[k]:.6f}: operator {values[k]:.12g} "
             f"vs closed form {closed[k]:.12g}"
         )

@@ -308,8 +308,7 @@ def _fock_split(terms: DriveTerms, idx: np.ndarray, n_fock: int) -> _FockSplit:
         first += len(members) * len(levels)
         order.append((members[:, None] * n_fock + levels).ravel())
     idx = np.concatenate(order)
-    coupling = terms.assemble(idx // n_fock, idx % n_fock, coupling_only=True)
-    r_values, r_vectors = np.linalg.eigh(coupling)
+    r_values, r_vectors = np.linalg.eigh(terms.coupling(idx // n_fock, idx % n_fock))
     return _FockSplit(idx, groups, r_values, r_vectors)
 
 

@@ -8,17 +8,16 @@ standard upper bound on diabatic-transition probability), and the reduced
 model of the chirped red-sideband pulse: the drive Hamiltonian projected
 onto the symmetric states with at most two excitations.
 
-The spectrum scan works on blocks of :data:`CHUNK_POINTS` grid points: one
-call of ``h_of_t`` for the block's stacked Hamiltonians, one batched
-``eigh``, and one batched product for the overlaps of consecutive
-eigenvector sets (the pair across the block boundary included).  Each
-branch follows the column of its largest overlap.  Because the columns are
-orthonormal, once every such maximum exceeds ``CONTINUITY_MIN`` (> 1/sqrt 2)
-they form a permutation, the one a greedy descending-overlap match picks.
-Permutations are composed only where the match is not the identity.  The
-eigenvectors keep the signs ``eigh`` gives them: the couplings align each
-neighbour's sign locally, and the diabatic ratio is a square, so no global
-gauge is needed.
+The spectrum scan is one batched pass over the grid: one call of ``h_of_t``
+for the stacked Hamiltonians, one batched ``eigh``, and one batched product
+for the overlaps of consecutive eigenvector sets.  Each branch follows the
+column of its largest overlap.  Because the columns are orthonormal, once
+every such maximum exceeds ``CONTINUITY_MIN`` (> 1/sqrt 2) they form a
+permutation, the one a greedy descending-overlap match picks.  Permutations
+are composed only where the match is not the identity.  The eigenvectors
+keep the signs ``eigh`` gives them: the couplings align each neighbour's
+sign locally, and the diabatic ratio is a square, so no global gauge is
+needed.
 """
 
 from __future__ import annotations
@@ -38,14 +37,6 @@ OMEGA_FLOOR_REL = 1e-6
 
 DEFAULT_GRID_POINTS = 2001
 MAX_REFINEMENTS = 3
-
-#: grid points diagonalised per batched ``eigh``.  Bounds the scan's
-#: temporaries independently of the grid length.  The frames do not depend on
-#: it (bit-identical), but the speed does: at d = 5 one 2001-point diabatic
-#: bound took 8.8 ms in blocks of 64 against 5.7 ms in blocks of 256 and
-#: 6.0 ms in blocks of 512 (best of 20, 2-vCPU host, BLAS at 1 thread), with a
-#: traced peak of 0.85, 1.06 and 1.51 MB
-CHUNK_POINTS = 64
 
 
 @dataclass
@@ -71,12 +62,11 @@ def adiabatic_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray],
     """Diagonalize a real symmetric H(t) over a grid with branch matching.
 
     ``h_of_t`` takes a 1-d array of K times and returns the stacked real
-    Hamiltonians, shape ``(K, d, d)``; it is called once per block of at most
-    :data:`CHUNK_POINTS` grid points.  Raises :class:`ContinuityError` when
-    successive eigenvectors overlap by at most 0.9 (grid too coarse near an
-    avoided crossing) and :class:`DegeneracyError` on an exactly degenerate
-    grid point, whichever comes first in time (the degeneracy when both
-    occur at one point).
+    Hamiltonians, shape ``(K, d, d)``; it is called once, for the whole grid.
+    Raises :class:`ContinuityError` when successive eigenvectors overlap by
+    at most 0.9 (grid too coarse near an avoided crossing) and
+    :class:`DegeneracyError` on an exactly degenerate grid point, whichever
+    comes first in time (the degeneracy when both occur at one point).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 3:
@@ -84,67 +74,51 @@ def adiabatic_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray],
     if np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing")
 
-    energies = vectors = None
-    for start in range(0, len(times), CHUNK_POINTS):
-        block = times[start:start + CHUNK_POINTS]
-        h = np.asarray(h_of_t(block))
-        if (h.ndim != 3 or h.shape[:2] != (len(block), h.shape[2]) or h.dtype.kind == "c"
-                or (vectors is not None and h.shape[2] != vectors.shape[1])):
-            raise ValueError(f"h_of_t returned {h.dtype} shape {h.shape} for {len(block)} "
-                             f"times; expected a real ({len(block)}, d, d) stack")
-        w, v = np.linalg.eigh(h)
-        if vectors is None:
-            dim = h.shape[2]
-            energies = np.empty((len(times), dim))
-            vectors = np.empty((len(times), dim, dim))
-            # carried between blocks: the vectors at the last point done, and
-            # there each branch's column; the first block starts from point 0
-            # itself (a self-overlap, so no step)
-            prev, perm = v[0], np.arange(dim)
+    h = np.asarray(h_of_t(times))
+    if h.ndim != 3 or h.shape[:2] != (len(times), h.shape[2]) or h.dtype.kind == "c":
+        raise ValueError(f"h_of_t returned {h.dtype} shape {h.shape} for {len(times)} "
+                         f"times; expected a real ({len(times)}, d, d) stack")
+    w, v = np.linalg.eigh(h)
+    dim = h.shape[2]
 
-        # step k joins the point before block point k to block point k
-        overlap = np.concatenate([prev[None], v[:-1]]).swapaxes(1, 2) @ v
-        mag = np.abs(overlap)
-        # each raw column on the left follows its largest overlap on the right;
-        # above 1/sqrt(2) these row maxima form the greedy permutation
-        follow = np.argmax(mag, axis=2)
-        best = np.take_along_axis(mag, follow[..., None], axis=2)[..., 0]
+    # step k joins grid point k to grid point k + 1
+    mag = np.abs(v[:-1].swapaxes(1, 2) @ v[1:])
+    # each raw column on the left follows its largest overlap on the right;
+    # above 1/sqrt(2) these row maxima form the greedy permutation
+    follow = np.argmax(mag, axis=2)
+    best = np.take_along_axis(mag, follow[..., None], axis=2)[..., 0]
 
-        # perms[k]: branch -> raw column before step k; perms[k + 1] after it
-        perms = np.empty((len(block) + 1, dim), dtype=np.intp)
-        last = 0
-        for k in np.flatnonzero(np.any(follow != np.arange(dim), axis=1)):
-            perms[last:k + 1] = perm
-            perm = follow[k][perm]
-            last = k + 1
-        perms[last:] = perm
+    # perms[k]: branch -> raw column at grid point k
+    perms = np.empty((len(times), dim), dtype=np.intp)
+    perm, last = np.arange(dim), 0
+    for k in np.flatnonzero(np.any(follow != np.arange(dim), axis=1)):
+        perms[last:k + 1] = perm
+        perm = follow[k][perm]
+        last = k + 1
+    perms[last:] = perm
 
-        scale = np.maximum(1.0, np.max(np.abs(w), axis=1))
-        degenerate = np.any(np.diff(w, axis=1) <= DEGENERACY_REL * scale[:, None], axis=1)
-        broken = np.any(best <= CONTINUITY_MIN, axis=1)
-        k_deg = int(np.argmax(degenerate)) if degenerate.any() else len(block)
-        k_cont = int(np.argmax(broken)) if broken.any() else len(block)
-        if k_deg < len(block) and k_deg <= k_cont:
-            t = block[k_deg]
-            raise DegeneracyError(
-                f"exactly degenerate eigenvalues at t={t:.6e} s; branches ambiguous",
-                time=float(t),
-            )
-        if k_cont < len(block):
-            diag = best[k_cont][perms[k_cont]]
-            worst = int(np.argmin(diag))
-            k = start + k_cont
-            raise ContinuityError(
-                f"branch {worst} overlap {diag[worst]:.3f} <= {CONTINUITY_MIN} between "
-                f"t={times[k-1]:.6e} and t={times[k]:.6e}; refine the grid"
-            )
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=1))
+    degenerate = np.any(np.diff(w, axis=1) <= DEGENERACY_REL * scale[:, None], axis=1)
+    broken = np.any(best <= CONTINUITY_MIN, axis=1)
+    # where each failure shows: a broken step at the grid point it reaches
+    k_deg = int(np.argmax(degenerate)) if degenerate.any() else len(times)
+    k_cont = int(np.argmax(broken)) + 1 if broken.any() else len(times)
+    if k_deg < len(times) and k_deg <= k_cont:
+        t = times[k_deg]
+        raise DegeneracyError(
+            f"exactly degenerate eigenvalues at t={t:.6e} s; branches ambiguous",
+            time=float(t),
+        )
+    if k_cont < len(times):
+        diag = best[k_cont - 1][perms[k_cont - 1]]
+        worst = int(np.argmin(diag))
+        raise ContinuityError(
+            f"branch {worst} overlap {diag[worst]:.3f} <= {CONTINUITY_MIN} between "
+            f"t={times[k_cont-1]:.6e} and t={times[k_cont]:.6e}; refine the grid"
+        )
 
-        cols = perms[1:]
-        energies[start:start + len(block)] = np.take_along_axis(w, cols, axis=1)
-        vectors[start:start + len(block)] = np.take_along_axis(v, cols[:, None, :], axis=2)
-        prev, perm = v[-1], perms[-1]
-
-    return AdiabaticFrame(times=times, energies=energies, vectors=vectors)
+    return AdiabaticFrame(times=times, energies=np.take_along_axis(w, perms, axis=1),
+                          vectors=np.take_along_axis(v, perms[:, None, :], axis=2))
 
 
 def spectrum_with_refinement(h_of_t, t_start: float, t_end: float) -> AdiabaticFrame:

@@ -1,15 +1,20 @@
 """Config parsing, subcommand outputs, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
+import tempfile
 import time
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickesim import (ConfigError, ExperimentConfig, cli, make_dicke, measurement,
                       propagator, run_rap, sweep, trace_out_motion)
@@ -558,6 +563,18 @@ class TestExitCodes:
         assert captured.err.startswith("runtime error: density matrix")
         assert len(captured.err.strip().splitlines()) == 1
 
+    def test_parity_closed_form_mismatch_is_3(self, tmp_path, capsys, monkeypatch):
+        closed_form = measurement.parity_closed_form
+        monkeypatch.setattr(measurement, "parity_closed_form",
+                            lambda rho, phi: closed_form(rho, phi) + 1e-6)
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "parity", "--ideal"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical guard: parity mismatch at phi=")
+        assert len(captured.err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("overrides", [
         {"compensation": "effective", "comp_detuning_khz": 0},
         {"compensation": "effective", "power_ratio": 1.5},
@@ -607,6 +624,99 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"omega_peak_khz": -1})
         main(["--config", str(cfg), "simulate"])
         assert capsys.readouterr().out == ""
+
+
+def valid_values(n_qubits):
+    """Every config key's strategy over short-running valid values for ``n_qubits`` ions."""
+    def per_ion(lo, hi):
+        return st.one_of(st.none(), st.lists(st.floats(lo, hi), min_size=n_qubits,
+                                             max_size=n_qubits))
+    return {
+        "n_qubits": st.just(n_qubits),
+        "n_max": st.integers(2, 4),
+        "omega_peak_khz": st.floats(50, 300),
+        "sigma_us": st.floats(5, 150),
+        "chirp_khz": st.floats(20, 200),
+        "compensation": st.sampled_from(["zero_carrier", "none", "effective"]),
+        "duration_factor": st.floats(1.5, 3.0),
+        "omega_v_khz": st.floats(500, 1500),
+        "eta": st.one_of(st.none(), st.floats(0.02, 0.15)),
+        "wavelength_nm": st.floats(300, 800),
+        "mass_amu": st.floats(9, 138),
+        "beam_angle_rad": st.floats(-1.0, 1.0),
+        "ion_weights": per_ion(0.0, 1.0),
+        "ion_offsets_khz": per_ion(-20.0, 20.0),
+        "prep_weights": per_ion(0.0, 1.0),
+        "prep_offsets_khz": per_ion(-100.0, 100.0),
+        "phases": st.integers(3, 12),
+        "shots": st.integers(1, 500),
+        "seed": st.integers(0, 2**31),
+        "nbar": st.sampled_from([0.0, 0.05, 0.2]),
+        "dt_ns": st.one_of(st.none(), st.floats(50, 400)),
+        "power_ratio": st.floats(0.1, 1.0),
+        "comp_detuning_khz": st.floats(200, 600),
+        "prep": st.sampled_from(["ideal_fock", "simulated_pulses"]),
+    }
+
+
+def invalid_values(key):
+    """Values the config rules refuse for ``key``."""
+    values = ["abc", True, math.nan]
+    # "a number" takes any sign; seed and nbar take 0
+    if key not in {"beam_angle_rad", "power_ratio", "comp_detuning_khz"}:
+        values.append(-1)
+        if key not in {"seed", "nbar"}:
+            values.append(0)
+    return values
+
+
+#: every refused value of every key, and a key the schema does not have
+INVALID_ENTRIES = [(key, value) for key in sorted(cli._KEYS)
+                   for value in invalid_values(key)] + [("omega_peak", 145.0)]
+
+COMMANDS = st.one_of(
+    st.sampled_from([["simulate"], ["potentials"], ["parity"], ["parity", "--ideal"],
+                     ["histogram"]]),
+    st.builds(lambda axis, points: ["sweep", "--axis", axis, "--points", str(points)],
+              st.sampled_from(["width", "peak"]), st.integers(1, 3)))
+
+
+@st.composite
+def cli_cases(draw):
+    values = valid_values(draw(st.integers(1, 3)))
+    required = {key: values.pop(key) for key in cli._REQUIRED_KEYS}
+    raw = draw(st.fixed_dictionaries(required, optional=values))
+    invalid = draw(st.sampled_from(INVALID_ENTRIES)) if draw(st.booleans()) else None
+    if invalid is not None:
+        raw[invalid[0]] = invalid[1]
+    return raw, invalid, draw(COMMANDS)
+
+
+class TestCliContract:
+    """Every config the CLI accepts runs or exits with a clean, documented code."""
+
+    def test_strategies_cover_every_key(self):
+        assert set(valid_values(2)) == cli._KEYS
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=cli_cases())
+    def test_exit_codes_and_manifest(self, case):
+        raw, invalid, command = case
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "config.json"
+            path.write_text(json.dumps(raw))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--config", str(path), "--out", str(Path(work) / "o"),
+                             *command])
+            assert code in (0, 2, 3), err.getvalue()
+            if invalid is not None:
+                assert code == 2, (invalid, err.getvalue())
+            if code:
+                assert out.getvalue() == ""
+                assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+            else:
+                assert verify_manifest(Path(work) / "o" / "manifest.json")
 
 
 class TestReadme:

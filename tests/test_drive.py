@@ -343,7 +343,7 @@ class TestFactoredTerms:
         spins, levels = idx // cfg.space.n_fock, idx % cfg.space.n_fock
         s2 = dense_terms(cfg)[2][np.ix_(idx, idx)]
         expected = np.where(levels[:, None] == levels[None, :], 0.0, s2)
-        coupling = drive_terms(cfg).assemble(spins, levels, coupling_only=True)
+        coupling = drive_terms(cfg).coupling(spins, levels)
         assert np.array_equal(coupling, expected)
         assert np.array_equal(drive_terms(cfg).assemble(spins, levels)[2],
                               s2)
