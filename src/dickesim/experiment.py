@@ -9,8 +9,10 @@ drive layer.  The default operating point: peak carrier Rabi frequency
 Every ion number takes the same path: one reduced density matrix of the
 final state (averaged over the thermal components) gives the populations and
 the fidelity :func:`dickesim.measurement.dicke_fidelity`, and the diabatic
-bound and the potentials report read the adiabatic frame of
-:func:`dickesim.spectral.reduced_model`.  Only the sweep's
+bound and the potentials report read adiabatic frames of
+:func:`dickesim.spectral.reduced_model`: the bound that of the model's
+component coupled to the RAP pair (two states under ``zero_carrier``), the
+report that of the full model, whose every energy it writes.  Only the sweep's
 ``diag_sum``/``offdiag`` decomposition is two-ion; other ion numbers leave it
 ``nan``.
 """
@@ -30,7 +32,7 @@ from .errors import ContinuityError, DegeneracyError, NumericsError, ResourceGua
 from .measurement import (InternalDensityMatrix, dicke_fidelity,
                           fidelity_decomposition, trace_out_motion)
 from .propagator import EvolutionResult, evolve
-from .spectral import (DiabaticBound, adiabatic_spectrum, diabatic_bound,
+from .spectral import (DiabaticBound, ReducedModel, adiabatic_spectrum, diabatic_bound,
                        diabatic_ratio, reduced_model, spectrum_with_refinement)
 
 DEFAULT_OMEGA_PEAK = TWO_PI * 145e3
@@ -41,6 +43,9 @@ DEFAULT_WAVELENGTH = 729e-9
 DEFAULT_MASS_AMU = 40.0
 
 THERMAL_TAIL = 1e-4
+
+#: the reduced-model states ``(m up, n quanta)`` the RAP pulse transfers between
+_RAP_STATES = ((0, 1), (1, 0))
 
 #: allowed gap in the sweep's F = diag_sum/2 + offdiag/2 identity
 DECOMPOSITION_TOL = 1e-12
@@ -181,20 +186,20 @@ def _prepare_from(cfg: ExperimentConfig, start_n: int) -> StateVector:
     return psi
 
 
-def _rap_frame(cfg: ExperimentConfig, times=None):
-    """Adiabatic frame of the reduced model and the RAP branch pair ``(i, j)``.
+def _rap_frame(model: ReducedModel, times=None):
+    """Adiabatic frame of ``model`` and the RAP branch pair ``(i, j)``.
 
     The pair are the branches whose t=0 eigenvectors follow the bare states
     ``|d..d,1>`` and ``|D,0>``.  Without ``times`` the grid is uniform with
-    ``DEFAULT_GRID_POINTS`` points, refined on branch-tracking failure.
+    ``DEFAULT_GRID_POINTS`` points over the pulse, refined on branch-tracking
+    failure.
     """
-    model = reduced_model(cfg.rap_drive())
     if times is None:
-        frame = spectrum_with_refinement(model.h_at, 0.0, cfg.pulse().duration)
+        frame = spectrum_with_refinement(model.h_at, 0.0, model.drive.pulse.duration)
     else:
         frame = adiabatic_spectrum(model.h_at, times)
     picks = []
-    for state in ((0, 1), (1, 0)):
+    for state in _RAP_STATES:
         overlaps = np.abs(frame.vectors[0][model.states.index(state)])
         picks.append(next(int(i) for i in np.argsort(-overlaps) if int(i) not in picks))
     return frame, tuple(picks)
@@ -203,12 +208,17 @@ def _rap_frame(cfg: ExperimentConfig, times=None):
 def rap_diabatic_bound(cfg: ExperimentConfig) -> DiabaticBound | None:
     """Upper bound on the diabatic-transition probability for this transfer.
 
+    Only the reduced model's component that couples to ``|d..d,1>`` and
+    ``|D,0>`` is diagonalised: the pair ``{|d..d,1>, |D,0>}`` alone under
+    ``zero_carrier``, the whole model when carrier couplings join the states.
+    States outside it are exactly decoupled, so on one grid the bound is the
+    full model's; only the grid refinement follows the pair alone.
     Returns ``None`` when the avoided crossing is too sharp to resolve (the
     drive is effectively off and the crossing is real), where the bound
     stops being meaningful.
     """
     try:
-        frame, (i, j) = _rap_frame(cfg)
+        frame, (i, j) = _rap_frame(reduced_model(cfg.rap_drive()).component(_RAP_STATES))
         return diabatic_bound(frame, i, j)
     except (ContinuityError, DegeneracyError):
         return None
@@ -322,7 +332,8 @@ class PotentialsReport:
 def potentials_report(cfg: ExperimentConfig) -> PotentialsReport:
     """Adiabatic energies and |alpha/omega|^2 with and without carrier couplings.
 
-    Both variants (raw Hamiltonian and carrier terms zeroed) are evaluated on
+    Both variants (raw Hamiltonian and carrier terms zeroed) diagonalise the
+    full reduced model, so every energy is reported, and are evaluated on
     the same grid so their curves compare point by point: the first variant's
     uniform ``DEFAULT_GRID_POINTS`` grid (refined automatically on
     branch-tracking failure), which the second reuses.
@@ -331,7 +342,8 @@ def potentials_report(cfg: ExperimentConfig) -> PotentialsReport:
     times = None
     for name, comp in (("none", CompensationMode.none()),
                        ("zero_carrier", CompensationMode.zero_carrier())):
-        frame, (i, j) = _rap_frame(replace(cfg, compensation=comp), times)
+        model = reduced_model(replace(cfg, compensation=comp).rap_drive())
+        frame, (i, j) = _rap_frame(model, times)
         times = frame.times
         variants[name] = PotentialsVariant(energies=frame.energies,
                                            alpha_over_omega_sq=diabatic_ratio(frame, i, j))

@@ -7,6 +7,10 @@ the ratio ``|alpha_ji / omega_ji|^2`` on the grid and its maximum (the
 standard upper bound on diabatic-transition probability), and the reduced
 model of the chirped red-sideband pulse: the drive Hamiltonian projected
 onto the symmetric states with at most two excitations.
+:meth:`ReducedModel.component` keeps the states coupled to a given set:
+without carrier couplings the RAP pair ``{|d..d,1>, |D,0>}`` is a component
+of its own, so the diabatic bound diagonalises two states, while the
+potentials report diagonalises the full model.
 
 The spectrum scan is one batched pass over the grid: one call of ``h_of_t``
 for the stacked Hamiltonians, one batched ``eigh``, and one batched product
@@ -78,8 +82,9 @@ def adiabatic_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray],
     if h.ndim != 3 or h.shape[:2] != (len(times), h.shape[2]) or h.dtype.kind == "c":
         raise ValueError(f"h_of_t returned {h.dtype} shape {h.shape} for {len(times)} "
                          f"times; expected a real ({len(times)}, d, d) stack")
-    w, v = np.linalg.eigh(h)
     dim = h.shape[2]
+    w, v = np.linalg.eigh(h)
+    del h   # the stacked H is as large as the eigenvectors; free it before the overlaps
 
     # step k joins grid point k to grid point k + 1
     mag = np.abs(v[:-1].swapaxes(1, 2) @ v[1:])
@@ -226,6 +231,22 @@ class ReducedModel:
         _, c1, c2, c3 = np.ascontiguousarray(coefficients(self.drive, t).T)[..., None, None]
         p0, p1, p2, p3 = self.terms
         return ((p0 + c1 * p1) + c2 * p2) + c3 * p3
+
+    def component(self, states) -> ReducedModel:
+        """The model on ``states`` and every state coupled to them, directly or not.
+
+        Two states couple where an off-diagonal entry of any term is nonzero;
+        no cut is applied, so only exactly decoupled states are left out and
+        ``h_at`` on the kept states is the exact sub-block of this model's.
+        The kept states stay in this model's order.
+        """
+        coupled = np.any(self.terms != 0.0, axis=0)
+        reach = np.isin(np.arange(len(self.states)), [self.states.index(s) for s in states])
+        for _ in range(len(self.states) - 1):   # a path visits at most d states
+            reach |= coupled[reach].any(axis=0)
+        keep = np.flatnonzero(reach)
+        return ReducedModel(drive=self.drive, states=tuple(self.states[k] for k in keep),
+                            terms=self.terms[:, keep[:, None], keep])
 
 
 def reduced_model(drive: DriveConfig) -> ReducedModel:

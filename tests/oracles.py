@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from dickesim import InternalDensityMatrix, StateVector, evolve, make_dicke
+from dickesim import InternalDensityMatrix, StateVector, evolve, make_dicke, reduced_model
 from dickesim.drive import (CompensationKind, CompensationMode, DriveConfig, Sideband,
                             envelope)
 from dickesim.experiment import ExperimentConfig, _prepare_from, _rap_frame
@@ -292,9 +292,11 @@ def checkpoint_states(cfg: DriveConfig, psi0: StateVector, count: int = 8) -> li
 def rap_pair_gap(cfg: ExperimentConfig, report, variant: str) -> np.ndarray:
     """``|E_j - E_i|`` of the RAP branch pair on one variant of a potentials report.
 
-    The pair ``(i, j)`` is the one the variant's frame picks on the report's grid.
+    The pair ``(i, j)`` is the one the variant's full reduced model picks on
+    the report's grid, like the report itself.
     """
     compensation = getattr(CompensationMode, variant)()
-    _, (i, j) = _rap_frame(replace(cfg, compensation=compensation), report.times)
+    model = reduced_model(replace(cfg, compensation=compensation).rap_drive())
+    _, (i, j) = _rap_frame(model, report.times)
     energies = report.variants[variant].energies
     return np.abs(energies[:, j] - energies[:, i])

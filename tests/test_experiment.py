@@ -5,13 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dickesim import (CompensationMode, ExperimentConfig, NumericsError,
-                      PrepMode, make_dicke, potentials_report, run_rap, sweep)
+from dickesim import (CompensationMode, ContinuityError, DegeneracyError,
+                      ExperimentConfig, NumericsError, PrepMode, diabatic_bound,
+                      make_dicke, potentials_report, reduced_model, run_rap, sweep)
 from dickesim import experiment, measurement
-from dickesim.drive import TWO_PI
+from dickesim.drive import TWO_PI, CompensationKind
 from dickesim.experiment import default_sweep_values
 from dickesim.propagator import default_dt
 from oracles import (count_local_minima, population, prepare_fock1, psi_dicke_fidelity,
@@ -159,6 +160,65 @@ class TestIonNumberIndependence:
             assert res.fidelity == pytest.approx(two.fidelity, rel=0, abs=1e-12)
             assert res.bound.value == pytest.approx(two.bound.value, rel=1e-12)
             assert res.bound.time == two.bound.time
+
+
+class TestPairComponentBound:
+    """The bound read on the RAP pair's coupled component against the full model's.
+
+    The states the component leaves out are exactly decoupled from the pair,
+    so on one grid both give the same bound.  Only the grid can differ: the
+    full model also refines for a crossing outside the pair.  Where the
+    pair's own crossing falls between the points of the grid the pair needs
+    (its gap changes sign there, so the component refuses the bound), the
+    full model may go on to a finer grid and report a number far above 1.
+    """
+
+    @staticmethod
+    def bound_of(model):
+        try:
+            frame, (i, j) = experiment._rap_frame(model)
+            return diabatic_bound(frame, i, j)
+        except (ContinuityError, DegeneracyError):
+            return None
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n_qubits=st.integers(1, 4),
+           compensation=st.sampled_from([CompensationMode.none(),
+                                         CompensationMode.zero_carrier(),
+                                         CompensationMode.effective(0.6, TWO_PI * 400e3)]),
+           weights=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+           offsets_khz=st.lists(st.floats(-20.0, 20.0), min_size=4, max_size=4),
+           peak_khz=st.floats(0.05, 400.0), sigma_us=st.floats(5.0, 300.0))
+    # a crossing of {|D,1>, |uu,0>} breaks the full model's 2001-point grid,
+    # where the weaker RAP pair's crossing falls between grid points
+    @example(n_qubits=4, compensation=CompensationMode.zero_carrier(),
+             weights=[0.621, 0.965, 0.135, 0.247], offsets_khz=[6.46, -6.76, -14.86, 15.81],
+             peak_khz=0.36, sigma_us=184.6)
+    def test_component_bound_is_full_model_bound(self, n_qubits, compensation, weights,
+                                                 offsets_khz, peak_khz, sigma_us):
+        cfg = zc_config(n_qubits=n_qubits, compensation=compensation,
+                        omega_peak=TWO_PI * 1e3 * peak_khz, sigma=1e-6 * sigma_us,
+                        ion_weights=tuple(weights[:n_qubits]),
+                        ion_detuning_offsets=tuple(TWO_PI * 1e3 * o
+                                                   for o in offsets_khz[:n_qubits]))
+        full = reduced_model(cfg.rap_drive())
+        pair = full.component(experiment._RAP_STATES)
+        carrier_free = compensation.kind is CompensationKind.ZERO_CARRIER
+        assert len(pair.states) == (2 if carrier_free else len(full.states))
+        expected = self.bound_of(full)
+        bound = experiment.rap_diabatic_bound(cfg)
+        if bound is None and expected is not None:
+            frame, (i, j) = experiment._rap_frame(pair)
+            assert len(frame.times) < len(experiment._rap_frame(full)[0].times)
+            with pytest.raises(DegeneracyError, match="changes sign"):
+                diabatic_bound(frame, i, j)
+            assert expected.value > 1.0
+            return
+        if expected is None:
+            assert bound is None
+            return
+        assert bound.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
+        assert bound.time == expected.time
 
 
 class TestSweep:
