@@ -5,8 +5,8 @@ The package covers the full pipeline: Hilbert-space construction, the
 rotating-frame drive Hamiltonian with carrier-shift compensation modes, a
 unitary fourth-order propagator that composes each step from five Strang
 splits along the motional (Fock) number, adiabatic-potential analysis with
-diabatic-transition bounds on the drive Hamiltonian projected onto its
-symmetric low-excitation states, the
+the peak adiabaticity ratio on the drive Hamiltonian projected onto its
+low-excitation Dicke states, the
 reduced internal state of any ion number with its populations, Dicke-state
 fidelity and fluorescence readout, two-ion parity oscillations, and
 robustness sweeps.

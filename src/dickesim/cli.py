@@ -322,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", help="final populations, fidelity, diabatic bound"
-                   ).set_defaults(run=_cmd_simulate)
+    sub.add_parser("simulate", help="final populations, fidelity and diabatic_bound, the "
+                   "peak adiabaticity ratio: a first-order estimate that leaves out the "
+                   "pulse-window edges").set_defaults(run=_cmd_simulate)
     sub.add_parser("potentials", help="adiabatic energies and |alpha/omega|^2"
                    ).set_defaults(run=_cmd_potentials)
     p_parity = sub.add_parser("parity", help="parity versus analysis phase")

@@ -16,8 +16,8 @@ the ordering is spin-major with the Fock index ascending fastest.
 This module is the one place that spin layout is decoded: :func:`spin_bits`
 gives each spin index's bits (whose row sums are the up counts) and
 :func:`dicke_vector` the Dicke state ``|D_N^(m)>`` on the spin words, which
-:func:`make_dicke`, :func:`symmetric_transform` (at the columns
-:func:`dicke_columns` names) and the fidelity all read.
+:func:`make_dicke`, :func:`symmetric_transform`, the reduced model and the
+fidelity all read.
 """
 
 from __future__ import annotations
@@ -108,26 +108,22 @@ def dicke_vector(n_qubits: int, m: int) -> np.ndarray:
     return np.where(ups, 1.0 / sqrt(comb(n_qubits, m)), 0.0)
 
 
-def dicke_columns(n_qubits: int) -> np.ndarray:
-    """The column of :func:`symmetric_transform` holding ``|D_N^(m)>``, for m = 0..N."""
-    return np.cumsum([0] + [comb(n_qubits, m) for m in range(n_qubits)])
-
-
 @lru_cache(maxsize=16)
 def symmetric_transform(n_qubits: int) -> np.ndarray:
     """Orthogonal internal-basis change grouping states by up count.
 
     Columns come in blocks of fixed up count m = 0..N; the first column of
-    each block (:func:`dicke_columns`) is the uniform (permutation-symmetric,
-    Dicke) combination :func:`dicke_vector` and the rest span its orthogonal
-    complement, so every column remains an eigenvector of the up-state
-    number.  For two ions this is the bright/dark change of Morris and
-    Shore.  The returned array is cached and read-only.
+    each block is the uniform (permutation-symmetric, Dicke) combination
+    :func:`dicke_vector` and the rest span its orthogonal complement, so
+    every column remains an eigenvector of the up-state number.  For two
+    ions this is the bright/dark change of Morris and Shore.  The returned
+    array is cached and read-only.
     """
     n_up = spin_bits(n_qubits).sum(axis=1)
     transform = np.zeros((2**n_qubits,) * 2)
-    for m, first in enumerate(dicke_columns(n_qubits)):
+    for m in range(n_qubits + 1):
         idx = np.flatnonzero(n_up == m)
+        first = np.count_nonzero(n_up < m)   # the blocks of fewer ups come first
         transform[:, first] = dicke_vector(n_qubits, m)
         # orthonormal complement of the uniform vector inside the block
         _, _, vh = np.linalg.svd(np.ones((1, len(idx))))

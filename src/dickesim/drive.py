@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import HilbertSpace, spin_bits, symmetric_transform
+from .core import HilbertSpace, spin_bits
 
 TWO_PI = 2.0 * math.pi
 
@@ -261,7 +261,8 @@ class DriveTerms:
             factor.setflags(write=False)
 
     def rotated(self, transform: np.ndarray) -> "DriveTerms":
-        """The same H with the spin factors in the basis of ``transform``'s columns."""
+        """The spin factors ``T^T X T`` for any orthonormal columns T of ``transform``:
+        a whole basis keeps H, some of its columns project H onto their span."""
         return DriveTerms(transform.T @ self.internal @ transform,
                           transform.T @ self.sideband @ transform, self.ladder, self.omega_v)
 
@@ -282,12 +283,13 @@ class DriveTerms:
         return terms
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)
 def drive_terms(cfg: DriveConfig) -> DriveTerms:
     """The factors of ``H(t) = S0 - delta_c(t) S1 + Omega(t) S2 + Omega(t)^2 S3``.
 
-    See :class:`DriveTerms`; every factor is real and time independent, and
-    the record is cached.
+    See :class:`DriveTerms`; every factor is real and time independent.  The
+    cache holds the drives of one run (the pulse, two preparation stages and
+    the second ``potentials`` variant): a record is 42 MB at N = 10.
     """
     n, n_fock = cfg.space.n_qubits, cfg.space.n_fock
     up = spin_bits(n)
@@ -319,17 +321,6 @@ def drive_terms(cfg: DriveConfig) -> DriveTerms:
     lower = np.diag(np.sqrt(np.arange(1, n_fock)), 1)
     ladder = lower.T if cfg.sideband is Sideband.BLUE else lower
     return DriveTerms(internal, sideband, ladder, cfg.omega_v)
-
-
-@lru_cache(maxsize=64)
-def symmetric_terms(cfg: DriveConfig) -> DriveTerms:
-    """:func:`drive_terms` in the permutation-symmetric internal basis.
-
-    The one symmetric-basis change of the drive (:func:`symmetric_transform`),
-    cached like :func:`drive_terms`; the propagator and the reduced model
-    both read it.
-    """
-    return drive_terms(cfg).rotated(symmetric_transform(cfg.space.n_qubits))
 
 
 def coefficients(cfg: DriveConfig, t) -> np.ndarray:

@@ -206,7 +206,8 @@ def _rap_frame(model: ReducedModel, times=None):
 
 
 def rap_diabatic_bound(cfg: ExperimentConfig) -> DiabaticBound | None:
-    """Upper bound on the diabatic-transition probability for this transfer.
+    """Peak adiabaticity ratio of this transfer, a first-order estimate of
+    its diabatic loss that leaves out the pulse-window edges.
 
     Only the reduced model's component that couples to ``|d..d,1>`` and
     ``|D,0>`` is diagonalised: the pair ``{|d..d,1>, |D,0>}`` alone under
@@ -214,7 +215,7 @@ def rap_diabatic_bound(cfg: ExperimentConfig) -> DiabaticBound | None:
     States outside it are exactly decoupled, so on one grid the bound is the
     full model's; only the grid refinement follows the pair alone.
     Returns ``None`` when the avoided crossing is too sharp to resolve (the
-    drive is effectively off and the crossing is real), where the bound
+    drive is effectively off and the crossing is real), where the ratio
     stops being meaningful.
     """
     try:
@@ -342,7 +343,7 @@ def potentials_report(cfg: ExperimentConfig) -> PotentialsReport:
     times = None
     for name, comp in (("none", CompensationMode.none()),
                        ("zero_carrier", CompensationMode.zero_carrier())):
-        model = reduced_model(replace(cfg, compensation=comp).rap_drive())
+        model = reduced_model(replace(cfg.rap_drive(), compensation=comp))
         frame, (i, j) = _rap_frame(model, times)
         times = frame.times
         variants[name] = PotentialsVariant(energies=frame.energies,

@@ -72,11 +72,12 @@ Two structural reductions keep the cost down without changing the result:
   zero for all time); one search finds them, starting from the state's
   support and stepping along the boolean patterns of H's small factors;
 * identical ions (equal weights and equal offsets, N > 1) always evolve in
-  the permutation-symmetric basis (:func:`dickesim.drive.symmetric_terms`,
+  the permutation-symmetric basis (:func:`dickesim.core.symmetric_transform`,
   the same idea as the bright/dark reduction of degenerate coupled systems),
   which splits the symmetric sector from the dark ones and shrinks the
-  components; the state moves in and out of that basis as ``T^T psi`` on
-  its (2**N, n_fock) reshape.
+  components; only this module rotates the drive record into that basis,
+  and the state moves in and out of it as ``T^T psi`` on its
+  (2**N, n_fock) reshape.
 
 Both are exact basis-level statements about H, not approximations; entries
 of a drive term below 1e-12 of that term's largest entry are treated as
@@ -87,12 +88,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .core import StateVector, symmetric_transform
-from .drive import (DriveConfig, DriveTerms, Sideband, coefficients, drive_terms,
-                    symmetric_terms)
+from .drive import DriveConfig, DriveTerms, Sideband, coefficients, drive_terms
 from .errors import (NumericsError, ResourceGuardError, StepSizeError,
                      TruncationLeakError)
 
@@ -373,6 +374,12 @@ def _run_chunk(q: np.ndarray, psi: np.ndarray, work: np.ndarray) -> np.ndarray:
     return unitaries[:, :, 0]
 
 
+@lru_cache(maxsize=3)   # the drives one run evolves: the pulse, two preparation stages
+def _symmetric_terms(cfg: DriveConfig) -> DriveTerms:
+    """:func:`drive_terms` rotated into the permutation-symmetric basis."""
+    return drive_terms(cfg).rotated(symmetric_transform(cfg.space.n_qubits))
+
+
 def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
            duration: float | None = None) -> EvolutionResult:
     """Propagate ``psi0`` through one pulse of ``cfg``.
@@ -422,7 +429,7 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
     terms, transform, psi_rep = drive_terms(cfg), None, psi0.amplitudes
     if (cfg.space.n_qubits > 1 and len(set(cfg.ion_weights)) == 1
             and len(set(cfg.ion_detuning_offsets)) == 1):
-        terms, transform = symmetric_terms(cfg), symmetric_transform(cfg.space.n_qubits)
+        terms, transform = _symmetric_terms(cfg), symmetric_transform(cfg.space.n_qubits)
         psi_rep = (transform.T @ psi_rep.reshape(-1, n_fock)).ravel()
 
     splits = [_fock_split(terms, idx, n_fock) for idx in _active_blocks(terms, psi_rep)]

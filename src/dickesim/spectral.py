@@ -3,10 +3,11 @@
 Provides adiabatic frames (branch-matched eigendecompositions of a real
 symmetric H(t) on a time grid), nonadiabatic couplings
 ``alpha_ji(t) = <j(t)| d/dt |i(t)>``,
-the ratio ``|alpha_ji / omega_ji|^2`` on the grid and its maximum (the
-standard upper bound on diabatic-transition probability), and the reduced
-model of the chirped red-sideband pulse: the drive Hamiltonian projected
-onto the symmetric states with at most two excitations.
+the ratio ``|alpha_ji / omega_ji|^2`` on the grid and its maximum (the peak
+adiabaticity ratio, a first-order estimate that leaves out the pulse-window
+edges: 1 - F exceeded it on 13 of 120 random ``zero_carrier`` drives, by up
+to 21x), and the reduced model of the chirped red-sideband pulse: the drive
+Hamiltonian projected onto the Dicke states with at most two excitations.
 :meth:`ReducedModel.component` keeps the states coupled to a given set:
 without carrier couplings the RAP pair ``{|d..d,1>, |D,0>}`` is a component
 of its own, so the diabatic bound diagonalises two states, while the
@@ -31,8 +32,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import dicke_columns
-from .drive import DriveConfig, Sideband, coefficients, symmetric_terms
+from .core import dicke_vector
+from .drive import DriveConfig, Sideband, coefficients, drive_terms
 from .errors import ContinuityError, DegeneracyError
 
 CONTINUITY_MIN = 0.9
@@ -185,11 +186,12 @@ class DiabaticBound(NamedTuple):
 
 
 def diabatic_bound(frame: AdiabaticFrame, i: int, j: int) -> DiabaticBound:
-    """Transition-probability bound ``max_t |alpha_ji / omega_ji|^2`` and its argmax.
+    """Peak adiabaticity ratio ``max_t |alpha_ji / omega_ji|^2`` and its argmax.
 
-    Rejects frames where the branch gap collapses below 1e-6 of its maximum,
-    or changes sign (the branches crossed between grid points, so the tracking
-    followed the diabatic states), where the bound stops being meaningful.
+    A first-order estimate that leaves out the pulse-window edges.  Rejects
+    frames where the branch gap collapses below 1e-6 of its maximum, or
+    changes sign (the branches crossed between grid points, so the tracking
+    followed the diabatic states), where the ratio stops being meaningful.
     """
     omega = frame.energies[:, j] - frame.energies[:, i]
     omega_scale = float(np.max(np.abs(omega)))
@@ -213,9 +215,7 @@ class ReducedModel:
     ``states[k] = (m, n)`` is the uniform superposition of all spin words
     with m ions up (the Dicke state) times ``|n>``, for n <= 1, m + n <= 2
     and m <= N; for two ions these are ``|dd,0>, |dd,1>, |D,0>, |D,1>,
-    |uu,0>``.  ``terms`` holds the coefficient matrices on these states,
-    assembled from :func:`dickesim.drive.symmetric_terms` (the uniform
-    states are basis states there), so
+    |uu,0>``.  ``terms`` holds the drive terms projected onto these states, so
     ``h_at(t) = P0 - delta_c(t) P1 + Omega(t) P2 + Omega(t)^2 P3`` like the
     full Hamiltonian.  The projection is exact for symmetric illumination;
     with unequal weights or offsets it keeps their means.
@@ -260,9 +260,9 @@ def reduced_model(drive: DriveConfig) -> ReducedModel:
     if space.n_max < 1:
         raise ValueError("the reduced model needs n_max >= 1")
     n_qubits = space.n_qubits
-    states = tuple((m, n) for m in range(min(n_qubits, 2) + 1)
-                   for n in range(2) if m + n <= 2)
-    first = dicke_columns(n_qubits)
-    terms = symmetric_terms(drive).assemble([first[m] for m, _ in states],
-                                            [n for _, n in states])
+    ms = range(min(n_qubits, 2) + 1)
+    states = tuple((m, n) for m in ms for n in range(2) if m + n <= 2)
+    dicke = np.stack([dicke_vector(n_qubits, m) for m in ms], axis=1)   # column m: |D_N^(m)>
+    terms = drive_terms(drive).rotated(dicke).assemble([m for m, _ in states],
+                                                       [n for _, n in states])
     return ReducedModel(drive=drive, states=states, terms=terms)

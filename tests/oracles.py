@@ -12,7 +12,9 @@ statistics that only tests need, the per-phase analysis pulse
 (``rotation_matrix``, ``rotate_global``, ``parity``) that the batched
 ``parity_curve`` is checked against, the components of a dense coupling
 pattern (``connected_components``) that the propagator's block search is
-checked against, four run helpers only tests use (``prepare_fock1``,
+checked against, the reduced model's terms read off the whole
+symmetric-basis rotation of the drive record (``symmetric_reduced_terms``),
+four run helpers only tests use (``prepare_fock1``,
 ``truncation_overlap``, ``checkpoint_states``, ``rap_pair_gap``), the inner
 products and basis populations of pure states (``overlap``,
 ``squared_overlap``, ``population``), and ``drive_config``, which fills in
@@ -26,8 +28,9 @@ from functools import lru_cache
 import numpy as np
 
 from dickesim import InternalDensityMatrix, StateVector, evolve, make_dicke, reduced_model
+from dickesim.core import symmetric_transform
 from dickesim.drive import (CompensationKind, CompensationMode, DriveConfig, Sideband,
-                            envelope)
+                            drive_terms, envelope)
 from dickesim.experiment import ExperimentConfig, _prepare_from, _rap_frame
 
 
@@ -194,6 +197,16 @@ def connected_components(pattern: np.ndarray):
                     stack.append(j)
         components.append(np.array(sorted(members)))
     return components
+
+
+def symmetric_reduced_terms(cfg: DriveConfig, states) -> np.ndarray:
+    """Dense (4, k, k) terms on the states ``(m up, n quanta)``, read off the
+    drive record rotated by the whole :func:`symmetric_transform`, where
+    ``|D_N^(m)>`` is the first column of the block with m ions up."""
+    n_qubits = cfg.space.n_qubits
+    first = [sum(math.comb(n_qubits, k) for k in range(m)) for m, _ in states]
+    rotated = drive_terms(cfg).rotated(symmetric_transform(n_qubits))
+    return rotated.assemble(first, [n for _, n in states])
 
 
 def random_density_matrix(rng, dim=4):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dickesim import (CompensationMode, DriveConfig, PulseShape, Sideband,
                       build_space, derive_eta, detuning, envelope, make_dicke)
 from dickesim.core import symmetric_transform
-from dickesim.drive import TWO_PI, coefficients, drive_terms, symmetric_terms
+from dickesim.drive import TWO_PI, coefficients, drive_terms
 from dickesim.spectral import reduced_model, spectrum_with_refinement
 from oracles import (dense_terms, drive_config, excitation_number, hamiltonian_matrix,
                      swap_operator)
@@ -328,10 +328,11 @@ class TestFactoredTerms:
     @given(cfg=random_drives)
     def test_rotation_is_the_dense_basis_change(self, cfg):
         # T (x) 1 conjugating the dense terms, against the record rotated by T alone
-        t_full = np.kron(symmetric_transform(cfg.space.n_qubits), np.eye(cfg.space.n_fock))
+        transform = symmetric_transform(cfg.space.n_qubits)
+        t_full = np.kron(transform, np.eye(cfg.space.n_fock))
         idx = np.arange(cfg.space.dim)
-        rotated = symmetric_terms(cfg).assemble(idx // cfg.space.n_fock,
-                                                idx % cfg.space.n_fock)
+        rotated = drive_terms(cfg).rotated(transform).assemble(idx // cfg.space.n_fock,
+                                                               idx % cfg.space.n_fock)
         expected = [t_full.T @ s @ t_full for s in dense_terms(cfg)]
         self.assert_terms_close(rotated, expected, 1e-13)
 

@@ -27,8 +27,7 @@ from dickesim import (CompensationMode, DriveConfig, ExperimentConfig, NumericsE
                       make_dicke, run_rap)
 from dickesim import propagator
 from dickesim.core import symmetric_transform
-from dickesim.drive import (CompensationKind, TWO_PI, coefficients, drive_terms,
-                            symmetric_terms)
+from dickesim.drive import CompensationKind, TWO_PI, coefficients, drive_terms
 from oracles import (checkpoint_states, connected_components, dense_terms, drive_config,
                      excitation_number, hamiltonian_matrix, overlap, population,
                      prepare_fock1, psi_internal_populations, squared_overlap)
@@ -392,6 +391,38 @@ class TestUnitarityAndConvergence:
         with pytest.raises(NumericsError, match="norm drifted by"):
             evolve(cfg, embed(cfg.space, "dd", 1))
 
+    @pytest.mark.parametrize("excess", [1e-6, 5e-10])
+    def test_norm_guard_reads_every_step(self, monkeypatch, excess):
+        # one whole step inside the first chunk scales the norm^2 by 1 + excess
+        # and the next step scales it back, so the drift peaks at that step
+        # alone, far from the chunk's last step
+        cfg = rap_drive()
+        psi0 = embed(cfg.space, "dd", 1)
+        plain = evolve(cfg, psi0)
+        k, n_sub = 100, len(propagator.SUBSTEP_LENGTHS)
+        step_factors = propagator._FockSplit.step_factors
+        chunks = []
+
+        def spiked(self, *args):
+            q = step_factors(self, *args)
+            if not chunks:
+                scale = (1.0 + excess) ** 0.25   # S = Q Q^T, norm^2 goes as Q^4
+                q[k * n_sub] *= scale
+                q[(k + 1) * n_sub] /= scale
+            chunks.append(len(q) // n_sub)
+            return q
+
+        monkeypatch.setattr(propagator._FockSplit, "step_factors", spiked)
+        if excess > propagator.NORM_DRIFT_LIMIT:
+            with pytest.raises(NumericsError) as err:
+                evolve(cfg, psi0)
+            assert f"at t = {(k + 1) * plain.dt:.3e} s;" in str(err.value)
+        else:
+            res = evolve(cfg, psi0)
+            assert res.norm_drift == pytest.approx(excess, rel=1e-2)
+            assert plain.norm_drift < 1e-2 * excess
+        assert chunks[0] > k + 2
+
     @staticmethod
     def order_drive():
         """Scaled-down frequencies, so coarse steps pass the dt guard."""
@@ -726,9 +757,10 @@ class TestBlockSearch:
                                                 for c in weighted_components(dense, psi)]
         if uniform:
             # rounding leaves ~1e-17 entries in both rotations; the cut drops them
-            t_full = np.kron(symmetric_transform(n_qubits), np.eye(cfg.space.n_fock))
+            transform = symmetric_transform(n_qubits)
+            t_full = np.kron(transform, np.eye(cfg.space.n_fock))
             psi_sym = t_full.T @ psi
-            blocks = propagator._active_blocks(symmetric_terms(cfg), psi_sym)
+            blocks = propagator._active_blocks(drive_terms(cfg).rotated(transform), psi_sym)
             rotated = [t_full.T @ s @ t_full for s in dense]
             assert [b.tolist() for b in blocks] == [
                 c.tolist() for c in weighted_components(rotated, psi_sym)]

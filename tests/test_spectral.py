@@ -24,7 +24,7 @@ from dickesim.core import symmetric_transform
 from dickesim.drive import TWO_PI, CompensationKind, envelope
 from dickesim.spectral import (CONTINUITY_MIN, DEFAULT_GRID_POINTS, DEGENERACY_REL,
                                AdiabaticFrame, diabatic_ratio)
-from oracles import dense_terms, drive_config, hamiltonian_matrix
+from oracles import dense_terms, drive_config, hamiltonian_matrix, symmetric_reduced_terms
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
@@ -531,7 +531,7 @@ class TestMorrisShore:
 
     def test_symmetric_transform_is_morris_shore(self):
         # equal up to the sign of the dark column, so every check above holds
-        # for the transform the propagator and the reduced model use
+        # for the transform the propagator uses
         t = symmetric_transform(2)
         u = morris_shore_2ion()
         assert np.allclose(t[:, [0, 1, 3]], u[:, [0, 1, 3]], atol=1e-15)
@@ -674,7 +674,8 @@ def projected_terms(cfg, states):
 
 
 class TestReducedModelProjection:
-    """The reduced model, read off the rotated drive record, against the dense projection."""
+    """The reduced model, the drive record projected onto the Dicke vectors,
+    against the dense projection and against the whole symmetric rotation."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n_qubits=st.integers(1, 4), n_max=st.integers(1, 3),
@@ -698,6 +699,28 @@ class TestReducedModelProjection:
         expected = projected_terms(cfg, model.states)
         for term, ref in zip(model.terms, expected):
             assert np.abs(term - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_qubits=st.integers(1, 6), n_max=st.integers(1, 3),
+           weights=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+           offsets_khz=st.lists(st.floats(-20.0, 20.0), min_size=6, max_size=6),
+           comp=st.sampled_from([CompensationMode.none(), CompensationMode.zero_carrier(),
+                                 CompensationMode.effective(0.6, TWO_PI * 400e3)]))
+    def test_projection_is_the_full_rotation_at_the_dicke_columns(
+            self, n_qubits, n_max, weights, offsets_khz, comp):
+        # the projection onto the Dicke vectors rounds differently from the
+        # whole 2**N x 2**N rotation, by at most a few ulps of a term
+        pulse = PulseShape(omega_peak=OMEGA_PEAK, sigma=SIGMA,
+                           chirp_start=-TWO_PI * 100e3, chirp_end=TWO_PI * 100e3)
+        cfg = DriveConfig(space=build_space(n_qubits, n_max), eta=ETA, omega_v=OMEGA_V,
+                          pulse=pulse, ion_weights=tuple(weights[:n_qubits]),
+                          ion_detuning_offsets=tuple(TWO_PI * 1e3 * o
+                                                     for o in offsets_khz[:n_qubits]),
+                          compensation=comp)
+        model = reduced_model(cfg)
+        expected = symmetric_reduced_terms(cfg, model.states)
+        for term, ref in zip(model.terms, expected):
+            assert np.abs(term - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestCarrierShiftStructure:
