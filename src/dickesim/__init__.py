@@ -4,10 +4,10 @@ of trapped ions with chirped sideband pulses.
 The package covers the full pipeline: Hilbert-space construction, the
 rotating-frame drive Hamiltonian with carrier-shift compensation modes, a
 unitary fourth-order propagator that composes each step from five Strang
-splits along the motional (Fock) number, adiabatic-potential analysis with
-the peak adiabaticity ratio on the drive Hamiltonian projected onto its
-low-excitation Dicke states, the
-reduced internal state of any ion number with its populations, Dicke-state
+splits along the motional (Fock) number (on the Dicke states when identical
+ions start there), adiabatic-potential analysis with the peak adiabaticity
+ratio on the drive Hamiltonian projected onto its low-excitation Dicke
+states, the reduced internal state of any ion number with its populations, Dicke-state
 fidelity and fluorescence readout, two-ion parity oscillations, and
 robustness sweeps.
 """

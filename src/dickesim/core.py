@@ -16,14 +16,13 @@ the ordering is spin-major with the Fock index ascending fastest.
 This module is the one place that spin layout is decoded: :func:`spin_bits`
 gives each spin index's bits (whose row sums are the up counts) and
 :func:`dicke_vector` the Dicke state ``|D_N^(m)>`` on the spin words, which
-:func:`make_dicke`, :func:`symmetric_transform`, the reduced model and the
-fidelity all read.
+:func:`make_dicke`, :func:`dicke_columns` (the Dicke states the reduced model
+and the propagator project onto) and the fidelity all read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
@@ -108,28 +107,13 @@ def dicke_vector(n_qubits: int, m: int) -> np.ndarray:
     return np.where(ups, 1.0 / sqrt(comb(n_qubits, m)), 0.0)
 
 
-@lru_cache(maxsize=16)
-def symmetric_transform(n_qubits: int) -> np.ndarray:
-    """Orthogonal internal-basis change grouping states by up count.
+def dicke_columns(n_qubits: int) -> np.ndarray:
+    """The N + 1 Dicke vectors as orthonormal columns, shape ``(2**N, N + 1)``.
 
-    Columns come in blocks of fixed up count m = 0..N; the first column of
-    each block is the uniform (permutation-symmetric, Dicke) combination
-    :func:`dicke_vector` and the rest span its orthogonal complement, so
-    every column remains an eigenvector of the up-state number.  For two
-    ions this is the bright/dark change of Morris and Shore.  The returned
-    array is cached and read-only.
+    Column m is :func:`dicke_vector` ``(N, m)``; together they span the
+    permutation-symmetric spin states.
     """
-    n_up = spin_bits(n_qubits).sum(axis=1)
-    transform = np.zeros((2**n_qubits,) * 2)
-    for m in range(n_qubits + 1):
-        idx = np.flatnonzero(n_up == m)
-        first = np.count_nonzero(n_up < m)   # the blocks of fewer ups come first
-        transform[:, first] = dicke_vector(n_qubits, m)
-        # orthonormal complement of the uniform vector inside the block
-        _, _, vh = np.linalg.svd(np.ones((1, len(idx))))
-        transform[idx, first + 1:first + len(idx)] = vh[1:].T
-    transform.setflags(write=False)
-    return transform
+    return np.stack([dicke_vector(n_qubits, m) for m in range(n_qubits + 1)], axis=1)
 
 
 def build_space(n_qubits: int, n_max: int) -> HilbertSpace:

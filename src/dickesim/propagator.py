@@ -71,13 +71,15 @@ Two structural reductions keep the cost down without changing the result:
   of the initial state are evolved (amplitudes outside them are exactly
   zero for all time); one search finds them, starting from the state's
   support and stepping along the boolean patterns of H's small factors;
-* identical ions (equal weights and equal offsets, N > 1) always evolve in
-  the permutation-symmetric basis (:func:`dickesim.core.symmetric_transform`,
-  the same idea as the bright/dark reduction of degenerate coupled systems),
-  which splits the symmetric sector from the dark ones and shrinks the
-  components; only this module rotates the drive record into that basis,
-  and the state moves in and out of it as ``T^T psi`` on its
-  (2**N, n_fock) reshape.
+* identical ions (equal weights and equal offsets, N > 1) leave the
+  permutation-symmetric states invariant, so a state with no more weight
+  outside the span of the N + 1 Dicke states than a block may drop
+  (``BLOCK_WEIGHT_FLOOR``) evolves on them: the drive record is projected
+  onto the Dicke columns D (:func:`dickesim.core.dicke_columns`, the
+  bright states of the bright/dark reduction of degenerate coupled
+  systems), a 2**N x (N + 1) projection, and the state moves onto them as
+  ``D^T psi`` and back as ``D psi`` on its (2**N, n_fock) reshape.  Any
+  other state evolves in the product basis.
 
 Both are exact basis-level statements about H, not approximations; entries
 of a drive term below 1e-12 of that term's largest entry are treated as
@@ -88,11 +90,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .core import StateVector, symmetric_transform
+from .core import StateVector, dicke_columns
 from .drive import DriveConfig, DriveTerms, Sideband, coefficients, drive_terms
 from .errors import (NumericsError, ResourceGuardError, StepSizeError,
                      TruncationLeakError)
@@ -136,9 +137,9 @@ class EvolutionResult:
     composed steps, each five Strang sub-steps (five exponentials of the
     internal Hamiltonian and of the sideband coupling).  ``block_sizes`` are
     the sizes of the evolved coupling blocks (largest first) and
-    ``symmetric_basis`` whether they live in the permutation-symmetric
-    basis.  ``norm_drift`` is the largest deviation of the norm squared from
-    1 within a chunk, before the per-chunk rescale.  ``peak_leak`` is the
+    ``symmetric_basis`` whether they live on the Dicke states.
+    ``norm_drift`` is the largest deviation of the norm squared from 1
+    within a chunk, before the per-chunk rescale.  ``peak_leak`` is the
     largest population at ``fock_n = n_max`` after any whole step and
     ``peak_leak_time`` when it happened.
     """
@@ -374,12 +375,6 @@ def _run_chunk(q: np.ndarray, psi: np.ndarray, work: np.ndarray) -> np.ndarray:
     return unitaries[:, :, 0]
 
 
-@lru_cache(maxsize=3)   # the drives one run evolves: the pulse, two preparation stages
-def _symmetric_terms(cfg: DriveConfig) -> DriveTerms:
-    """:func:`drive_terms` rotated into the permutation-symmetric basis."""
-    return drive_terms(cfg).rotated(symmetric_transform(cfg.space.n_qubits))
-
-
 def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
            duration: float | None = None) -> EvolutionResult:
     """Propagate ``psi0`` through one pulse of ``cfg``.
@@ -423,14 +418,19 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
             f"{frequencies[bound]:.4g} rad/s is {bound}"
         )
 
-    # identical ions evolve in the permutation-symmetric basis, which splits the
-    # dark sectors off the symmetric one
+    # identical ions evolve a symmetric state on the Dicke states; the weight
+    # outside their span is summed from the residual, because 1 - |D^T psi|^2
+    # rounds at ~1e-16, far above the floor
     n_fock = cfg.space.n_fock
-    terms, transform, psi_rep = drive_terms(cfg), None, psi0.amplitudes
+    terms, dicke, psi_rep = drive_terms(cfg), None, psi0.amplitudes
     if (cfg.space.n_qubits > 1 and len(set(cfg.ion_weights)) == 1
             and len(set(cfg.ion_detuning_offsets)) == 1):
-        terms, transform = _symmetric_terms(cfg), symmetric_transform(cfg.space.n_qubits)
-        psi_rep = (transform.T @ psi_rep.reshape(-1, n_fock)).ravel()
+        columns = dicke_columns(cfg.space.n_qubits)
+        amplitudes = psi_rep.reshape(-1, n_fock)
+        projected = columns.T @ amplitudes
+        dark = amplitudes - columns @ projected
+        if float(np.sum(dark.real**2 + dark.imag**2)) <= BLOCK_WEIGHT_FLOOR:
+            terms, dicke, psi_rep = terms.rotated(columns), columns, projected.ravel()
 
     splits = [_fock_split(terms, idx, n_fock) for idx in _active_blocks(terms, psi_rep)]
     psis = [psi_rep[split.idx].astype(complex) for split in splits]
@@ -484,14 +484,14 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
         if leaks[peak] > peak_leak:
             peak_leak, peak_leak_time = float(leaks[peak]), float(steps[peak] * dt_eff)
 
-    psi_final = np.zeros(cfg.space.dim, dtype=complex)
+    psi_final = np.zeros(len(psi_rep), dtype=complex)
     for split, psi in zip(splits, psis):
         psi_final[split.idx] = psi
-    if transform is not None:
-        psi_final = (transform @ psi_final.reshape(-1, n_fock)).ravel()
+    if dicke is not None:
+        psi_final = (dicke @ psi_final.reshape(-1, n_fock)).ravel()
     final = StateVector(cfg.space, psi_final)
     return EvolutionResult(
         final_state=final, norm_drift=norm_drift, steps=n_steps, dt=dt_eff,
         block_sizes=tuple(sorted((len(split.idx) for split in splits), reverse=True)),
-        symmetric_basis=transform is not None, peak_leak=peak_leak,
+        symmetric_basis=dicke is not None, peak_leak=peak_leak,
         peak_leak_time=peak_leak_time)

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import dicke_vector
+from .core import dicke_columns
 from .drive import DriveConfig, Sideband, coefficients, drive_terms
 from .errors import ContinuityError, DegeneracyError
 
@@ -262,7 +262,7 @@ def reduced_model(drive: DriveConfig) -> ReducedModel:
     n_qubits = space.n_qubits
     ms = range(min(n_qubits, 2) + 1)
     states = tuple((m, n) for m in ms for n in range(2) if m + n <= 2)
-    dicke = np.stack([dicke_vector(n_qubits, m) for m in ms], axis=1)   # column m: |D_N^(m)>
+    dicke = dicke_columns(n_qubits)[:, :len(ms)]   # column m: |D_N^(m)>
     terms = drive_terms(drive).rotated(dicke).assemble([m for m, _ in states],
                                                        [n for _, n in states])
     return ReducedModel(drive=drive, states=states, terms=terms)

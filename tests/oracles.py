@@ -12,8 +12,9 @@ statistics that only tests need, the per-phase analysis pulse
 (``rotation_matrix``, ``rotate_global``, ``parity``) that the batched
 ``parity_curve`` is checked against, the components of a dense coupling
 pattern (``connected_components``) that the propagator's block search is
-checked against, the reduced model's terms read off the whole
-symmetric-basis rotation of the drive record (``symmetric_reduced_terms``),
+checked against, the whole 2**N x 2**N permutation-symmetric (bright/dark)
+basis change (``symmetric_transform``) and the reduced model's terms read
+off the drive record rotated by it (``symmetric_reduced_terms``),
 four run helpers only tests use (``prepare_fock1``,
 ``truncation_overlap``, ``checkpoint_states``, ``rap_pair_gap``), the inner
 products and basis populations of pure states (``overlap``,
@@ -28,7 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 from dickesim import InternalDensityMatrix, StateVector, evolve, make_dicke, reduced_model
-from dickesim.core import symmetric_transform
 from dickesim.drive import (CompensationKind, CompensationMode, DriveConfig, Sideband,
                             drive_terms, envelope)
 from dickesim.experiment import ExperimentConfig, _prepare_from, _rap_frame
@@ -197,6 +197,28 @@ def connected_components(pattern: np.ndarray):
                     stack.append(j)
         components.append(np.array(sorted(members)))
     return components
+
+
+def symmetric_transform(n_qubits: int) -> np.ndarray:
+    """Orthogonal spin-basis change grouping the spin words by up count.
+
+    Columns come in blocks of fixed up count m = 0..N, each after every
+    block of fewer ups.  The first column of a block is the uniform
+    combination of its words (the Dicke state ``|D_N^(m)>``, bright), the
+    rest an orthonormal complement of it inside the block (dark), so every
+    column stays an eigenvector of the up-state number.  For two ions this
+    is the bright/dark change of Morris and Shore.  The up counts are read
+    off each index's binary spelling, not from :mod:`dickesim.core`.
+    """
+    n_up = np.array([bin(s).count("1") for s in range(2**n_qubits)])
+    transform = np.zeros((2**n_qubits,) * 2)
+    for m in range(n_qubits + 1):
+        idx = np.flatnonzero(n_up == m)
+        first = np.count_nonzero(n_up < m)
+        transform[idx, first] = 1.0 / math.sqrt(len(idx))
+        _, _, vh = np.linalg.svd(np.ones((1, len(idx))))
+        transform[idx, first + 1:first + len(idx)] = vh[1:].T
+    return transform
 
 
 def symmetric_reduced_terms(cfg: DriveConfig, states) -> np.ndarray:

@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dickesim import ResourceGuardError, StateVector, build_space, embed, make_dicke
-from dickesim.core import DEFAULT_DIM_CAP, dicke_vector, spin_bits, symmetric_transform
-from oracles import annihilation, atom_number, fock_number, overlap, population, sigma_x
+from dickesim.core import DEFAULT_DIM_CAP, dicke_columns, dicke_vector, spin_bits
+from oracles import (annihilation, atom_number, fock_number, overlap, population, sigma_x,
+                     symmetric_transform)
 
 
 def internal_parity_matrix(space):
@@ -104,11 +105,12 @@ class TestMakeDicke:
         d = make_dicke(n_qubits, m)
         assert np.array_equal(d.amplitudes, expected)
         assert np.array_equal(dicke_vector(n_qubits, m), expected)
-        # the Dicke column of the symmetric basis, first of its up-count block,
-        # is the same vector, bit for bit
+        # the Dicke column the propagator and the reduced model project onto,
+        # and the bright column of the oracle's symmetric basis (first of its
+        # up-count block), are the same vector, bit for bit
+        assert np.array_equal(dicke_columns(n_qubits)[:, m], expected)
         first = sum(math.comb(n_qubits, k) for k in range(m))
-        column = symmetric_transform(n_qubits)[:, first]
-        assert np.array_equal(column, expected)
+        assert np.array_equal(symmetric_transform(n_qubits)[:, first], expected)
         # the bits spell the spin words the space reads its basis states as
         space = build_space(n_qubits, 0)
         spelled = ["".join("du"[b] for b in row) for row in spin_bits(n_qubits)]

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from dickesim import (CompensationMode, DriveConfig, PulseShape, Sideband,
                       build_space, derive_eta, detuning, envelope, make_dicke)
-from dickesim.core import symmetric_transform
 from dickesim.drive import TWO_PI, coefficients, drive_terms
 from dickesim.spectral import reduced_model, spectrum_with_refinement
 from oracles import (dense_terms, drive_config, excitation_number, hamiltonian_matrix,
-                     swap_operator)
+                     swap_operator, symmetric_transform)
 
 
 def assembled_terms(cfg):

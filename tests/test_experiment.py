@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dickesim import (CompensationMode, ContinuityError, DegeneracyError,
                       ExperimentConfig, NumericsError, PrepMode, diabatic_bound,
                       make_dicke, potentials_report, reduced_model, run_rap, sweep)
-from dickesim import experiment, measurement, propagator
+from dickesim import experiment, measurement
 from dickesim.drive import TWO_PI, CompensationKind, drive_terms
 from dickesim.experiment import default_sweep_values
 from dickesim.propagator import default_dt
@@ -297,36 +297,27 @@ class TestSweep:
 
 
 class TestTermCaches:
-    """The drive records and their symmetric rotations are cached for one run
-    at a time: a run builds each of its drives once, and a sweep keeps no
-    more than a run needs."""
-
-    @staticmethod
-    def clear():
-        drive_terms.cache_clear()
-        propagator._symmetric_terms.cache_clear()
+    """The drive records are cached for one run at a time: a run builds each
+    of its drives once, and a sweep keeps no more than a run needs."""
 
     def test_a_long_sweep_keeps_the_caches_at_their_caps(self):
-        self.clear()
+        drive_terms.cache_clear()
         cap = drive_terms.cache_info().maxsize
         assert cap <= 4   # the most drives one run reads
         cfg = zc_config(n_max=3)
         result = sweep(cfg, "width", default_sweep_values(cfg, "width", cap + 2))
         assert not result.partial
-        for cached in (drive_terms, propagator._symmetric_terms):
-            info = cached.cache_info()
-            assert info.misses == cap + 2
-            assert info.currsize == info.maxsize <= cap
+        info = drive_terms.cache_info()
+        assert info.misses == cap + 2
+        assert info.currsize == info.maxsize <= cap
 
     def test_a_thermal_simulated_prep_run_builds_each_drive_once(self):
-        self.clear()
+        drive_terms.cache_clear()
         cfg = zc_config(prep=PrepMode.SIMULATED_PULSES, nbar=0.1)
         assert len(cfg.thermal_components()) == 4
         run_rap(cfg)
-        # the two preparation stages and the pulse, for each of four
-        # components; only the pulse drives identical ions
+        # the two preparation stages and the pulse, for each of four components
         assert drive_terms.cache_info().misses == 3
-        assert propagator._symmetric_terms.cache_info().misses == 1
 
 
 class TestPotentialsReport:

@@ -4,7 +4,7 @@ Two dense full-space oracles run without any reduction: ``brute_force_evolve``
 applies the exact exponential of the midpoint Hamiltonian (the accuracy
 reference the split is pinned against), and ``dense_split_evolve`` composes the
 same five-stage Suzuki step of Fock-number Strang splits as ``evolve`` (the
-equivalence reference for the block and symmetric-basis reductions).  ``sequential_chunk``
+equivalence reference for the block and Dicke-state reductions).  ``sequential_chunk``
 forms a chunk's step unitaries ``Q Q^T`` from their factors and applies them
 one matrix-vector product at a time (the reference for the chunk kernel), and
 ``strang_evolve`` runs single Strang steps through the propagator's own
@@ -26,11 +26,11 @@ from dickesim import (CompensationMode, DriveConfig, ExperimentConfig, NumericsE
                       StepSizeError, TruncationLeakError, build_space, embed, evolve,
                       make_dicke, run_rap)
 from dickesim import propagator
-from dickesim.core import symmetric_transform
 from dickesim.drive import CompensationKind, TWO_PI, coefficients, drive_terms
 from oracles import (checkpoint_states, connected_components, dense_terms, drive_config,
                      excitation_number, hamiltonian_matrix, overlap, population,
-                     prepare_fock1, psi_internal_populations, squared_overlap)
+                     prepare_fock1, psi_internal_populations, squared_overlap,
+                     symmetric_transform)
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
@@ -722,6 +722,43 @@ def sparse_state(space, entries, seed, last=1.0):
     return amp / np.linalg.norm(amp)
 
 
+def dicke_split(n_qubits):
+    """The oracle's symmetric basis split into its Dicke (bright) and dark columns."""
+    transform = symmetric_transform(n_qubits)
+    first = np.cumsum([0] + [math.comb(n_qubits, m) for m in range(n_qubits)])
+    return transform[:, first], np.delete(transform, first, axis=1)
+
+
+def dark_weight(space, psi):
+    """Weight of psi outside the span of the Dicke states (times any Fock level)."""
+    _, dark = dicke_split(space.n_qubits)
+    return float(np.sum(np.abs(dark.T @ psi.reshape(-1, space.n_fock)) ** 2))
+
+
+#: starting states: random amplitudes on the whole space, or on the Dicke
+#: states times Fock levels, alone or with a dark admixture of amplitude 1e-11
+#: (weight below BLOCK_WEIGHT_FLOOR) or 1e-9 (above it)
+STARTS = {"random": None, "symmetric": 0.0, "dark 1e-11": 1e-11, "dark 1e-9": 1e-9}
+
+
+def start_state(space, rng, start):
+    """A normalized state of the kind ``start`` names (see ``STARTS``)."""
+    def draw(columns):
+        """Unit random amplitudes on the span of ``columns`` times every Fock level."""
+        size = (columns.shape[1], space.n_fock)
+        amp = columns @ (rng.normal(size=size) + 1j * rng.normal(size=size))
+        return amp / np.linalg.norm(amp)
+
+    admixture = STARTS[start]
+    if admixture is None:
+        return draw(np.eye(2**space.n_qubits)).ravel()
+    dicke, dark = dicke_split(space.n_qubits)
+    amp = draw(dicke)
+    if dark.shape[1] and admixture:   # one ion has no dark states
+        amp += admixture * draw(dark)
+    return (amp / np.linalg.norm(amp)).ravel()
+
+
 class TestBlockSearch:
     """The block search from the state's support on the factors, against the
     components of the dense oracle's per-term structural-zero pattern that
@@ -767,10 +804,10 @@ class TestBlockSearch:
 
 
 class TestBasisRule:
-    """Identical ions always evolve in the symmetric basis, and on every drive
-    that couples its blocks cost no more (sum of cubed sizes) than the weighted
-    components of the product basis: choosing the basis by the ions alone never
-    picks the costlier one."""
+    """Identical ions evolve on the Dicke states exactly when the state's weight
+    outside their span is at most ``BLOCK_WEIGHT_FLOOR``, and their blocks then
+    cost no more (sum of cubed sizes) than the weighted components of the
+    product basis, which every other state evolves on."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n_qubits=st.integers(2, 4), n_max=st.integers(1, 3),
@@ -779,30 +816,37 @@ class TestBasisRule:
            comp=st.sampled_from([CompensationMode.none(), CompensationMode.zero_carrier(),
                                  CompensationMode.effective(0.6, TWO_PI * 40e3)]),
            sideband=st.sampled_from(list(Sideband)),
+           start=st.sampled_from(["sparse"] + list(STARTS)),
            entries=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_symmetric_basis_never_costlier(self, n_qubits, n_max, weight, offset_khz,
-                                            comp, sideband, entries, seed):
+                                            comp, sideband, start, entries, seed):
         cfg = DriveConfig(space=build_space(n_qubits, n_max), eta=ETA, omega_v=OMEGA_V,
                           pulse=PulseShape(omega_peak=OMEGA_PEAK, sigma=SIGMA),
                           ion_weights=(weight,) * n_qubits,
                           ion_detuning_offsets=(offset_khz * TWO_PI * 1e3,) * n_qubits,
                           sideband=sideband, compensation=comp)
-        psi = sparse_state(cfg.space, entries, seed)
+        if start == "sparse":
+            psi = sparse_state(cfg.space, entries, seed)
+        else:
+            psi = start_state(cfg.space, np.random.default_rng(seed), start)
         # random states may sit at the top Fock level; the leak guard is not under test
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagator, "LEAK_LIMIT", math.inf)
             res = evolve(cfg, StateVector(cfg.space, psi), duration=1e-9)
         product = weighted_components(dense_terms(cfg), psi)
-        assert res.symmetric_basis
+        assert res.symmetric_basis is (dark_weight(cfg.space, psi)
+                                       <= propagator.BLOCK_WEIGHT_FLOOR)
         assert sum(m**3 for m in res.block_sizes) <= sum(len(c)**3 for c in product)
 
 
 class TestRandomizedEquivalence:
-    """Reduced split evolve vs the dense split oracle on random drives."""
+    """Reduced split evolve vs the dense split oracle on random drives; identical
+    ions also start from states on the Dicke states, with and without a dark
+    admixture on either side of the floor."""
 
     N_STEPS = 128
 
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @settings(max_examples=80, deadline=None, derandomize=True)
     @given(n_qubits=st.integers(1, 3),
            n_max=st.integers(1, 3),
            uniform=st.booleans(),
@@ -815,10 +859,11 @@ class TestRandomizedEquivalence:
            sideband=st.sampled_from(list(Sideband)),
            eta=st.floats(0.02, 0.25),
            sigma_us=st.floats(4.0, 12.0),
+           start=st.sampled_from(list(STARTS)),
            seed=st.integers(0, 2**32 - 1))
     def test_reduced_split_matches_dense_split(self, n_qubits, n_max, uniform, weights,
                                                offsets_khz, comp, sideband, eta,
-                                               sigma_us, seed):
+                                               sigma_us, start, seed):
         if uniform:
             weights, offsets_khz = [weights[0]] * 3, [offsets_khz[0]] * 3
         # scaled-down frequencies keep 128 steps inside the 0.75 step guard
@@ -830,9 +875,11 @@ class TestRandomizedEquivalence:
                           ion_detuning_offsets=tuple(o * TWO_PI * 1e3
                                                      for o in offsets_khz[:n_qubits]),
                           sideband=sideband, compensation=comp)
+        if not uniform:
+            start = "random"
         rng = np.random.default_rng(seed)
-        pair = rng.normal(size=(2, cfg.space.dim)) + 1j * rng.normal(size=(2, cfg.space.dim))
-        psi, phi = (StateVector(cfg.space, v / np.linalg.norm(v)) for v in pair)
+        psi, phi = (StateVector(cfg.space, start_state(cfg.space, rng, start))
+                    for _ in range(2))
         duration = pulse.duration
         # random states fill the top Fock level; the leak guard is not under test
         with pytest.MonkeyPatch.context() as mp:
@@ -841,6 +888,8 @@ class TestRandomizedEquivalence:
             res_phi = evolve(cfg, phi, dt=duration / self.N_STEPS)
         ref = dense_split_evolve(cfg, psi, self.N_STEPS, duration)
         assert np.linalg.norm(res.final_state.amplitudes - ref) < 1e-10
+        assert res.symmetric_basis is (uniform and n_qubits > 1 and dark_weight(
+            cfg.space, psi.amplitudes) <= propagator.BLOCK_WEIGHT_FLOOR)
         # unitarity: norms and the inner product are preserved
         assert res.norm_drift < 1e-12 and res_phi.norm_drift < 1e-12
         assert overlap(res_phi.final_state, res.final_state) == pytest.approx(

@@ -2,7 +2,8 @@
 
 The hand-written two-ion five-state matrix, the two-state bright model and
 the two-ion bright/dark matrix are kept here as independent oracles for the
-projection in :func:`reduced_model` and for :func:`symmetric_transform`.
+projection in :func:`reduced_model` and for the oracle's whole symmetric
+basis change (``oracles.symmetric_transform``).
 The point-by-point spectrum scan with greedy branch matching is kept as the
 reference for the batched :func:`adiabatic_spectrum`.
 """
@@ -20,11 +21,11 @@ from dickesim import (CompensationMode, ContinuityError, DegeneracyError,
                       DriveConfig, PulseShape, Sideband, adiabatic_spectrum,
                       build_space, diabatic_bound, nonadiabatic_coupling,
                       reduced_model, spectrum_with_refinement)
-from dickesim.core import symmetric_transform
 from dickesim.drive import TWO_PI, CompensationKind, envelope
 from dickesim.spectral import (CONTINUITY_MIN, DEFAULT_GRID_POINTS, DEGENERACY_REL,
                                AdiabaticFrame, diabatic_ratio)
-from oracles import dense_terms, drive_config, hamiltonian_matrix, symmetric_reduced_terms
+from oracles import (dense_terms, drive_config, hamiltonian_matrix, symmetric_reduced_terms,
+                     symmetric_transform)
 
 OMEGA_PEAK = TWO_PI * 145e3
 SIGMA = 122e-6
@@ -531,7 +532,7 @@ class TestMorrisShore:
 
     def test_symmetric_transform_is_morris_shore(self):
         # equal up to the sign of the dark column, so every check above holds
-        # for the transform the propagator uses
+        # for the whole rotation the reduced model is checked against
         t = symmetric_transform(2)
         u = morris_shore_2ion()
         assert np.allclose(t[:, [0, 1, 3]], u[:, [0, 1, 3]], atol=1e-15)
