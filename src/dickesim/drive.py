@@ -43,7 +43,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -283,13 +282,10 @@ class DriveTerms:
         return terms
 
 
-@lru_cache(maxsize=4)
 def drive_terms(cfg: DriveConfig) -> DriveTerms:
     """The factors of ``H(t) = S0 - delta_c(t) S1 + Omega(t) S2 + Omega(t)^2 S3``.
 
-    See :class:`DriveTerms`; every factor is real and time independent.  The
-    cache holds the drives of one run (the pulse, two preparation stages and
-    the second ``potentials`` variant): a record is 42 MB at N = 10.
+    See :class:`DriveTerms`; every factor is real and time independent.
     """
     n, n_fock = cfg.space.n_qubits, cfg.space.n_fock
     up = spin_bits(n)

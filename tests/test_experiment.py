@@ -1,5 +1,6 @@
 """Preparation, entangling runs, sweeps, potentials reports, thermal knob."""
 
+import gc
 import math
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from dickesim import (CompensationMode, ContinuityError, DegeneracyError,
                       ExperimentConfig, NumericsError, PrepMode, diabatic_bound,
                       make_dicke, potentials_report, reduced_model, run_rap, sweep)
 from dickesim import experiment, measurement
-from dickesim.drive import TWO_PI, CompensationKind, drive_terms
+from dickesim.drive import TWO_PI, CompensationKind, DriveTerms
 from dickesim.experiment import default_sweep_values
 from dickesim.propagator import default_dt
 from oracles import (count_local_minima, population, prepare_fock1, psi_dicke_fidelity,
@@ -296,28 +297,14 @@ class TestSweep:
             sweep(zc_config(), "width", [])
 
 
-class TestTermCaches:
-    """The drive records are cached for one run at a time: a run builds each
-    of its drives once, and a sweep keeps no more than a run needs."""
-
-    def test_a_long_sweep_keeps_the_caches_at_their_caps(self):
-        drive_terms.cache_clear()
-        cap = drive_terms.cache_info().maxsize
-        assert cap <= 4   # the most drives one run reads
+class TestNoRetainedDrives:
+    def test_no_drive_record_outlives_a_run(self):
+        # every reader builds the record it reads and drops it when it returns
+        run_rap(zc_config(prep=PrepMode.SIMULATED_PULSES, nbar=0.1))
         cfg = zc_config(n_max=3)
-        result = sweep(cfg, "width", default_sweep_values(cfg, "width", cap + 2))
-        assert not result.partial
-        info = drive_terms.cache_info()
-        assert info.misses == cap + 2
-        assert info.currsize == info.maxsize <= cap
-
-    def test_a_thermal_simulated_prep_run_builds_each_drive_once(self):
-        drive_terms.cache_clear()
-        cfg = zc_config(prep=PrepMode.SIMULATED_PULSES, nbar=0.1)
-        assert len(cfg.thermal_components()) == 4
-        run_rap(cfg)
-        # the two preparation stages and the pulse, for each of four components
-        assert drive_terms.cache_info().misses == 3
+        assert not sweep(cfg, "width", default_sweep_values(cfg, "width", 3)).partial
+        gc.collect()
+        assert sum(isinstance(obj, DriveTerms) for obj in gc.get_objects()) == 0
 
 
 class TestPotentialsReport:
