@@ -297,14 +297,24 @@ class TestSweep:
             sweep(zc_config(), "width", [])
 
 
+def live_drive_records():
+    gc.collect()
+    return sum(isinstance(obj, DriveTerms) for obj in gc.get_objects())
+
+
 class TestNoRetainedDrives:
-    def test_no_drive_record_outlives_a_run(self):
-        # every reader builds the record it reads and drops it when it returns
-        run_rap(zc_config(prep=PrepMode.SIMULATED_PULSES, nbar=0.1))
+    """Every reader builds the record it reads and drops it when it returns."""
+
+    def test_no_drive_record_outlives_a_thermal_simulated_prep_run(self):
+        cfg = zc_config(prep=PrepMode.SIMULATED_PULSES, nbar=0.1)
+        assert len(cfg.thermal_components()) == 4
+        run_rap(cfg)
+        assert live_drive_records() == 0
+
+    def test_no_drive_record_outlives_a_sweep(self):
         cfg = zc_config(n_max=3)
         assert not sweep(cfg, "width", default_sweep_values(cfg, "width", 3)).partial
-        gc.collect()
-        assert sum(isinstance(obj, DriveTerms) for obj in gc.get_objects()) == 0
+        assert live_drive_records() == 0
 
 
 class TestPotentialsReport:
