@@ -281,6 +281,34 @@ class DriveTerms:
         terms[2] += self.coupling(spins, levels)
         return terms
 
+    def components(self, support) -> list:
+        """Sorted index arrays, by first index, of H's coupling components that
+        hold the basis states ``support`` (``(s, n)`` is ``s * n_fock + n``).
+        Each term couples a spin pattern times a Fock pattern (``H_k(x)1``,
+        ``J(x)L``, ``J^T(x)L^T``); only exact zeros split states."""
+        n_fock = len(self.ladder)
+        internal = np.any((self.internal != 0) | (self.internal.swapaxes(1, 2) != 0), axis=0)
+        sideband, ladder = self.sideband != 0, self.ladder != 0
+        couplings = ((internal, np.eye(n_fock, dtype=bool)), (sideband, ladder),
+                     (sideband.T, ladder.T))
+        seen = np.zeros(len(internal) * n_fock, dtype=bool)
+        blocks = []
+        for start in support:
+            if seen[start]:
+                continue
+            seen[start] = True
+            members = [start]
+            for i in members:   # breadth first: the loop also visits what it appends
+                s, n = divmod(i, n_fock)
+                reached = np.unique(np.concatenate([
+                    (spin[s].nonzero()[0][:, None] * n_fock + fock[n].nonzero()[0]).ravel()
+                    for spin, fock in couplings]))
+                reached = reached[~seen[reached]]
+                seen[reached] = True
+                members += reached.tolist()
+            blocks.append(np.sort(members))
+        return sorted(blocks, key=lambda idx: idx[0])
+
 
 def drive_terms(cfg: DriveConfig) -> DriveTerms:
     """The factors of ``H(t) = S0 - delta_c(t) S1 + Omega(t) S2 + Omega(t)^2 S3``.

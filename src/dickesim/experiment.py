@@ -209,17 +209,18 @@ def rap_diabatic_bound(cfg: ExperimentConfig) -> DiabaticBound | None:
     """Peak adiabaticity ratio of this transfer, a first-order estimate of
     its diabatic loss that leaves out the pulse-window edges.
 
-    Only the reduced model's component that couples to ``|d..d,1>`` and
-    ``|D,0>`` is diagonalised: the pair ``{|d..d,1>, |D,0>}`` alone under
-    ``zero_carrier``, the whole model when carrier couplings join the states.
-    States outside it are exactly decoupled, so on one grid the bound is the
-    full model's; only the grid refinement follows the pair alone.
+    Only the reduced model's states coupled to ``|d..d,1>`` and ``|D,0>``
+    are diagonalised (``reduced_model(..., around=_RAP_STATES)``): the pair
+    ``{|d..d,1>, |D,0>}`` alone under ``zero_carrier``, the whole model when
+    carrier couplings join the states.  The states left out are exactly
+    decoupled, so on one grid the bound is the full model's; only the grid
+    refinement follows the pair alone.
     Returns ``None`` when the avoided crossing is too sharp to resolve (the
     drive is effectively off and the crossing is real), where the ratio
     stops being meaningful.
     """
     try:
-        frame, (i, j) = _rap_frame(reduced_model(cfg.rap_drive()).component(_RAP_STATES))
+        frame, (i, j) = _rap_frame(reduced_model(cfg.rap_drive(), around=_RAP_STATES))
         return diabatic_bound(frame, i, j)
     except (ContinuityError, DegeneracyError):
         return None
@@ -272,8 +273,11 @@ class SweepResult:
 
 
 def default_sweep_values(cfg: ExperimentConfig, axis: str, points: int = 15) -> np.ndarray:
-    """Log-spaced decade centered on the config's full width 2 sigma or peak Rabi frequency."""
+    """Log-spaced decade centered on the config's full width 2 sigma or peak
+    Rabi frequency; one point is the center itself."""
     center = 2.0 * cfg.sigma if axis == "width" else cfg.omega_peak
+    if points == 1:
+        return np.array([center])
     return np.geomspace(center / math.sqrt(10.0), center * math.sqrt(10.0), points)
 
 

@@ -67,10 +67,11 @@ deviation within a chunk, before rescaling: it still measures unitarity.
 
 Two structural reductions keep the cost down without changing the result:
 
-* only the connected components of H's coupling pattern that carry weight
-  of the initial state are evolved (amplitudes outside them are exactly
-  zero for all time); one search finds them, starting from the state's
-  support and stepping along the boolean patterns of H's small factors;
+* only the connected components of H's coupling pattern that carry more
+  of the initial state's weight than ``BLOCK_WEIGHT_FLOOR`` are evolved
+  (amplitudes outside them are exactly zero for all time); the drive record
+  finds them from the state's support along the nonzero entries of H's
+  small factors (:meth:`dickesim.drive.DriveTerms.components`);
 * identical ions (equal weights and equal offsets, N > 1) leave the
   permutation-symmetric states invariant, so a state with no more weight
   outside the span of the N + 1 Dicke states than a block may drop
@@ -81,9 +82,9 @@ Two structural reductions keep the cost down without changing the result:
   ``D^T psi`` and back as ``D psi`` on its (2**N, n_fock) reshape.  Any
   other state evolves in the product basis.
 
-Both are exact basis-level statements about H, not approximations; entries
-of a drive term below 1e-12 of that term's largest entry are treated as
-structural zeros.  No operator on the full space is formed.
+Both are exact basis-level statements about H, not approximations: only
+exact zeros of the factors separate states.  No operator on the full space
+is formed.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ CHUNK_ENTRIES = 256 * 18**2
 #: largest block taken by the prefix-product scan (and largest inner size of
 #: its broadcast multiply-adds); larger blocks never form the step unitaries
 SCAN_BLOCK = 4
-STRUCTURAL_ZERO = 1e-12
 BLOCK_WEIGHT_FLOOR = 1e-20
 LEAK_LIMIT = 1e-4
 #: largest norm deviation within one chunk before evolve raises NumericsError
@@ -206,53 +206,6 @@ def _step_frequencies(cfg: DriveConfig) -> dict:
     if cfg.carrier_coupled and cfg.sideband is not Sideband.CARRIER:
         frequencies["the trap-period margin omega_v / 4"] = cfg.omega_v / 4
     return frequencies
-
-
-def _active_blocks(terms: DriveTerms, psi: np.ndarray):
-    """Sorted index arrays of H's coupling components that carry weight of psi.
-
-    A stack search from each nonzero entry of psi over the patterns of H's
-    small factors: ``(s, n)`` reaches ``(s', n)`` through the internal terms
-    and ``(s', n')`` through ``J(x)L`` and its transpose.  An entry of a term
-    is a structural zero below 1e-12 of that term's largest entry, so a weak
-    coupling in S2 is not lost next to the large ``omega_v n`` diagonal of
-    S0; a sideband entry ``J_ss' L_nn'`` is kept when ``|J_ss'|`` times the
-    largest entry of L clears its cut.  The blocks are ordered by their first
-    index.
-    """
-    n_fock = len(terms.ladder)
-    largest = np.abs(terms.internal).max(axis=(1, 2))
-    levels = np.diagonal(terms.internal[0])[:, None] + terms.omega_v * np.arange(n_fock)
-    largest[0] = max(largest[0], np.abs(levels).max())
-    ladder_max = np.abs(terms.ladder).max(initial=0.0)
-    largest[2] = max(largest[2], np.abs(terms.sideband).max() * ladder_max)
-    cut = STRUCTURAL_ZERO * largest
-    internal = np.any(np.abs(terms.internal) > cut[:, None, None], axis=0)
-    internal |= internal.T
-    sideband = np.abs(terms.sideband) * ladder_max > cut[2]
-    couplings = ((sideband, terms.ladder != 0), (sideband.T, terms.ladder.T != 0))
-    seen = np.zeros(len(psi), dtype=bool)
-    blocks = []
-    for start in np.flatnonzero(psi):
-        if seen[start]:
-            continue
-        stack, members = [start], []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            members.append(i)
-            s, n = divmod(i, n_fock)
-            reached = [internal[s].nonzero()[0] * n_fock + n]
-            reached += [(spin[s].nonzero()[0][:, None] * n_fock
-                         + fock[n].nonzero()[0]).ravel() for spin, fock in couplings]
-            for j in np.concatenate(reached):
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        idx = np.array(sorted(members))
-        if float(np.sum(np.abs(psi[idx]) ** 2)) > BLOCK_WEIGHT_FLOOR:
-            blocks.append(idx)
-    return sorted(blocks, key=lambda idx: idx[0])
 
 
 @dataclass
@@ -388,7 +341,8 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
     ``evolve(..., duration=t)``.  The truncation leak (population at
     ``fock_n = n_max``) and the norm drift are checked after every whole
     step; the drift is measured from unit norm, to which the state is
-    rescaled after each chunk.
+    rescaled after each chunk.  Only the coupling components of the drive
+    record that hold more than ``BLOCK_WEIGHT_FLOOR`` of the weight evolve.
     """
     if psi0.space != cfg.space:
         raise ValueError("initial state lives in a different space than the drive")
@@ -432,7 +386,9 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
         if float(np.sum(dark.real**2 + dark.imag**2)) <= BLOCK_WEIGHT_FLOOR:
             terms, dicke, psi_rep = terms.rotated(columns), columns, projected.ravel()
 
-    splits = [_fock_split(terms, idx, n_fock) for idx in _active_blocks(terms, psi_rep)]
+    blocks = [idx for idx in terms.components(np.flatnonzero(psi_rep))
+              if float(np.sum(np.abs(psi_rep[idx]) ** 2)) > BLOCK_WEIGHT_FLOOR]
+    splits = [_fock_split(terms, idx, n_fock) for idx in blocks]
     psis = [psi_rep[split.idx].astype(complex) for split in splits]
     leak_masks = [(split.idx % n_fock) == cfg.space.n_max for split in splits]
 

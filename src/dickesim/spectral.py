@@ -8,10 +8,11 @@ adiabaticity ratio, a first-order estimate that leaves out the pulse-window
 edges: 1 - F exceeded it on 13 of 120 random ``zero_carrier`` drives, by up
 to 21x), and the reduced model of the chirped red-sideband pulse: the drive
 Hamiltonian projected onto the Dicke states with at most two excitations.
-:meth:`ReducedModel.component` keeps the states coupled to a given set:
-without carrier couplings the RAP pair ``{|d..d,1>, |D,0>}`` is a component
-of its own, so the diabatic bound diagonalises two states, while the
-potentials report diagonalises the full model.
+:func:`reduced_model` can keep only the states coupled to a given set, as
+the drive record's coupling components find them: without carrier couplings
+the RAP pair ``{|d..d,1>, |D,0>}`` is a component of its own, so the
+diabatic bound diagonalises two states, while the potentials report
+diagonalises the full model.
 
 The spectrum scan is one batched pass over the grid: one call of ``h_of_t``
 for the stacked Hamiltonians, one batched ``eigh``, and one batched product
@@ -232,27 +233,15 @@ class ReducedModel:
         p0, p1, p2, p3 = self.terms
         return ((p0 + c1 * p1) + c2 * p2) + c3 * p3
 
-    def component(self, states) -> ReducedModel:
-        """The model on ``states`` and every state coupled to them, directly or not.
 
-        Two states couple where an off-diagonal entry of any term is nonzero;
-        no cut is applied, so only exactly decoupled states are left out and
-        ``h_at`` on the kept states is the exact sub-block of this model's.
-        The kept states stay in this model's order.
-        """
-        coupled = np.any(self.terms != 0.0, axis=0)
-        reach = np.isin(np.arange(len(self.states)), [self.states.index(s) for s in states])
-        for _ in range(len(self.states) - 1):   # a path visits at most d states
-            reach |= coupled[reach].any(axis=0)
-        keep = np.flatnonzero(reach)
-        return ReducedModel(drive=self.drive, states=tuple(self.states[k] for k in keep),
-                            terms=self.terms[:, keep[:, None], keep])
-
-
-def reduced_model(drive: DriveConfig) -> ReducedModel:
+def reduced_model(drive: DriveConfig, around=()) -> ReducedModel:
     """The drive's Hamiltonian on the symmetric low-excitation states.
 
-    Requires a red-sideband drive and ``n_max >= 1``.
+    With ``around``, some of these states, it keeps those in the coupling
+    components of the drive record that contain them
+    (:meth:`dickesim.drive.DriveTerms.components`), in the model's order:
+    ``h_at`` is then the exact sub-block of the whole model's.  Requires a
+    red-sideband drive and ``n_max >= 1``.
     """
     if drive.sideband is not Sideband.RED:
         raise ValueError("the reduced model describes a red-sideband drive")
@@ -263,6 +252,9 @@ def reduced_model(drive: DriveConfig) -> ReducedModel:
     ms = range(min(n_qubits, 2) + 1)
     states = tuple((m, n) for m in ms for n in range(2) if m + n <= 2)
     dicke = dicke_columns(n_qubits)[:, :len(ms)]   # column m: |D_N^(m)>
-    terms = drive_terms(drive).rotated(dicke).assemble([m for m, _ in states],
-                                                       [n for _, n in states])
+    record = drive_terms(drive).rotated(dicke)
+    if around:
+        coupled = np.concatenate(record.components([m * space.n_fock + n for m, n in around]))
+        states = tuple((m, n) for m, n in states if m * space.n_fock + n in coupled)
+    terms = record.assemble([m for m, _ in states], [n for _, n in states])
     return ReducedModel(drive=drive, states=states, terms=terms)

@@ -44,6 +44,27 @@ MUTANTS = (
     Mutant("leak peak read at the chunk's last step", "src/dickesim/propagator.py",
            "peak = int(np.argmax(leaks))", "peak = len(leaks) - 1",
            ("tests/test_propagator.py::TestDiagnostics::test_peak_leak_and_its_time",)),
+    Mutant("component search without the transposed sideband pair", "src/dickesim/drive.py",
+           "(sideband.T, ladder.T)", "(sideband, ladder)",
+           ("tests/test_propagator.py::TestBlockSearch",)),
+    Mutant("reduced model ignores around", "src/dickesim/spectral.py",
+           "    if around:", "    if False:",
+           ("tests/test_spectral.py::TestFiveStateModel"
+            "::test_components_follow_the_coupling_pattern",)),
+    Mutant("sideband coupling a quarter of its size", "src/dickesim/drive.py",
+           "w * cfg.eta / 2.0", "w * cfg.eta / 8.0",
+           ("tests/test_drive.py::TestFactoredTerms"
+            "::test_assembled_record_is_the_dense_hamiltonian",)),
+    Mutant("spectrum overlaps without the transpose", "src/dickesim/spectral.py",
+           "v[:-1].swapaxes(1, 2) @ v[1:]", "v[:-1] @ v[1:]",
+           ("tests/test_spectral.py::TestSequentialEquivalence"
+            "::test_matches_sequential_reference",)),
+    Mutant("gap-sign refusal dropped", "src/dickesim/spectral.py",
+           "if np.any(np.signbit(omega) != np.signbit(omega[0])):", "if False:",
+           ("tests/test_spectral.py::TestDiabaticBound::test_gap_sign_change_rejected",)),
+    Mutant("thermal tail 100x wider", "src/dickesim/experiment.py",
+           "THERMAL_TAIL = 1e-4", "THERMAL_TAIL = 1e-2",
+           ("tests/test_experiment.py::TestRunRap::test_thermal_average_is_linear",)),
 )
 
 

@@ -351,6 +351,16 @@ class TestSweepCommand:
             # the fidelity decomposition is written for two ions only
             assert (diag_sum == offdiag == "nan") == (n_qubits != 2)
 
+    def test_one_point_runs_the_config_itself(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "sweep", "--axis", "width", "--points", "1"]) == 0
+        _, row = (out / "sweep.csv").read_text().strip().splitlines()
+        width, fidelity = map(float, row.split(",")[:2])
+        assert width == pytest.approx(244e-6, rel=1e-11)
+        assert fidelity == pytest.approx(run_rap(parse_config(cfg)).fidelity, abs=1e-11)
+
 
 class TestManifest:
     def test_checksums_verify(self, tmp_path, capsys):

@@ -203,7 +203,7 @@ class TestPairComponentBound:
                         ion_detuning_offsets=tuple(TWO_PI * 1e3 * o
                                                    for o in offsets_khz[:n_qubits]))
         full = reduced_model(cfg.rap_drive())
-        pair = full.component(experiment._RAP_STATES)
+        pair = reduced_model(cfg.rap_drive(), around=experiment._RAP_STATES)
         carrier_free = compensation.kind is CompensationKind.ZERO_CARRIER
         assert len(pair.states) == (2 if carrier_free else len(full.states))
         expected = self.bound_of(full)
@@ -389,3 +389,9 @@ class TestHelpers:
         assert len(values) == 15
         assert values[0] == pytest.approx(100 / math.sqrt(10))
         assert values[-1] == pytest.approx(100 * math.sqrt(10))
+
+    @pytest.mark.parametrize("axis", ["width", "peak"])
+    def test_one_sweep_point_is_the_center(self, axis):
+        # np.geomspace alone would return the decade's low end, 100 / sqrt(10)
+        values = default_sweep_values(zc_config(sigma=50.0, omega_peak=100.0), axis, 1)
+        assert values.tolist() == [100.0]

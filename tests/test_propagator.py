@@ -26,7 +26,8 @@ from dickesim import (CompensationMode, DriveConfig, ExperimentConfig, NumericsE
                       StepSizeError, TruncationLeakError, build_space, embed, evolve,
                       make_dicke, run_rap)
 from dickesim import propagator
-from dickesim.drive import CompensationKind, TWO_PI, coefficients, drive_terms
+from dickesim.core import dicke_columns
+from dickesim.drive import CompensationKind, DriveTerms, TWO_PI, coefficients, drive_terms
 from oracles import (checkpoint_states, connected_components, dense_terms, drive_config,
                      excitation_number, hamiltonian_matrix, overlap, population,
                      prepare_fock1, psi_internal_populations, squared_overlap,
@@ -145,7 +146,7 @@ def strang_evolve(cfg, psi0, n_steps):
     psi = psi0.amplitudes.astype(complex)
     final = np.zeros_like(psi)
     chunk = 1024
-    for idx in propagator._active_blocks(terms, psi):
+    for idx in weighted_blocks(terms, psi):
         split = propagator._fock_split(terms, idx, n_fock)
         m = len(split.idx)
         block, work = psi[split.idx], np.empty((3, chunk, m, m), dtype=complex)
@@ -266,7 +267,7 @@ class TestGuards:
         def no_blocks(*args):
             raise AssertionError("blocks built for a refused run")
 
-        monkeypatch.setattr(propagator, "_active_blocks", no_blocks)
+        monkeypatch.setattr(DriveTerms, "components", no_blocks)
         with pytest.raises(ResourceGuardError,
                            match=r"^11 steps of dt=4\.768e-07 s \(given, where max_frequency "
                                  r"= 6\.283e\+05 rad/s is a chirp endpoint\) over the red "
@@ -697,10 +698,8 @@ class TestManyIons:
 
 
 def dense_pattern(terms):
-    """Off-diagonal coupling pattern of dense terms, each cut at 1e-12 of its largest entry."""
-    pattern = np.zeros(terms[0].shape, dtype=bool)
-    for s in terms:
-        pattern |= np.abs(s) > propagator.STRUCTURAL_ZERO * np.abs(s).max()
+    """Off-diagonal coupling pattern of dense terms: every exactly nonzero entry."""
+    pattern = np.any(np.array(terms) != 0, axis=0)
     np.fill_diagonal(pattern, False)
     return pattern
 
@@ -709,6 +708,12 @@ def weighted_components(terms, psi):
     """The components of the dense pattern that carry weight of psi."""
     return [c for c in connected_components(dense_pattern(terms))
             if np.sum(np.abs(psi[c]) ** 2) > propagator.BLOCK_WEIGHT_FLOOR]
+
+
+def weighted_blocks(record, psi):
+    """The drive record's components that carry weight of psi, as ``evolve`` keeps them."""
+    return [idx for idx in record.components(np.flatnonzero(psi))
+            if np.sum(np.abs(psi[idx]) ** 2) > propagator.BLOCK_WEIGHT_FLOOR]
 
 
 def sparse_state(space, entries, seed, last=1.0):
@@ -760,9 +765,9 @@ def start_state(space, rng, start):
 
 
 class TestBlockSearch:
-    """The block search from the state's support on the factors, against the
-    components of the dense oracle's per-term structural-zero pattern that
-    carry weight of the state, in the product and the symmetric basis."""
+    """The drive record's component search from the state's support, with the
+    propagator's weight floor, against the weighted components of the dense
+    oracle's exact-zero pattern, in the product basis and on the Dicke states."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n_qubits=st.integers(1, 4), n_max=st.integers(0, 3),
@@ -775,6 +780,10 @@ class TestBlockSearch:
            sideband=st.sampled_from(list(Sideband)),
            entries=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
            last=st.sampled_from([1.0, 1e-11]))
+    # a coupling of 4e-291 is a coupling: ion 3 joins |uu..>'s block [12, 13, 14, 15]
+    @example(n_qubits=4, n_max=0, weights=[0.0, 0.0, 1e-4, 8.452795513786906e-290],
+             offsets_khz=[0.0] * 4, uniform=False, comp=CompensationMode.none(),
+             sideband=Sideband.RED, entries=1, seed=0, last=1.0)
     def test_blocks_are_the_weighted_dense_components(self, n_qubits, n_max, weights,
                                                       offsets_khz, uniform, comp, sideband,
                                                       entries, seed, last):
@@ -789,18 +798,28 @@ class TestBlockSearch:
         # an entry of weight ~1e-22 alone in its component falls under the floor
         psi = sparse_state(cfg.space, entries, seed, last)
         dense = dense_terms(cfg)
-        blocks = propagator._active_blocks(drive_terms(cfg), psi)
+        blocks = weighted_blocks(drive_terms(cfg), psi)
         assert [b.tolist() for b in blocks] == [c.tolist()
                                                 for c in weighted_components(dense, psi)]
         if uniform:
-            # rounding leaves ~1e-17 entries in both rotations; the cut drops them
-            transform = symmetric_transform(n_qubits)
-            t_full = np.kron(transform, np.eye(cfg.space.n_fock))
+            # the propagator's one rotation: the projection onto the Dicke states
+            columns = dicke_columns(n_qubits)
+            t_full = np.kron(columns, np.eye(cfg.space.n_fock))
             psi_sym = t_full.T @ psi
-            blocks = propagator._active_blocks(drive_terms(cfg).rotated(transform), psi_sym)
+            blocks = weighted_blocks(drive_terms(cfg).rotated(columns), psi_sym)
             rotated = [t_full.T @ s @ t_full for s in dense]
             assert [b.tolist() for b in blocks] == [
                 c.tolist() for c in weighted_components(rotated, psi_sym)]
+
+    def test_a_vanishing_weight_still_couples(self):
+        # the example's drive: a cut at 1e-12 of the largest entry split ion 3
+        # off, leaving the blocks [12, 14] and [13, 15]
+        cfg = drive_config(space=build_space(4, 0), eta=ETA, omega_v=OMEGA_V,
+                           pulse=PulseShape(omega_peak=OMEGA_PEAK, sigma=SIGMA),
+                           ion_weights=(0.0, 0.0, 1e-4, 8.452795513786906e-290),
+                           compensation=CompensationMode.none())
+        blocks = drive_terms(cfg).components([13])
+        assert [b.tolist() for b in blocks] == [[12, 13, 14, 15]]
 
 
 class TestBasisRule:
@@ -833,7 +852,7 @@ class TestBasisRule:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagator, "LEAK_LIMIT", math.inf)
             res = evolve(cfg, StateVector(cfg.space, psi), duration=1e-9)
-        product = weighted_components(dense_terms(cfg), psi)
+        product = weighted_blocks(drive_terms(cfg), psi)
         assert res.symmetric_basis is (dark_weight(cfg.space, psi)
                                        <= propagator.BLOCK_WEIGHT_FLOOR)
         assert sum(m**3 for m in res.block_sizes) <= sum(len(c)**3 for c in product)

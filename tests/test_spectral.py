@@ -33,10 +33,10 @@ OMEGA_V = TWO_PI * 0.7e6
 ETA = 0.082
 
 
-def five_state_drive(compensation, omega_peak=OMEGA_PEAK, sigma=SIGMA):
+def five_state_drive(compensation, omega_peak=OMEGA_PEAK, sigma=SIGMA, n_qubits=2):
     pulse = PulseShape(omega_peak=omega_peak, sigma=sigma,
                        chirp_start=-TWO_PI * 100e3, chirp_end=TWO_PI * 100e3)
-    return drive_config(space=build_space(2, 5), eta=ETA, omega_v=OMEGA_V,
+    return drive_config(space=build_space(n_qubits, 5), eta=ETA, omega_v=OMEGA_V,
                         pulse=pulse, sideband=Sideband.RED,
                         compensation=compensation)
 
@@ -561,20 +561,28 @@ class TestFiveStateModel:
                     assert h[i, j] == 0.0
 
     def test_components_follow_the_coupling_pattern(self):
-        cfg = five_state_drive(CompensationMode.zero_carrier())
-        model = reduced_model(cfg)
-        times = np.linspace(0.0, cfg.pulse.duration, 7)
-        for seeds, expected in (([(0, 0)], ((0, 0),)),
-                                ([(1, 0)], ((0, 1), (1, 0))),
-                                ([(2, 0)], ((1, 1), (2, 0))),
-                                ([(2, 0), (0, 0)], ((0, 0), (1, 1), (2, 0)))):
-            part = model.component(seeds)
-            assert part.states == expected
-            keep = [model.states.index(state) for state in expected]
-            assert np.array_equal(part.h_at(times), model.h_at(times)[:, keep][:, :, keep])
-        # the carrier couples every state to the pair
-        coupled = reduced_model(five_state_drive(CompensationMode.none()))
-        assert coupled.component([(0, 1)]).states == coupled.states
+        two_ions = (([(0, 0)], ((0, 0),)),
+                    ([(1, 0)], ((0, 1), (1, 0))),
+                    ([(2, 0)], ((1, 1), (2, 0))),
+                    ([(2, 0), (0, 0)], ((0, 0), (1, 1), (2, 0))))
+        # one ion has no |uu,0>: |u,1> couples only to |d,2>, outside the model
+        one_ion = (([(0, 0)], ((0, 0),)),
+                   ([(1, 0)], ((0, 1), (1, 0))),
+                   ([(1, 1)], ((1, 1),)))
+        for n_qubits, cases in ((2, two_ions), (1, one_ion)):
+            cfg = five_state_drive(CompensationMode.zero_carrier(), n_qubits=n_qubits)
+            model = reduced_model(cfg)
+            times = np.linspace(0.0, cfg.pulse.duration, 7)
+            for seeds, expected in cases:
+                part = reduced_model(cfg, around=seeds)
+                assert part.states == expected
+                keep = [model.states.index(state) for state in expected]
+                assert np.array_equal(part.h_at(times),
+                                      model.h_at(times)[:, keep][:, :, keep])
+            # the carrier couples every state to the pair
+            coupled = five_state_drive(CompensationMode.none(), n_qubits=n_qubits)
+            assert (reduced_model(coupled, around=[(0, 1)]).states
+                    == reduced_model(coupled).states)
 
     def test_matches_full_model_single_excitation_branches(self):
         # the dd0 / dd1 / D0 eigenvalues are exact sub-blocks of the 24-dim
