@@ -47,9 +47,9 @@ backward).  Every factor is an exact exponential, so each
 step is unitary to machine precision.  ``A`` is complex symmetric and
 ``B = V diag(b) V^T`` with V real (the eigenvectors of R), so every sub-step
 factors as ``S = Q Q^T`` with ``Q = A V diag(b)^(1/2)``; the factors of a
-chunk are built in batch.  Blocks above ``SCAN_BLOCK`` states
-apply each sub-step as ``Q (Q^T psi)``, two matrix-vector products, and never
-form S.  For smaller blocks the states
+chunk are built in batch.  A block above ``SCAN_BLOCK`` states
+applies each sub-step as ``Q (Q^T psi)``, two matrix-vector products, and never
+forms S.  For smaller blocks the states
 after every sub-step come from a two-level prefix-product scan over the formed
 sub-step unitaries (groups of about sqrt(K) sub-steps: batched products within
 each group, one matrix-vector product per group, one in-place batched product
@@ -57,30 +57,30 @@ for every state), so the Python-level loop runs about sqrt(K) times per chunk
 of K sub-steps instead of K times.  Either way every state is produced, and
 the norm drift and truncation leak are read off the state after each whole
 step (the states between sub-steps are not the state at any time).
-Every block builds the stacks of every chunk in one buffer allocated per
-call, so the chunk loop allocates no stack.
+Every chunk builds its stacks in one buffer allocated per call, so the
+chunk loop allocates no stack.
 
 Rounding still moves the norm by about 3e-16 per sub-step, so after each chunk
-the carried block states are rescaled jointly to unit norm (projection onto
-the invariant).  The norm drift reported and checked is the largest
+the carried block state is rescaled to unit norm (projection onto the
+invariant).  The norm drift reported and checked is the largest
 deviation within a chunk, before rescaling: it still measures unitarity.
 
 Two structural reductions keep the cost down without changing the result:
 
-* only the connected components of H's coupling pattern that carry more
-  of the initial state's weight than ``BLOCK_WEIGHT_FLOOR`` are evolved
-  (amplitudes outside them are exactly zero for all time); the drive record
-  finds them from the state's support along the nonzero entries of H's
-  small factors (:meth:`dickesim.drive.DriveTerms.components`);
+* one block evolves: the basis states that hold more of the initial
+  state's weight than ``BLOCK_WEIGHT_FLOOR`` and every state H couples to
+  them, directly or through others (amplitudes outside it stay exactly
+  zero for all time); the drive record finds it along the nonzero entries
+  of H's small factors (:meth:`dickesim.drive.DriveTerms.coupled`);
 * identical ions (equal weights and equal offsets, N > 1) leave the
   permutation-symmetric states invariant, so a state with no more weight
-  outside the span of the N + 1 Dicke states than a block may drop
-  (``BLOCK_WEIGHT_FLOOR``) evolves on them: the drive record is projected
-  onto the Dicke columns D (:func:`dickesim.core.dicke_columns`, the
-  bright states of the bright/dark reduction of degenerate coupled
-  systems), a 2**N x (N + 1) projection, and the state moves onto them as
-  ``D^T psi`` and back as ``D psi`` on its (2**N, n_fock) reshape.  Any
-  other state evolves in the product basis.
+  outside the span of the N + 1 Dicke states than ``BLOCK_WEIGHT_FLOOR``
+  evolves on them: the drive record is projected onto the Dicke columns D
+  (:func:`dickesim.core.dicke_columns`, the bright states of the
+  bright/dark reduction of degenerate coupled systems), a 2**N x (N + 1)
+  projection, and the state moves onto them as ``D^T psi`` and back as
+  ``D psi`` on its (2**N, n_fock) reshape.  Any other state evolves in the
+  product basis.
 
 Both are exact basis-level statements about H, not approximations: only
 exact zeros of the factors separate states.  No operator on the full space
@@ -135,9 +135,9 @@ class EvolutionResult:
 
     ``steps`` and ``dt`` are the count and the effective length of the
     composed steps, each five Strang sub-steps (five exponentials of the
-    internal Hamiltonian and of the sideband coupling).  ``block_sizes`` are
-    the sizes of the evolved coupling blocks (largest first) and
-    ``symmetric_basis`` whether they live on the Dicke states.
+    internal Hamiltonian and of the sideband coupling).  ``block_size`` is
+    the number of states of the evolved block and ``symmetric_basis``
+    whether it lives on the Dicke states.
     ``norm_drift`` is the largest deviation of the norm squared from 1
     within a chunk, before the per-chunk rescale.  ``peak_leak`` is the
     largest population at ``fock_n = n_max`` after any whole step and
@@ -148,7 +148,7 @@ class EvolutionResult:
     norm_drift: float
     steps: int
     dt: float
-    block_sizes: tuple
+    block_size: int
     symmetric_basis: bool
     peak_leak: float
     peak_leak_time: float
@@ -341,8 +341,9 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
     ``evolve(..., duration=t)``.  The truncation leak (population at
     ``fock_n = n_max``) and the norm drift are checked after every whole
     step; the drift is measured from unit norm, to which the state is
-    rescaled after each chunk.  Only the coupling components of the drive
-    record that hold more than ``BLOCK_WEIGHT_FLOOR`` of the weight evolve.
+    rescaled after each chunk.  One block evolves: the basis states holding
+    more than ``BLOCK_WEIGHT_FLOOR`` of the weight and every state the drive
+    record couples to them.
     """
     if psi0.space != cfg.space:
         raise ValueError("initial state lives in a different space than the drive")
@@ -386,19 +387,18 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
         if float(np.sum(dark.real**2 + dark.imag**2)) <= BLOCK_WEIGHT_FLOOR:
             terms, dicke, psi_rep = terms.rotated(columns), columns, projected.ravel()
 
-    blocks = [idx for idx in terms.components(np.flatnonzero(psi_rep))
-              if float(np.sum(np.abs(psi_rep[idx]) ** 2)) > BLOCK_WEIGHT_FLOOR]
-    splits = [_fock_split(terms, idx, n_fock) for idx in blocks]
-    psis = [psi_rep[split.idx].astype(complex) for split in splits]
-    leak_masks = [(split.idx % n_fock) == cfg.space.n_max for split in splits]
+    seeds = np.flatnonzero(psi_rep.real**2 + psi_rep.imag**2 > BLOCK_WEIGHT_FLOOR)
+    split = _fock_split(terms, terms.coupled(seeds), n_fock)
+    psi = psi_rep[split.idx].astype(complex)
+    leak_mask = (split.idx % n_fock) == cfg.space.n_max
 
-    largest = max(len(split.idx) for split in splits)
+    m = len(split.idx)
     n_sub = len(SUBSTEP_LENGTHS)
-    chunk = max(1, min(CHUNK_STEPS, CHUNK_ENTRIES // largest**2) // n_sub)
+    chunk = max(1, min(CHUNK_STEPS, CHUNK_ENTRIES // m**2) // n_sub)
     sub_dts = SUBSTEP_LENGTHS * dt_eff
-    # every block builds its chunk's stacks (Q, and U with a scratch product
-    # for the scanned blocks) in this one buffer, so no chunk allocates a stack
-    work = np.empty(3 * n_sub * chunk * largest**2, dtype=complex)
+    # every chunk builds its stacks (Q, and U with a scratch product for a
+    # scanned block) in this one buffer, so no chunk allocates a stack
+    buffer = np.empty((3, n_sub * chunk, m, m), dtype=complex)
     norm_drift = 0.0
     peak_leak, peak_leak_time = 0.0, 0.0
     for start in range(0, n_steps, chunk):
@@ -406,20 +406,13 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
         midpoints = ((steps - 1)[:, None] + SUBSTEP_MIDPOINTS).ravel() * dt_eff
         coefs = coefficients(cfg, midpoints)
         dts = np.tile(sub_dts, len(steps))
-
-        norms = np.zeros(len(steps))
-        leaks = np.zeros(len(steps))
-        for b, split in enumerate(splits):
-            m = len(split.idx)
-            buffer = work[:3 * n_sub * chunk * m * m].reshape(3, n_sub * chunk, m, m)
-            q = split.step_factors(coefs, cfg.omega_v, dts, buffer[0])
-            # the states after whole steps; those between sub-steps are not
-            # the state at any time
-            states = _run_chunk(q, psis[b], buffer[1:])[n_sub - 1::n_sub]
-            psis[b] = states[-1].copy()
-            pops = states.real**2 + states.imag**2
-            norms += pops.sum(axis=1)
-            leaks += pops[:, leak_masks[b]].sum(axis=1)
+        q = split.step_factors(coefs, cfg.omega_v, dts, buffer[0])
+        # the states after whole steps; those between sub-steps are not the
+        # state at any time
+        states = _run_chunk(q, psi, buffer[1:])[n_sub - 1::n_sub]
+        pops = states.real**2 + states.imag**2
+        norms = pops.sum(axis=1)
+        leaks = pops[:, leak_mask].sum(axis=1)
 
         drift = np.abs(1.0 - norms)
         worst = int(np.argmax(drift))
@@ -428,9 +421,7 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
                 f"norm drifted by {drift[worst]:.3e} > {NORM_DRIFT_LIMIT:.0e} at "
                 f"t = {steps[worst] * dt_eff:.3e} s; the steps are not unitary")
         norm_drift = max(norm_drift, float(drift[worst]))
-        scale = 1.0 / math.sqrt(norms[-1])
-        for psi in psis:
-            psi *= scale
+        psi = states[-1] * (1.0 / math.sqrt(norms[-1]))
         peak = int(np.argmax(leaks))
         if leaks[peak] > LEAK_LIMIT:
             raise TruncationLeakError(
@@ -441,13 +432,11 @@ def evolve(cfg: DriveConfig, psi0: StateVector, dt: float | None = None,
             peak_leak, peak_leak_time = float(leaks[peak]), float(steps[peak] * dt_eff)
 
     psi_final = np.zeros(len(psi_rep), dtype=complex)
-    for split, psi in zip(splits, psis):
-        psi_final[split.idx] = psi
+    psi_final[split.idx] = psi
     if dicke is not None:
         psi_final = (dicke @ psi_final.reshape(-1, n_fock)).ravel()
     final = StateVector(cfg.space, psi_final)
     return EvolutionResult(
         final_state=final, norm_drift=norm_drift, steps=n_steps, dt=dt_eff,
-        block_sizes=tuple(sorted((len(split.idx) for split in splits), reverse=True)),
-        symmetric_basis=dicke is not None, peak_leak=peak_leak,
+        block_size=m, symmetric_basis=dicke is not None, peak_leak=peak_leak,
         peak_leak_time=peak_leak_time)

@@ -8,9 +8,9 @@ adiabaticity ratio, a first-order estimate that leaves out the pulse-window
 edges: 1 - F exceeded it on 13 of 120 random ``zero_carrier`` drives, by up
 to 21x), and the reduced model of the chirped red-sideband pulse: the drive
 Hamiltonian projected onto the Dicke states with at most two excitations.
-:func:`reduced_model` can keep only the states coupled to a given set, as
-the drive record's coupling components find them: without carrier couplings
-the RAP pair ``{|d..d,1>, |D,0>}`` is a component of its own, so the
+:func:`reduced_model` can keep only the states the drive record couples to a
+given set (:meth:`dickesim.drive.DriveTerms.coupled`): without carrier
+couplings the RAP pair ``{|d..d,1>, |D,0>}`` couples to nothing else, so the
 diabatic bound diagonalises two states, while the potentials report
 diagonalises the full model.
 
@@ -237,9 +237,9 @@ class ReducedModel:
 def reduced_model(drive: DriveConfig, around=()) -> ReducedModel:
     """The drive's Hamiltonian on the symmetric low-excitation states.
 
-    With ``around``, some of these states, it keeps those in the coupling
-    components of the drive record that contain them
-    (:meth:`dickesim.drive.DriveTerms.components`), in the model's order:
+    With ``around``, some of these states, it keeps those the drive record
+    couples to them, directly or through others
+    (:meth:`dickesim.drive.DriveTerms.coupled`), in the model's order:
     ``h_at`` is then the exact sub-block of the whole model's.  Requires a
     red-sideband drive and ``n_max >= 1``.
     """
@@ -254,7 +254,7 @@ def reduced_model(drive: DriveConfig, around=()) -> ReducedModel:
     dicke = dicke_columns(n_qubits)[:, :len(ms)]   # column m: |D_N^(m)>
     record = drive_terms(drive).rotated(dicke)
     if around:
-        coupled = np.concatenate(record.components([m * space.n_fock + n for m, n in around]))
+        coupled = record.coupled([m * space.n_fock + n for m, n in around])
         states = tuple((m, n) for m, n in states if m * space.n_fock + n in coupled)
     terms = record.assemble([m for m, _ in states], [n for _, n in states])
     return ReducedModel(drive=drive, states=states, terms=terms)

@@ -47,6 +47,13 @@ MUTANTS = (
     Mutant("component search without the transposed sideband pair", "src/dickesim/drive.py",
            "(sideband.T, ladder.T)", "(sideband, ladder)",
            ("tests/test_propagator.py::TestBlockSearch",)),
+    Mutant("coupling closure stopped after one hop", "src/dickesim/drive.py",
+           "for i in members:", "for i in list(members):",
+           ("tests/test_propagator.py::TestBlockSearch",)),
+    Mutant("block seeds without the weight floor", "src/dickesim/propagator.py",
+           "> BLOCK_WEIGHT_FLOOR", "> 0",
+           ("tests/test_propagator.py::TestBlockSearch"
+            "::test_a_state_under_the_floor_stays_out",)),
     Mutant("reduced model ignores around", "src/dickesim/spectral.py",
            "    if around:", "    if False:",
            ("tests/test_spectral.py::TestFiveStateModel"

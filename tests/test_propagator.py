@@ -146,16 +146,15 @@ def strang_evolve(cfg, psi0, n_steps):
     psi = psi0.amplitudes.astype(complex)
     final = np.zeros_like(psi)
     chunk = 1024
-    for idx in weighted_blocks(terms, psi):
-        split = propagator._fock_split(terms, idx, n_fock)
-        m = len(split.idx)
-        block, work = psi[split.idx], np.empty((3, chunk, m, m), dtype=complex)
-        for start in range(0, n_steps, chunk):
-            midpoints = (np.arange(start, min(start + chunk, n_steps)) + 0.5) * dt
-            q = split.step_factors(coefficients(cfg, midpoints), cfg.omega_v,
-                                   np.full(len(midpoints), dt), work[0])
-            block = propagator._run_chunk(q, block, work[1:])[-1].copy()
-        final[split.idx] = block
+    split = propagator._fock_split(terms, weighted_block(terms, psi), n_fock)
+    m = len(split.idx)
+    block, work = psi[split.idx], np.empty((3, chunk, m, m), dtype=complex)
+    for start in range(0, n_steps, chunk):
+        midpoints = (np.arange(start, min(start + chunk, n_steps)) + 0.5) * dt
+        q = split.step_factors(coefficients(cfg, midpoints), cfg.omega_v,
+                               np.full(len(midpoints), dt), work[0])
+        block = propagator._run_chunk(q, block, work[1:])[-1].copy()
+    final[split.idx] = block
     return final
 
 
@@ -267,7 +266,7 @@ class TestGuards:
         def no_blocks(*args):
             raise AssertionError("blocks built for a refused run")
 
-        monkeypatch.setattr(DriveTerms, "components", no_blocks)
+        monkeypatch.setattr(DriveTerms, "coupled", no_blocks)
         with pytest.raises(ResourceGuardError,
                            match=r"^11 steps of dt=4\.768e-07 s \(given, where max_frequency "
                                  r"= 6\.283e\+05 rad/s is a chirp endpoint\) over the red "
@@ -561,7 +560,7 @@ class TestChunkScan:
         res = evolve(cfg, psi0, dt=dt)
         monkeypatch.setattr(propagator, "_run_chunk", sequential_chunk)
         ref = evolve(cfg, psi0, dt=dt)
-        assert res.block_sizes == (2,) and res.steps == n_steps
+        assert res.block_size == 2 and res.steps == n_steps
         assert np.abs(res.final_state.amplitudes - ref.final_state.amplitudes).max() < 1e-12
         assert res.norm_drift == pytest.approx(ref.norm_drift, abs=1e-13)
         assert res.peak_leak == pytest.approx(ref.peak_leak, abs=1e-13)
@@ -591,7 +590,7 @@ class TestChunkScan:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert res.block_sizes == (2,)
+            assert res.block_size == 2
             assert peak < 4e6
 
     def test_scan_works_in_place(self):
@@ -628,25 +627,25 @@ class TestChunkScan:
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             res = evolve(drive, psi0, dt=dt, duration=n_chunks * chunk * dt)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        assert res.block_sizes == (block,)
+        assert res.block_size == block
         assert faults[1] - faults[0] < 18 * 25
 
 
 class TestDiagnostics:
-    @pytest.mark.parametrize("kwargs,block_sizes,symmetric", [
+    @pytest.mark.parametrize("kwargs,block_size,symmetric", [
         # a sweep point: the scan path
-        ({}, (2,), True),
+        ({}, 2, True),
         # the carrier-coupled block: one matvec per step
-        ({"compensation": CompensationMode.none()}, (18,), True),
+        ({"compensation": CompensationMode.none()}, 18, True),
         # unequal ions stay in the product basis
-        ({"ion_weights": (1.0, 0.9)}, (3,), False),
+        ({"ion_weights": (1.0, 0.9)}, 3, False),
     ])
-    def test_representation_and_steps(self, kwargs, block_sizes, symmetric):
+    def test_representation_and_steps(self, kwargs, block_size, symmetric):
         cfg = ExperimentConfig(**kwargs)
         drive = cfg.rap_drive()
         duration = 2e-6       # the blocks do not depend on how long the pulse runs
         res = evolve(drive, prepare_fock1(cfg), duration=duration)
-        assert res.block_sizes == block_sizes
+        assert res.block_size == block_size
         assert res.symmetric_basis is symmetric
         assert res.steps == math.ceil(duration / propagator.default_dt(drive))
         assert res.dt == pytest.approx(duration / res.steps, rel=1e-15)
@@ -692,7 +691,7 @@ class TestManyIons:
     def test_symmetric_two_state_block(self, two_ions, n_qubits):
         res = run_rap(ExperimentConfig(n_qubits=n_qubits, n_max=3))
         assert res.evolution.symmetric_basis
-        assert res.evolution.block_sizes == (2,)
+        assert res.evolution.block_size == 2
         assert res.fidelity == pytest.approx(two_ions.fidelity, abs=1e-8)
         assert res.bound.value == pytest.approx(two_ions.bound.value, rel=1e-9)
 
@@ -704,16 +703,21 @@ def dense_pattern(terms):
     return pattern
 
 
+def weighted_states(psi):
+    """The basis states holding more of psi's weight than the propagator's floor."""
+    return np.flatnonzero(np.abs(psi) ** 2 > propagator.BLOCK_WEIGHT_FLOOR)
+
+
 def weighted_components(terms, psi):
-    """The components of the dense pattern that carry weight of psi."""
-    return [c for c in connected_components(dense_pattern(terms))
-            if np.sum(np.abs(psi[c]) ** 2) > propagator.BLOCK_WEIGHT_FLOOR]
+    """The union of the dense pattern's components that hold a weighted state of psi."""
+    held = [c for c in connected_components(dense_pattern(terms))
+            if np.isin(c, weighted_states(psi)).any()]
+    return np.sort(np.concatenate(held))
 
 
-def weighted_blocks(record, psi):
-    """The drive record's components that carry weight of psi, as ``evolve`` keeps them."""
-    return [idx for idx in record.components(np.flatnonzero(psi))
-            if np.sum(np.abs(psi[idx]) ** 2) > propagator.BLOCK_WEIGHT_FLOOR]
+def weighted_block(record, psi):
+    """The drive record's one block for psi, as ``evolve`` finds it."""
+    return record.coupled(weighted_states(psi))
 
 
 def sparse_state(space, entries, seed, last=1.0):
@@ -765,9 +769,9 @@ def start_state(space, rng, start):
 
 
 class TestBlockSearch:
-    """The drive record's component search from the state's support, with the
-    propagator's weight floor, against the weighted components of the dense
-    oracle's exact-zero pattern, in the product basis and on the Dicke states."""
+    """The drive record's closure from the states above the propagator's
+    weight floor, against the union of the dense oracle's exact-zero pattern
+    components that hold them, in the product basis and on the Dicke states."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n_qubits=st.integers(1, 4), n_max=st.integers(0, 3),
@@ -798,18 +802,16 @@ class TestBlockSearch:
         # an entry of weight ~1e-22 alone in its component falls under the floor
         psi = sparse_state(cfg.space, entries, seed, last)
         dense = dense_terms(cfg)
-        blocks = weighted_blocks(drive_terms(cfg), psi)
-        assert [b.tolist() for b in blocks] == [c.tolist()
-                                                for c in weighted_components(dense, psi)]
+        block = weighted_block(drive_terms(cfg), psi)
+        assert block.tolist() == weighted_components(dense, psi).tolist()
         if uniform:
             # the propagator's one rotation: the projection onto the Dicke states
             columns = dicke_columns(n_qubits)
             t_full = np.kron(columns, np.eye(cfg.space.n_fock))
             psi_sym = t_full.T @ psi
-            blocks = weighted_blocks(drive_terms(cfg).rotated(columns), psi_sym)
+            block = weighted_block(drive_terms(cfg).rotated(columns), psi_sym)
             rotated = [t_full.T @ s @ t_full for s in dense]
-            assert [b.tolist() for b in blocks] == [
-                c.tolist() for c in weighted_components(rotated, psi_sym)]
+            assert block.tolist() == weighted_components(rotated, psi_sym).tolist()
 
     def test_a_vanishing_weight_still_couples(self):
         # the example's drive: a cut at 1e-12 of the largest entry split ion 3
@@ -818,15 +820,27 @@ class TestBlockSearch:
                            pulse=PulseShape(omega_peak=OMEGA_PEAK, sigma=SIGMA),
                            ion_weights=(0.0, 0.0, 1e-4, 8.452795513786906e-290),
                            compensation=CompensationMode.none())
-        blocks = drive_terms(cfg).components([13])
-        assert [b.tolist() for b in blocks] == [[12, 13, 14, 15]]
+        assert drive_terms(cfg).coupled([13]).tolist() == [12, 13, 14, 15]
+
+    @pytest.mark.parametrize("weights,block_size", [((1.0, 1.0), 2), ((1.0, 0.9), 3)])
+    def test_a_state_under_the_floor_stays_out(self, weights, block_size):
+        # |dd,0> couples to nothing without carrier couplings; at amplitude
+        # 1e-11 (weight 1e-22) it is no seed, so it neither joins the |dd,1>
+        # block nor leaves exact zero
+        cfg = replace(rap_drive(), ion_weights=weights)
+        amplitudes = np.zeros(cfg.space.dim, dtype=complex)
+        ground, start = cfg.space.index("dd", 0), cfg.space.index("dd", 1)
+        amplitudes[start], amplitudes[ground] = 1.0, 1e-11
+        res = evolve(cfg, StateVector(cfg.space, amplitudes))
+        assert res.block_size == block_size
+        assert res.final_state.amplitudes[ground] == 0.0
 
 
 class TestBasisRule:
     """Identical ions evolve on the Dicke states exactly when the state's weight
-    outside their span is at most ``BLOCK_WEIGHT_FLOOR``, and their blocks then
-    cost no more (sum of cubed sizes) than the weighted components of the
-    product basis, which every other state evolves on."""
+    outside their span is at most ``BLOCK_WEIGHT_FLOOR``, and their block then
+    holds no more states than the product basis's, which every other state
+    evolves on."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n_qubits=st.integers(2, 4), n_max=st.integers(1, 3),
@@ -852,10 +866,10 @@ class TestBasisRule:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagator, "LEAK_LIMIT", math.inf)
             res = evolve(cfg, StateVector(cfg.space, psi), duration=1e-9)
-        product = weighted_blocks(drive_terms(cfg), psi)
+        product = weighted_block(drive_terms(cfg), psi)
         assert res.symmetric_basis is (dark_weight(cfg.space, psi)
                                        <= propagator.BLOCK_WEIGHT_FLOOR)
-        assert sum(m**3 for m in res.block_sizes) <= sum(len(c)**3 for c in product)
+        assert res.block_size <= len(product)
 
 
 class TestRandomizedEquivalence:
